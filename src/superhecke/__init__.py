@@ -5,12 +5,11 @@ from .domains import CDDomain, Family, act, enumerate_domains, tau_minus, tau_pl
 from .groupoid import ZERO, CoxeterGroupoid, Element, Word, dimension_formula, groupoid_for
 from .hecke import HeckeAlgebra, HeckeElement, hecke_eval, hecke_poly
 from .roots import RootSystem, root_system
-from .scalars import BigRational, LaurentPoly, RationalFunction, eval_at
+from .scalars import LaurentPoly
 from .weylgroups import WeylType, is_semisimple, poincare
 from .weylreps import Irrep, irreps, split_regular_module, split_regular_weyl
 
 __all__ = [
-    "BigRational",
     "CDDomain",
     "CoxeterGroupoid",
     "Element",
@@ -19,7 +18,6 @@ __all__ = [
     "HeckeElement",
     "Irrep",
     "LaurentPoly",
-    "RationalFunction",
     "RootSystem",
     "WeylType",
     "Word",
@@ -27,7 +25,6 @@ __all__ = [
     "act",
     "dimension_formula",
     "enumerate_domains",
-    "eval_at",
     "groupoid_for",
     "hecke_eval",
     "hecke_poly",

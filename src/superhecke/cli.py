@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .domains import Family, domain_str, domain_to_json, enumerate_domains
+from .domains import Family, domain_from_json, domain_str, domain_to_json, enumerate_domains
 from .groupoid import (
     SizeCapExceeded,
     Word,
@@ -31,51 +29,26 @@ from .weylgroups import WeylType, is_semisimple, poincare
 from .weylreps import irreps, split_regular_weyl
 
 
-@dataclass
-class RunConfig:
-    """Validated flag bundle shared by the family-based subcommands."""
-
-    family: Family
-    scalar: str = "poly"
-    q0: Fraction = Fraction(2)
-    fmt: str = "text"
-    output: str | None = None
-    seed: int = 0
-    max_elements: int = 500_000
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        kind = args.family
-        m, n = args.m, args.n
-        if kind == "C":
-            # C(n) = osp(2|2(n-1)) is the CD family at m = 1
-            if n is None or n < 2:
-                raise SystemExit2("--family C needs --n >= 2 (C(n) with n >= 2)")
-            family = Family("CD", 1, n - 1)
-        else:
-            if m is None or n is None:
-                raise SystemExit2("--m and --n are required")
-            try:
-                family = Family(kind, m, n)
-            except ValueError as exc:
-                raise SystemExit2(str(exc))
-        scalar = getattr(args, "scalar", "poly")
-        q0 = rational_from_string(getattr(args, "q", "2"))
-        if scalar == "eval" and q0 == 0:
-            raise SystemExit2("eval mode needs q0 != 0")
-        return cls(
-            family=family,
-            scalar=scalar,
-            q0=q0,
-            fmt=getattr(args, "format", "text"),
-            output=getattr(args, "output", None),
-            seed=getattr(args, "seed", 0),
-            max_elements=getattr(args, "max_elements", 500_000),
-        )
-
-
 def _parse_family(args) -> Family:
-    return RunConfig.from_args(args).family
+    """The family named by --family/--m/--n, after every shared input check."""
+    kind = args.family
+    m, n = args.m, args.n
+    if kind == "C":
+        # C(n) = osp(2|2(n-1)) is the CD family at m = 1
+        if n is None or n < 2:
+            raise SystemExit2("--family C needs --n >= 2 (C(n) with n >= 2)")
+        family = Family("CD", 1, n - 1)
+    else:
+        if m is None or n is None:
+            raise SystemExit2("--m and --n are required")
+        try:
+            family = Family(kind, m, n)
+        except ValueError as exc:
+            raise SystemExit2(str(exc))
+    q0 = rational_from_string(getattr(args, "q", "2"))
+    if getattr(args, "scalar", "poly") == "eval" and q0 == 0:
+        raise SystemExit2("eval mode needs q0 != 0")
+    return family
 
 
 class SystemExit2(Exception):
@@ -132,8 +105,7 @@ def cmd_dynkin(args) -> int:
 def cmd_enumerate(args) -> int:
     fam = _parse_family(args)
     G = groupoid_for(fam)
-    G.max_elements = args.max_elements
-    els = G.elements()
+    els = G.elements(args.max_elements)
     if args.format == "json":
         _emit(args, _json_dump({
             "schema_version": 1,
@@ -151,8 +123,7 @@ def cmd_enumerate(args) -> int:
 def cmd_dim(args) -> int:
     fam = _parse_family(args)
     G = groupoid_for(fam)
-    G.max_elements = args.max_elements
-    count = G.order()
+    count = G.order(args.max_elements)
     formula = dimension_formula(fam)
     if args.format == "json":
         _emit(args, _json_dump({
@@ -170,18 +141,14 @@ def cmd_dim(args) -> int:
 def cmd_words(args) -> int:
     fam = _parse_family(args)
     G = groupoid_for(fam)
-    from .domains import domain_from_json
-
-    base = domain_from_json(fam, json.loads(args.base))
-    letters = tuple(int(x) for x in args.letters.split(",") if x)
-    word = Word(base, letters)
+    word = _parse_word(fam, args)
     w = G.evaluate(word)
     data = {
         "schema_version": 1,
         "word": word_to_json(word),
         "element": element_to_json(w),
         "length": G.length(w),
-        "reduced": G.length(w) == len(letters),
+        "reduced": G.length(w) == len(word.letters),
         "canonical_word": word_to_json(G.canonical_reduced_word(w)),
         "reduced_words": [word_to_json(u) for u in G.all_reduced_words(w)],
         "braid_connected": G.braid_connected(w),
@@ -196,6 +163,24 @@ def cmd_words(args) -> int:
             f"braid_connected {data['braid_connected']}\n",
         )
     return 0
+
+
+def _parse_word(fam: Family, args) -> Word:
+    """--base and --letters, checked against the family's domains and rank."""
+    try:
+        base = domain_from_json(fam, json.loads(args.base))
+    except (ValueError, TypeError, KeyError):
+        base = None
+    if base not in enumerate_domains(fam):
+        raise SystemExit2(f"--base {args.base} is not a domain of {fam.name()}")
+    try:
+        letters = tuple(int(x) for x in args.letters.split(",") if x)
+    except ValueError:
+        raise SystemExit2(f"--letters {args.letters!r} is not a comma-separated list of integers")
+    for x in letters:
+        if not 1 <= x <= fam.rank:
+            raise SystemExit2(f"--letters: generator {x} is outside 1..{fam.rank} for {fam.name()}")
+    return Word(base, letters)
 
 
 def cmd_verify(args) -> int:

@@ -117,12 +117,17 @@ class CoxeterGroupoid:
 
     # ---- enumeration ----
 
-    def elements(self) -> tuple[Element, ...]:
+    def elements(self, max_elements: int | None = None) -> tuple[Element, ...]:
         """All nonzero elements, closed under generator multiplication.
 
         Ordered by (length, source, target, map) so output is reproducible.
+        Raises SizeCapExceeded past max_elements (default: the constructor's
+        cap), whether or not an earlier call already enumerated the groupoid.
         """
+        cap = self.max_elements if max_elements is None else max_elements
         if self._elements is not None:
+            if len(self._elements) > cap:
+                raise SizeCapExceeded(f"more than {cap} elements")
             return self._elements
         seen: set[Element] = set()
         frontier: list[Element] = []
@@ -137,10 +142,8 @@ class CoxeterGroupoid:
                 for i in range(1, self.family.rank + 1):
                     u = self.multiply(self.generator(i, w.target), w)
                     if u not in seen:
-                        if len(seen) >= self.max_elements:
-                            raise SizeCapExceeded(
-                                f"more than {self.max_elements} elements"
-                            )
+                        if len(seen) >= cap:
+                            raise SizeCapExceeded(f"more than {cap} elements")
                         seen.add(u)
                         nxt.append(u)
             frontier = nxt
@@ -156,9 +159,9 @@ class CoxeterGroupoid:
         self._elements = tuple(ordered)
         return self._elements
 
-    def order(self) -> int:
+    def order(self, max_elements: int | None = None) -> int:
         """|W \\ {0}|."""
-        return len(self.elements())
+        return len(self.elements(max_elements))
 
     # ---- words ----
 

@@ -165,14 +165,13 @@ class HeckeAlgebra:
         out: dict[Element, HeckeScalar] = {}
 
         def put(w, c):
+            # no stored zeros: c * (q0 - 1) vanishes at q0 = 1
             if w in out:
-                s = out[w] + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-            else:
+                c = out[w] + c
+            if c:
                 out[w] = c
+            else:
+                out.pop(w, None)
 
         for w, c in x.items():
             if w.target != a:

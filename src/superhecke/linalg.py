@@ -1,9 +1,11 @@
 """Exact linear algebra over Q: dense matrix helpers, fraction-free rank,
 incremental echelon forms, nullspaces, and minimal polynomials.
 
-Matrices are lists of lists of Fraction.  Rank computations scale rows to
-integers and run fraction-free eliminations so intermediate growth stays
-bounded; everything is exact.
+Matrices are lists of lists of Fraction.  There is one elimination kernel,
+IntEchelon: it scales rows to integers and eliminates fraction-free, keeping
+each row gcd-reduced so intermediate growth stays bounded (the integer-
+preserving scheme of Bareiss, 1968).  Rank, rref, nullspaces and coordinate
+solves all run through it; everything is exact.
 """
 
 from __future__ import annotations
@@ -41,21 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                         oi[j] += c * bt[j]
     return out
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = len(a), len(a[0]) if a else 0
@@ -81,13 +68,32 @@ def _scale_to_int(vec: Sequence[Fraction]) -> list[int]:
     for x in vec:
         d = x.denominator
         lcm = lcm * d // gcd(lcm, d)
-    out = [int(x * lcm) for x in vec]
+    out = [x.numerator * (lcm // x.denominator) for x in vec]
     g = 0
     for v in out:
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
+        if g == 1:
+            break
     if g > 1:
         out = [v // g for v in out]
     return out
+
+
+def _eliminate(v: list[int], row: list[int], p: int) -> list[int]:
+    """The primitive integer combination of v and row that is zero at column p."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    ca, cb = a // g, b // g
+    v = [ca * x - cb * y for x, y in zip(v, row)]
+    # gcd-reduce after each elimination to keep entries bounded
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+        if g == 1:
+            break
+    if g > 1:
+        v = [x // g for x in v]
+    return v
 
 
 class IntEchelon:
@@ -110,18 +116,7 @@ class IntEchelon:
         v = _scale_to_int(vec)
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
-                a, b = row[p], v[p]
-                g = gcd(abs(a), abs(b))
-                ca, cb = a // g, b // g
-                v = [ca * x - cb * y for x, y in zip(v, row)]
-                # gcd-reduce after each elimination to keep entries bounded
-                g = 0
-                for x in v:
-                    g = gcd(g, abs(x))
-                    if g == 1:
-                        break
-                if g > 1:
-                    v = [x // g for x in v]
+                v = _eliminate(v, row, p)
         return v
 
     def insert(self, vec: Sequence[Fraction]) -> bool:
@@ -149,32 +144,29 @@ def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot columns)."""
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, piv_cols
+    """Reduced row echelon form over Q; returns (rref, pivot columns).
+
+    The rows go through IntEchelon, then each pivot is cleared from the other
+    rows, last-inserted pivot first, so no cleared pivot is filled again.
+    Entries stay integers until each row is divided by its leading entry once,
+    at the end; zero rows pad the result to the input's row count.
+    """
+    if not mat:
+        return [], []
+    cols = len(mat[0])
+    ech = IntEchelon(cols)
+    for row in mat:
+        ech.insert(row)
+    rows, pivots = ech.rows, ech.pivots
+    for k in range(len(rows) - 1, 0, -1):
+        p = pivots[k]
+        for i in range(k):
+            if rows[i][p]:
+                rows[i] = _eliminate(rows[i], rows[k], p)
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    red = [[Fraction(x, rows[k][pivots[k]]) for x in rows[k]] for k in order]
+    red += [[Fraction(0)] * cols for _ in range(len(mat) - len(red))]
+    return red, [pivots[k] for k in order]
 
 
 def nullspace(mat: Matrix) -> list[list[Fraction]]:

@@ -24,7 +24,7 @@ from .domains import (
     domain_str,
     enumerate_domains,
 )
-from .linalg import rank_exact
+from .linalg import rank_exact, solve_coords
 
 Root = tuple[int, ...]
 SignedPerm = tuple[int, ...]  # smap[j] = +-(k+1): epsilon_j -> sign * epsilon_k (0-based j, k)
@@ -336,37 +336,10 @@ class RootSystem:
         return AxiomReport(fam, not failures, failures)
 
     def _in_nonneg_cone(self, beta: Root, pi: list[Root]) -> bool:
-        coeffs = self._solve_in_basis(beta, pi)
+        coeffs = solve_coords(pi, beta)
         if coeffs is None:
             return False
         return all(c.denominator == 1 and c >= 0 for c in coeffs)
-
-    def _solve_in_basis(self, beta: Root, pi: list[Root]) -> list[Fraction] | None:
-        # Gaussian solve of sum c_k pi_k = beta
-        rows = [[Fraction(alpha[d]) for alpha in pi] + [Fraction(beta[d])] for d in range(self.dim)]
-        n = len(pi)
-        r = 0
-        piv = []
-        for c in range(n):
-            pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            piv.append(c)
-            r += 1
-        coeffs = [Fraction(0)] * n
-        for i in range(r, len(rows)):
-            if rows[i][n]:
-                return None
-        for i, c in enumerate(piv):
-            coeffs[c] = rows[i][n]
-        return coeffs
 
     @staticmethod
     def _is_rational_multiple(beta: Root, alpha: Root) -> bool:

@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic: big rationals, Laurent polynomials in q, and their fraction field.
+"""Exact scalar arithmetic: rationals and Laurent polynomials in q.
 
 Two scalar modes run through the whole package.  "poly" mode computes over the
 Laurent polynomial ring Z[q, q^-1]; it is used wherever no division occurs
 (groupoid data, Hecke structure constants).  "eval" mode computes over Q at a
 fixed rational q0 (default 2); it is used for representation matrices and rank
-computations, which need a field.
+computations, which need a field.  Nothing computes in the fraction field
+Q(q): specializing q can only lower a rank, so full rank at one q0 already
+proves full rank over Q(q).
 
 All values are immutable after construction and safe to share between threads.
 Division by zero raises ZeroDivisionError.
@@ -13,14 +15,7 @@ Division by zero raises ZeroDivisionError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Union
-
-#: Arbitrary-precision rational scalar.  fractions.Fraction already maintains
-#: the invariants we need: always reduced, denominator positive, 0 == 0/1.
-BigRational = Fraction
-
-Scalar = Union[Fraction, "LaurentPoly", "RationalFunction"]
+from typing import Iterable, Mapping
 
 
 def rational_from_string(s: str) -> Fraction:
@@ -145,7 +140,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative powers leave the ring; use inverse()")
+            raise ValueError("negative powers leave the ring")
         out = LaurentPoly.one()
         base = self
         while k:
@@ -158,19 +153,6 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
         return LaurentPoly(tuple((e + k, c) for e, c in self._c))
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero Laurent polynomial")
-        return RationalFunction(LaurentPoly.one(), self)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None and isinstance(other, RationalFunction):
-            return RationalFunction(self, LaurentPoly.one()) / other
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self, o)
 
     def evaluate(self, q0: Fraction) -> Fraction:
         """Exact substitution q -> q0.  Needs q0 != 0 if negative exponents occur."""
@@ -213,227 +195,6 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-def _content(p: LaurentPoly) -> int:
-    g = 0
-    for _, c in p.items():
-        g = gcd(g, abs(c))
-    return g
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    """Division of coefficient lists (ascending degree) over Q."""
-    num = num[:]
-    dn = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(0, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        f = num[i] / lead
-        quo[i - dn] = f
-        if f:
-            for j in range(dn + 1):
-                num[i - dn + j] -= f * den[j]
-    while num and not num[-1]:
-        num.pop()
-    return quo, num
-
-
-def _to_frac_list(p: LaurentPoly) -> tuple[list[Fraction], int]:
-    """Shift to an ordinary polynomial; return (ascending coeff list, shift)."""
-    if p.is_zero:
-        return [], 0
-    mn = p.min_exp
-    size = p.max_exp - mn + 1
-    out = [Fraction(0)] * size
-    for e, c in p.items():
-        out[e - mn] = Fraction(c)
-    return out, mn
-
-
-def _primitive_from_frac_list(coeffs: list[Fraction]) -> LaurentPoly:
-    """Clear denominators and content; force positive leading coefficient."""
-    if not coeffs:
-        return LaurentPoly.zero()
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return LaurentPoly(tuple((i, c) for i, c in enumerate(ints) if c))
-
-
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd up to units q^k: primitive, positive leading coefficient, min exponent 0."""
-    if a.is_zero and b.is_zero:
-        return LaurentPoly.zero()
-    if a.is_zero:
-        return _primitive_from_frac_list(_to_frac_list(b)[0])
-    if b.is_zero:
-        return _primitive_from_frac_list(_to_frac_list(a)[0])
-    fa, _ = _to_frac_list(a)
-    fb, _ = _to_frac_list(b)
-    while fb:
-        _, fa = _poly_divmod_frac(fa, fb)
-        fa, fb = fb, fa
-    return _primitive_from_frac_list(fa)
-
-
-def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division; raises ValueError if b does not divide a."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero()
-    fa, sa = _to_frac_list(a)
-    fb, sb = _to_frac_list(b)
-    quo, rem = _poly_divmod_frac(fa, fb)
-    if rem:
-        raise ValueError("not divisible")
-    out: dict[int, int] = {}
-    for i, c in enumerate(quo):
-        if c:
-            if c.denominator != 1:
-                raise ValueError("not divisible over the integers")
-            out[i + sa - sb] = int(c)
-    return LaurentPoly(out)
-
-
-class RationalFunction:
-    """Quotient of integer Laurent polynomials, kept in a canonical form.
-
-    Invariants: denominator nonzero; numerator and denominator coprime and
-    with coprime integer contents; denominator has min exponent 0 and positive
-    leading coefficient.  Two equal values therefore have identical storage.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly.one()):
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", LaurentPoly.zero())
-            object.__setattr__(self, "den", LaurentPoly.one())
-            return
-        g = laurent_gcd(num, den)
-        num = laurent_exact_div(num, g)
-        den = laurent_exact_div(den, g)
-        # gcd of integer contents
-        cg = gcd(_content(num), _content(den))
-        if cg > 1:
-            num = LaurentPoly(tuple((e, c // cg) for e, c in num.items()))
-            den = LaurentPoly(tuple((e, c // cg) for e, c in den.items()))
-        # normalize the unit q^k * (+-1)
-        shift = den.min_exp
-        num = num.shift(-shift)
-        den = den.shift(-shift)
-        if den.items()[-1][1] < 0:
-            num = -num
-            den = -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p, LaurentPoly.one())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _coerce(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RationalFunction(other)
-        if isinstance(other, int):
-            return RationalFunction(LaurentPoly.from_int(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction(self.den, self.num)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def evaluate(self, q0: Fraction) -> Fraction:
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q = {q0}")
-        return self.num.evaluate(q0) / d
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == LaurentPoly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
-def eval_at(p: "LaurentPoly | RationalFunction", q0: Fraction) -> Fraction:
-    """Exact evaluation of a poly-mode scalar at a rational point."""
-    return p.evaluate(Fraction(q0))
-
-
 def laurent_to_json(p: LaurentPoly) -> list[list]:
     """Encode as [[exponent, coefficient-string], ...], exponents ascending."""
     return [[e, str(c)] for e, c in p.items()]
@@ -441,11 +202,3 @@ def laurent_to_json(p: LaurentPoly) -> list[list]:
 
 def laurent_from_json(data) -> LaurentPoly:
     return LaurentPoly(tuple((int(e), int(c)) for e, c in data))
-
-
-def scalar_to_json(x: Scalar):
-    if isinstance(x, Fraction):
-        return rational_to_string(x)
-    if isinstance(x, LaurentPoly):
-        return laurent_to_json(x)
-    raise TypeError(f"cannot serialize scalar of type {type(x)!r}")

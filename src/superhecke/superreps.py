@@ -273,9 +273,7 @@ class IsoReport:
         )
 
 
-def _relation_word_matrices(
-    rep: BlockRep, G: CoxeterGroupoid, base: Domain, letters: tuple[int, ...]
-) -> Matrix:
+def _relation_word_matrices(rep: BlockRep, base: Domain, letters: tuple[int, ...]) -> Matrix:
     out = mat_identity(rep.total_dim)
     dom = base
     mats = []
@@ -291,7 +289,6 @@ def verify_block_rep(rep: BlockRep, H: HeckeAlgebra) -> list[str]:
     """Every defining relation instance of the presentation, in matrices."""
     fails: list[str] = []
     fam = rep.family
-    G = H.groupoid
     q0 = rep.q0
     domains = rep.domains
     n = rep.total_dim
@@ -333,8 +330,8 @@ def verify_block_rep(rep: BlockRep, H: HeckeAlgebra) -> list[str]:
                 if mat_mul(rep.matrix_t(i, b), t) != rep.matrix_e(a):
                     fails.append(f"isotropic relation fails at i={i}, a={a}")
     for inst in H.family_braid_instances():
-        lhs = _relation_word_matrices(rep, G, inst.base, inst.left)
-        rhs = _relation_word_matrices(rep, G, inst.base, inst.right)
+        lhs = _relation_word_matrices(rep, inst.base, inst.left)
+        rhs = _relation_word_matrices(rep, inst.base, inst.right)
         if lhs != rhs:
             fails.append(f"{inst.name} fails at base={inst.base}")
     return fails
@@ -359,7 +356,7 @@ def _basis_image_vectors(bm: BigMap, G: CoxeterGroupoid) -> list[list[Fraction]]
     return [[x for m in images[w] for x in flatten(m)] for w in G.elements()]
 
 
-def _closure_rank(bm: BigMap, G: CoxeterGroupoid, cap: int) -> tuple[int, list[bool]]:
+def _closure_rank(bm: BigMap) -> tuple[int, list[bool]]:
     """Rank of the span closure of products of generator images, per summand."""
     full = []
     per_summand: list[bool] = []
@@ -392,7 +389,7 @@ def _closure_rank(bm: BigMap, G: CoxeterGroupoid, cap: int) -> tuple[int, list[b
     return sum(full), per_summand
 
 
-def verify_isomorphism(family: Family, q0: Fraction, cap: int = 2_000_000) -> IsoReport:
+def verify_isomorphism(family: Family, q0: Fraction) -> IsoReport:
     """Check that the direct sum of box-tensor representations is an
     isomorphism at q0: relations hold, the image algebra is everything, and
     the basis images are linearly independent."""
@@ -408,7 +405,7 @@ def verify_isomorphism(family: Family, q0: Fraction, cap: int = 2_000_000) -> Is
         relation_failures.extend(
             f"({s.left.label} x {s.right.label}): {msg}" for msg in fails
         )
-    closure, per_summand = _closure_rank(bm, G, cap)
+    closure, per_summand = _closure_rank(bm)
     vectors = _basis_image_vectors(bm, G)
     ech = IntEchelon(len(vectors[0]))
     for v in vectors:

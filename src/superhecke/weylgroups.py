@@ -34,10 +34,6 @@ class WeylType:
         if self.kind in ("B", "D") and self.n < 0:
             raise ValueError("W(B_n)/W(D_n) need n >= 0")
 
-    @property
-    def coords(self) -> int:
-        return self.n if self.kind != "A" else self.n
-
     def name(self) -> str:
         if self.kind == "A":
             return f"S_{self.n}"
@@ -112,8 +108,8 @@ def sorted_elements(wt: WeylType) -> tuple[SignedPerm, ...]:
     return tuple(sorted(lens, key=lambda w: (lens[w], w)))
 
 
-def _qint(k: int) -> LaurentPoly:
-    """1 + q + ... + q^(k-1)."""
+def qint(k: int) -> LaurentPoly:
+    """The q-integer [k] = 1 + q + ... + q^(k-1)."""
     return LaurentPoly(tuple((e, 1) for e in range(k)))
 
 
@@ -122,15 +118,15 @@ def poincare_closed(wt: WeylType) -> LaurentPoly:
     out = LaurentPoly.one()
     if wt.kind == "A":
         for r in range(1, wt.n):
-            out = out * _qint(r + 1)
+            out = out * qint(r + 1)
     elif wt.kind == "B":
         for r in range(1, wt.n + 1):
-            out = out * _qint(2 * r)
+            out = out * qint(2 * r)
     else:
         if wt.n >= 1:
-            out = out * _qint(wt.n)
+            out = out * qint(wt.n)
             for r in range(1, wt.n):
-                out = out * _qint(2 * r)
+                out = out * qint(2 * r)
     return out
 
 

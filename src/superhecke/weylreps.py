@@ -43,6 +43,7 @@ from .weylgroups import (
     canonical_words,
     hecke_regular_matrices,
     is_semisimple,
+    qint,
 )
 
 
@@ -89,13 +90,14 @@ def coxeter_matrix(wt: WeylType) -> dict[tuple[int, int], int]:
     return m
 
 
-def _qpow(q0: Fraction, e: int) -> Fraction:
-    return q0**e
-
-
-def _block_coeff(ct_lo: Fraction, ct_hi: Fraction, q0: Fraction) -> Fraction:
-    """Diagonal seminormal coefficient (q-1) ct(i+1) / (ct(i+1) - ct(i))."""
-    return (q0 - 1) * ct_hi / (ct_hi - ct_lo)
+def _block_coeff(d: int, q0: Fraction) -> Fraction:
+    """Diagonal seminormal coefficient (q-1) ct(i+1) / (ct(i+1) - ct(i)) for
+    contents in the ratio ct(i+1) / ct(i) = q0^d, d != 0, with the common
+    factor q0 - 1 cancelled: q0^d / [d] for d > 0 and -1 / [-d] for d < 0.
+    At q0 = 1 this is 1/d."""
+    if d > 0:
+        return q0**d / qint(d).evaluate(q0)
+    return -1 / qint(-d).evaluate(q0)
 
 
 def _symmetric_seminormal(lam, q0: Fraction) -> tuple[int, tuple[Matrix, ...]]:
@@ -117,9 +119,7 @@ def _symmetric_seminormal(lam, q0: Fraction) -> tuple[int, tuple[Matrix, ...]]:
             if ci == cj:
                 mat[col][col] = Fraction(-1)
                 continue
-            ct_i = _qpow(q0, ci - ri)
-            ct_j = _qpow(q0, cj - rj)
-            a = _block_coeff(ct_i, ct_j, q0)
+            a = _block_coeff((cj - rj) - (ci - ri), q0)
             t2 = tuple(
                 tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
                 for row in t
@@ -133,7 +133,7 @@ def _symmetric_seminormal(lam, q0: Fraction) -> tuple[int, tuple[Matrix, ...]]:
 
 def _bitab_content(bt: BiTableau, k: int, Q: Fraction, q0: Fraction) -> Fraction:
     comp, r, c = bitab_position(bt, k)
-    base = _qpow(q0, c - r)
+    base = q0 ** (c - r)
     return Q * base if comp == 0 else -base
 
 
@@ -169,9 +169,13 @@ def _type_b_seminormal(
             if ci[0] == cj[0] and ci[2] == cj[2]:
                 mat[col][col] = Fraction(-1)
                 continue
-            ct_i = _bitab_content(t, i, Q, q0)
-            ct_j = _bitab_content(t, i + 1, Q, q0)
-            a = _block_coeff(ct_i, ct_j, q0)
+            if ci[0] == cj[0]:
+                a = _block_coeff((cj[2] - cj[1]) - (ci[2] - ci[1]), q0)
+            else:
+                # contents of opposite signs: the denominator stays nonzero at q0 = 1
+                ct_i = _bitab_content(t, i, Q, q0)
+                ct_j = _bitab_content(t, i + 1, Q, q0)
+                a = (q0 - 1) * ct_j / (ct_j - ct_i)
             t2 = swap_entries(t, i, i + 1)
             assert is_standard(t2[0]) and is_standard(t2[1])
             mat[col][col] = a

@@ -160,3 +160,38 @@ def test_output_deterministic():
     c = run_cli("irreps", "--type", "D", "--n", "2", "--format", "json", "--oracle", "--seed", "3")
     d = run_cli("irreps", "--type", "D", "--n", "2", "--format", "json", "--oracle", "--seed", "3")
     assert c.stdout == d.stdout
+
+
+@pytest.mark.parametrize(
+    "family, base, letters",
+    [
+        (["A", "--m", "1", "--n", "1"], "[0,1,1,1]", "1"),  # wrong number of ones
+        (["A", "--m", "1", "--n", "1"], "[0,1,1]", "1"),  # wrong length
+        (["A", "--m", "1", "--n", "1"], "not json", "1"),
+        (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "4"),  # rank is 3
+        (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "0,1"),
+        (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "1,x"),
+        (["CD", "--m", "1", "--n", "1"], '{"p": [0, 1], "tag": "E"}', "1"),  # unknown tag
+        (["CD", "--m", "1", "--n", "1"], "[0,1]", "1"),
+    ],
+)
+def test_words_bad_input_exit_2(family, base, letters):
+    proc = run_cli("words", "--family", *family, "--base", base, "--letters", letters)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_max_elements_does_not_leak_between_calls(capsys):
+    # the groupoid is cached per family; a cap given to one command must not
+    # stay on the cached object and fail a later command
+    from superhecke import cli
+
+    fam = ["--family", "A", "--m", "1", "--n", "1"]
+    assert cli.main(["enumerate", *fam, "--max-elements", "10"]) == 2
+    assert cli.main(["verify", *fam]) == 0
+    assert cli.main(["dim", *fam]) == 0
+    # a cap below |W \ 0| still fails once the elements are cached
+    assert cli.main(["dim", *fam, "--max-elements", "143"]) == 2
+    assert cli.main(["dim", *fam, "--max-elements", "144"]) == 0
+    capsys.readouterr()

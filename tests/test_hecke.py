@@ -75,6 +75,21 @@ def test_presentation_eval_mode():
     assert report.passed
 
 
+@pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("B", 1, 1)])
+def test_presentation_and_table_at_q1(fam):
+    # at q0 = 1 the quadratic rule's T-coefficient q0 - 1 vanishes; it must not
+    # be stored, or HeckeElement equality reports false relation failures
+    one = Fraction(1)
+    He = hecke_eval(fam, one)
+    report = He.verify_presentation()
+    assert report.passed, report.failures[:3]
+    te = He.structure_constants()
+    for key, row in hecke_poly(fam).structure_constants().items():
+        specialized = tuple((wi, c.evaluate(one)) for wi, c in row if c.evaluate(one))
+        assert specialized == te.get(key, ())
+    assert all(c for row in te.values() for _, c in row)
+
+
 def test_family_list_matches_coxeter_braids():
     for fam in SMALL + [Family("CD", 1, 2), Family("B", 2, 1)]:
         H = hecke_poly(fam)

@@ -1,0 +1,74 @@
+"""The one elimination kernel: rref, nullspace and solve_coords on IntEchelon."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superhecke.linalg import nullspace, rank_exact, rref, solve_coords
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def matrices(draw):
+    """Small rational matrices; some rows are combinations of earlier ones."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(rationals), draw(rationals)
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+def _vector_for(mat, data):
+    """A vector in the row span of mat, or an arbitrary one."""
+    if data.draw(st.booleans()):
+        coeffs = [data.draw(rationals) for _ in mat]
+        return [sum((c * r[j] for c, r in zip(coeffs, mat)), Fraction(0)) for j in range(len(mat[0]))]
+    return data.draw(st.lists(rationals, min_size=len(mat[0]), max_size=len(mat[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_idempotent_and_row_order_free(mat, rnd):
+    red, piv = rref(mat)
+    assert len(red) == len(mat)
+    assert rref(red) == (red, piv)
+    shuffled = list(mat)
+    rnd.shuffle(shuffled)
+    assert rref(shuffled) == (red, piv)
+    # reduced form: unit pivots, zero elsewhere in pivot columns, zero rows last
+    for r, p in enumerate(piv):
+        assert all(red[i][p] == (1 if i == r else 0) for i in range(len(red)))
+        assert all(x == 0 for x in red[r][:p])
+    assert all(not any(row) for row in red[len(piv):])
+    assert piv == sorted(piv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_nullspace_annihilated_and_rank_nullity(mat):
+    basis = nullspace(mat)
+    for vec in basis:
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in mat)
+    cols = len(mat[0])
+    assert rank_exact(mat) + len(basis) == cols
+    if basis:
+        assert rank_exact(basis) == len(basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_coords_reconstructs_or_rejects(mat, data):
+    vec = _vector_for(mat, data)
+    coords = solve_coords(mat, vec)
+    if coords is None:
+        assert rank_exact(mat + [vec]) == rank_exact(mat) + 1
+    else:
+        assert len(coords) == len(mat)
+        recon = [sum((c * r[j] for c, r in zip(coords, mat)), Fraction(0)) for j in range(len(vec))]
+        assert recon == vec
+        assert rank_exact(mat + [vec]) == rank_exact(mat)

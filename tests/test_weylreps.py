@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superhecke.linalg import mat_mul
 from superhecke.scalars import LaurentPoly
 from superhecke.tableaux import (
     bipartitions,
@@ -145,6 +146,21 @@ def test_irreps_at_other_generic_points():
         assert sum(r.dim**2 for r in reps) == 8
         for r in reps:
             assert verify_irrep_relations(WeylType("B", 2), r)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 3), ("A", 4), ("B", 3), ("D", 4)])
+def test_irreps_at_q1(kind, n):
+    # q0 = 1 is semisimple: the seminormal matrices are the group's own
+    # (Young's form, diagonal 1/d), square to 1 and satisfy the braid relations
+    wt = WeylType(kind, n)
+    assert is_semisimple(wt, Fraction(1))
+    reps = irreps(wt, Fraction(1))
+    assert sum(r.dim**2 for r in reps) == group_order(wt)
+    for r in reps:
+        assert verify_irrep_relations(wt, r)
+        ident = [[Fraction(int(i == j)) for j in range(r.dim)] for i in range(r.dim)]
+        for g in r.gens:
+            assert mat_mul(g, g) == ident
 
 
 ORACLE_CASES = [("A", 2), ("A", 3), ("A", 4), ("B", 1), ("B", 2), ("D", 2), ("D", 3)]
