@@ -3,17 +3,20 @@
 Subcommands expose every capability with machine-readable output: domains,
 dynkin, enumerate, dim, words, verify, structconst, poincare, irreps,
 verify-all.  Output is deterministic for fixed flags and seed.  Exit codes:
-0 success, 1 verification failure, 2 invalid arguments.
+0 success, 1 verification failure, 2 invalid arguments, 141 (128 + SIGPIPE)
+when the reader closes the output pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .domains import Family, domain_from_json, domain_str, domain_to_json, enumerate_domains
 from .groupoid import (
+    CoxeterGroupoid,
     SizeCapExceeded,
     Word,
     dimension_formula,
@@ -53,6 +56,14 @@ def _parse_family(args) -> Family:
 
 class SystemExit2(Exception):
     pass
+
+
+def _capped_groupoid(args, fam: Family) -> CoxeterGroupoid:
+    """The family's groupoid, enumerated under --max-elements before any
+    other work, so a family past the cap fails fast with exit 2."""
+    G = groupoid_for(fam)
+    G.elements(args.max_elements)
+    return G
 
 
 def _emit(args, text: str):
@@ -185,6 +196,7 @@ def _parse_word(fam: Family, args) -> Word:
 
 def cmd_verify(args) -> int:
     fam = _parse_family(args)
+    _capped_groupoid(args, fam)
     alg = _algebra(args, fam)
     axioms = root_system(fam).check_axioms()
     pres = alg.verify_presentation()
@@ -213,6 +225,7 @@ def _algebra(args, fam: Family) -> HeckeAlgebra:
 
 def cmd_structconst(args) -> int:
     fam = _parse_family(args)
+    _capped_groupoid(args, fam)
     alg = _algebra(args, fam)
     data = alg.structure_constants_json()
     _emit(args, _json_dump(data))
@@ -306,6 +319,7 @@ def _label_json(label):
 def cmd_reps(args) -> int:
     fam = _parse_family(args)
     q0 = rational_from_string(args.q)
+    _capped_groupoid(args, fam)
     if args.mode == "build":
         from .superreps import big_map
 
@@ -350,7 +364,7 @@ def cmd_verify_all(args) -> int:
         tail = f"  {detail}" if detail else ""
         lines.append(f"{'PASS' if passed else 'FAIL'}  {name}{tail}")
 
-    G = groupoid_for(fam)
+    G = _capped_groupoid(args, fam)
     count = G.order()
     formula = dimension_formula(fam)
     report("dimension formula", count == formula, f"|W\\0| = {count}, formula = {formula}")
@@ -478,7 +492,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send the rest of the output to devnull
+        # so the flush at exit cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

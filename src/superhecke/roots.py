@@ -205,26 +205,34 @@ class RootSystem:
         return v in pos or tuple(-c for c in v) in pos
 
     def coxeter_entry(self, i: int, j: int, a: Domain) -> int:
-        """|(N0 alpha_i + N0 alpha_j) cap R_a| (finite for these families)."""
+        """|(N0 alpha_i + N0 alpha_j) cap R_a|, counted over the finite set R_a."""
         if i == j:
             raise ValueError("coxeter_entry needs i != j")
         key = (min(i, j), max(i, j), a)
         cached = self._coxeter.get(key)
         if cached is not None:
             return cached
-        ai = self._simple[(i, a)]
-        aj = self._simple[(j, a)]
-        found = set()
-        bound = 5
-        for c1 in range(bound + 1):
-            for c2 in range(bound + 1):
-                if c1 == 0 and c2 == 0:
-                    continue
-                v = tuple(c1 * x + c2 * y for x, y in zip(ai, aj))
-                if self.is_root(v, a):
-                    found.add(v)
-        self._coxeter[key] = len(found)
-        return len(found)
+        ai, aj = self._simple[(i, a)], self._simple[(j, a)]
+        # coordinates in (alpha_i, alpha_j) by Cramer's rule on a nonzero 2 x 2
+        # minor (simple roots are independent), then checked on every entry
+        r, s = next(
+            (r, s)
+            for r in range(len(ai))
+            for s in range(r + 1, len(ai))
+            if ai[r] * aj[s] != ai[s] * aj[r]
+        )
+        det = ai[r] * aj[s] - ai[s] * aj[r]
+        count = 0
+        for pos in self._positive[a]:
+            for beta in (pos, tuple(-c for c in pos)):
+                c1, x = divmod(beta[r] * aj[s] - beta[s] * aj[r], det)
+                c2, y = divmod(ai[r] * beta[s] - ai[s] * beta[r], det)
+                if x == y == 0 and c1 >= 0 and c2 >= 0 and beta == tuple(
+                    c1 * u + c2 * v for u, v in zip(ai, aj)
+                ):
+                    count += 1
+        self._coxeter[key] = count
+        return count
 
     def theta(self, i: int, j: int, a: Domain) -> int:
         """Size of the two-generator orbit, via the alternating-word recursion."""

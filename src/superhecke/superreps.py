@@ -7,6 +7,14 @@ a classical Hecke irreducible on the left or right tensor factor, with the
 block-sorting permutations translating generator indices.  The direct sum
 over all label pairs is checked to be an isomorphism onto the matrix-algebra
 product by exact rank computations.
+
+The verification is block-sparse.  Each T_{i,a} is one d x d block from
+block a to block act(i, a), so every word in the generators, and every basis
+image f(w), is one d x d block per summand.  Relations multiply blocks along
+their words; the closure and basis-image ranks split into one small
+echelon per (target, source) pair of domains, since images with different
+supports are independent; trace signatures skip words that do not close
+into a loop.  No (|domains| d)-sized matrix is ever built.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ def factor_types(family: Family) -> tuple[WeylType, WeylType]:
 class BlockRep:
     """One box-tensor representation: block data per generator and domain.
 
-    blocks[i][a] = (target domain, matrix) describing T_{i,a} as a map from
-    the a-block to the target block; E_a acts as the projector onto block a.
+    blocks[i][a] = (target domain, matrix) describing T_{i,a} as a d x d map
+    from the a-block to the target block; E_a is the identity on block a.
     """
 
     family: Family
@@ -58,29 +66,6 @@ class BlockRep:
     @property
     def total_dim(self) -> int:
         return len(self.domains) * self.block_dim
-
-    def domain_index(self, a: Domain) -> int:
-        return self.domains.index(a)
-
-    def matrix_e(self, a: Domain) -> Matrix:
-        n = self.total_dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        k = self.domain_index(a) * self.block_dim
-        for t in range(self.block_dim):
-            out[k + t][k + t] = Fraction(1)
-        return out
-
-    def matrix_t(self, i: int, a: Domain) -> Matrix:
-        n = self.total_dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        b, block = self.blocks[i][a]
-        row0 = self.domain_index(b) * self.block_dim
-        col0 = self.domain_index(a) * self.block_dim
-        for r in range(self.block_dim):
-            for c in range(self.block_dim):
-                if block[r][c]:
-                    out[row0 + r][col0 + c] = block[r][c]
-        return out
 
 
 def _tensor_left(mat: Matrix, right_dim: int) -> Matrix:
@@ -224,12 +209,6 @@ class BigMap:
     def block_dims(self) -> list[int]:
         return [s.total_dim for s in self.summands]
 
-    def generator_matrices(self, i: int, a: Domain) -> list[Matrix]:
-        return [s.matrix_t(i, a) for s in self.summands]
-
-    def idempotent_matrices(self, a: Domain) -> list[Matrix]:
-        return [s.matrix_e(a) for s in self.summands]
-
 
 def big_map(family: Family, q0: Fraction) -> BigMap:
     """Assemble the direct-sum representation over all label pairs (lambda, mu)."""
@@ -273,173 +252,175 @@ class IsoReport:
         )
 
 
-def _relation_word_matrices(rep: BlockRep, base: Domain, letters: tuple[int, ...]) -> Matrix:
-    out = mat_identity(rep.total_dim)
-    dom = base
-    mats = []
+def _word_block(rep: BlockRep, base: Domain, letters: tuple[int, ...]) -> tuple[Domain, Matrix]:
+    """T_{i1} ... T_{im} on block base, letters applied right to left, as its
+    (target domain, d x d matrix)."""
+    dom, out = base, mat_identity(rep.block_dim)
     for letter in reversed(letters):
-        mats.append(rep.matrix_t(letter, dom))
+        out = mat_mul(rep.blocks[letter][dom][1], out)
         dom = act(rep.family, letter, dom)
-    for m in mats:
-        out = mat_mul(m, out)
-    return out
+    return dom, out
 
 
 def verify_block_rep(rep: BlockRep, H: HeckeAlgebra) -> list[str]:
-    """Every defining relation instance of the presentation, in matrices."""
+    """Every defining relation instance of the presentation, on d x d blocks.
+
+    The idempotent and E T E relations hold exactly when the block data is
+    well formed: the domains are distinct (so the E_a are orthogonal
+    projectors summing to the identity) and each T_{i,a} is one d x d block
+    from block a to block act(i, a).  The quadratic, isotropic and braid
+    relations multiply blocks along their words; they are checked only on
+    well-formed data.
+    """
     fails: list[str] = []
     fam = rep.family
     q0 = rep.q0
-    domains = rep.domains
-    n = rep.total_dim
-    # idempotents: orthogonal projectors summing to the identity
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for a in domains:
-        ea = rep.matrix_e(a)
-        if mat_mul(ea, ea) != ea:
-            fails.append(f"E^2 != E at {a}")
-        for b in domains:
-            if b != a and any(
-                x for row in mat_mul(ea, rep.matrix_e(b)) for x in row
-            ):
-                fails.append(f"E_a E_b != 0 at {a}, {b}")
-        for r in range(n):
-            for c in range(n):
-                total[r][c] += ea[r][c]
-    if total != mat_identity(n):
+    d = rep.block_dim
+    if len(set(rep.domains)) != len(rep.domains):
         fails.append("sum of idempotents is not the identity")
-    for a in domains:
+    well_formed = not fails
+    for a in rep.domains:
         for i in range(1, fam.rank + 1):
             b = act(fam, i, a)
-            t = rep.matrix_t(i, a)
-            sandwich = mat_mul(rep.matrix_e(b), mat_mul(t, rep.matrix_e(a)))
-            if sandwich != t:
+            target, t = rep.blocks[i][a]
+            if target != b or len(t) != d or any(len(row) != d for row in t):
                 fails.append(f"E T E != T at i={i}, a={a}")
+                well_formed = False
+                continue
             if b == a:
-                lhs = mat_mul(t, t)
                 rhs = [
-                    [
-                        (q0 - 1) * t[r][c] + q0 * rep.matrix_e(a)[r][c]
-                        for c in range(n)
-                    ]
-                    for r in range(n)
+                    [(q0 - 1) * x + (q0 if r == c else 0) for c, x in enumerate(row)]
+                    for r, row in enumerate(t)
                 ]
-                if lhs != rhs:
+                if mat_mul(t, t) != rhs:
                     fails.append(f"quadratic fails at i={i}, a={a}")
-            else:
-                if mat_mul(rep.matrix_t(i, b), t) != rep.matrix_e(a):
-                    fails.append(f"isotropic relation fails at i={i}, a={a}")
+            elif mat_mul(rep.blocks[i][b][1], t) != mat_identity(d):
+                fails.append(f"isotropic relation fails at i={i}, a={a}")
+    if not well_formed:
+        return fails
     for inst in H.family_braid_instances():
-        lhs = _relation_word_matrices(rep, inst.base, inst.left)
-        rhs = _relation_word_matrices(rep, inst.base, inst.right)
+        lhs = _word_block(rep, inst.base, inst.left)
+        rhs = _word_block(rep, inst.base, inst.right)
         if lhs != rhs:
             fails.append(f"{inst.name} fails at base={inst.base}")
     return fails
 
 
-def _basis_image_vectors(bm: BigMap, G: CoxeterGroupoid) -> list[list[Fraction]]:
-    """Flattened big-map image of every basis element f(w), via canonical words."""
-    images: dict[Element, list[Matrix]] = {}
-    for a in G.roots.domains:
-        images[G.identity(a)] = bm.idempotent_matrices(a)
-    order = sorted(G.elements(), key=G.length)
-    for w in order:
-        if w in images:
-            continue
-        word = G.canonical_reduced_word(w)
-        i = word.letters[0]
-        rest = G.multiply(G.generator(i, w.target), w)
-        gen_mats = bm.generator_matrices(i, rest.target)
-        images[w] = [
-            mat_mul(g, m) for g, m in zip(gen_mats, images[rest])
-        ]
-    return [[x for m in images[w] for x in flatten(m)] for w in G.elements()]
+def _basis_rank(bm: BigMap, G: CoxeterGroupoid) -> int:
+    """Rank of the big-map images f(w) of the basis, via canonical words.
+
+    f(w) is one d x d block per summand, from block source(w) to block
+    target(w), so images with different (target, source) have disjoint
+    supports: the rank is the sum of the ranks of those groups.  Each f(w) is
+    T_i f(s_i w) for the first letter i of w's canonical word (its smallest
+    left descent); only the previous length's images are kept.
+    """
+    width = sum(s.block_dim ** 2 for s in bm.summands)
+    groups: dict[tuple[Domain, Domain], IntEchelon] = {}
+    prev: dict[Element, list[Matrix]] = {}
+    cur: dict[Element, list[Matrix]] = {}
+    length = 0
+    for w in G.elements():  # ordered by length
+        if G.length(w) != length:
+            length, prev, cur = G.length(w), cur, {}
+        if length == 0:
+            images = [mat_identity(s.block_dim) for s in bm.summands]
+        else:
+            i = next(i for i in range(1, G.family.rank + 1) if G.left_descent(w, i))
+            rest = G.multiply(G.generator(i, w.target), w)
+            images = [
+                mat_mul(s.blocks[i][rest.target][1], m)
+                for s, m in zip(bm.summands, prev[rest])
+            ]
+        cur[w] = images
+        ech = groups.setdefault((w.target, w.source), IntEchelon(width))
+        if ech.rank < width:
+            ech.insert([x for m in images for x in flatten(m)])
+    return sum(ech.rank for ech in groups.values())
 
 
-def _closure_rank(bm: BigMap) -> tuple[int, list[bool]]:
-    """Rank of the span closure of products of generator images, per summand."""
-    full = []
-    per_summand: list[bool] = []
-    for s in bm.summands:
-        n = s.total_dim
-        gens = []
-        for a in s.domains:
-            gens.append(s.matrix_e(a))
-            for i in range(1, s.family.rank + 1):
-                gens.append(s.matrix_t(i, a))
-        ech = IntEchelon(n * n)
-        frontier = []
-        for g in gens:
-            if ech.insert(flatten(g)):
-                frontier.append(g)
-        while frontier and ech.rank < n * n:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = mat_mul(g, m)
-                    if ech.insert(flatten(prod)):
-                        nxt.append(prod)
-                        if ech.rank >= n * n:
-                            break
-                if ech.rank >= n * n:
-                    break
-            frontier = nxt
-        per_summand.append(ech.rank == n * n)
-        full.append(ech.rank)
-    return sum(full), per_summand
+def _closure_rank(rep: BlockRep) -> int:
+    """Dimension of the algebra generated by the E_a and T_{i,a}.
+
+    Every product of generators is one d x d block from some block a to some
+    block b, so the span splits over (b, a): one echelon of width d^2 per
+    pair, grown by multiplying each new product by the generators whose
+    source is its target, until nothing new appears or the span is full.
+    """
+    d = rep.block_dim
+    full = len(rep.domains) ** 2 * d * d
+    echs: dict[tuple[Domain, Domain], IntEchelon] = {}
+    rank = 0
+
+    def insert(target: Domain, source: Domain, m: Matrix) -> bool:
+        nonlocal rank
+        ech = echs.setdefault((target, source), IntEchelon(d * d))
+        if ech.rank == d * d or not ech.insert(flatten(m)):
+            return False
+        rank += 1
+        return True
+
+    frontier = []
+    for a in rep.domains:
+        gens = [(a, mat_identity(d))] + [rep.blocks[i][a] for i in range(1, rep.family.rank + 1)]
+        frontier += [(b, a, m) for b, m in gens if insert(b, a, m)]
+    while frontier and rank < full:
+        nxt = []
+        for b, a, m in frontier:
+            for i in range(1, rep.family.rank + 1):
+                c, t = rep.blocks[i][b]
+                prod = mat_mul(t, m)
+                if insert(c, a, prod):
+                    nxt.append((c, a, prod))
+        frontier = nxt
+    return rank
+
+
+def _trace_signature(rep: BlockRep) -> tuple:
+    """The nonzero traces of every generator T_{i,a} and every product of two
+    of them.  A word that does not compose, or whose product does not map a
+    block to itself, has trace 0 and is left out."""
+    sig = []
+    for a in rep.domains:
+        for i in range(1, rep.family.rank + 1):
+            b, t = rep.blocks[i][a]
+            if b == a:
+                sig.append(((i, a), sum(t[k][k] for k in range(rep.block_dim))))
+            for j in range(1, rep.family.rank + 1):
+                c, u = rep.blocks[j][b]
+                if c == a:
+                    tr = sum(x * t[k][r] for r, row in enumerate(u) for k, x in enumerate(row))
+                    sig.append(((i, a, j), tr))
+    return rep.total_dim, tuple(x for x in sig if x[1])
 
 
 def verify_isomorphism(family: Family, q0: Fraction) -> IsoReport:
     """Check that the direct sum of box-tensor representations is an
     isomorphism at q0: relations hold, the image algebra is everything, and
-    the basis images are linearly independent."""
+    the basis images are linearly independent.  Every step works on d x d
+    blocks; no (|domains| d)-sized matrix is built."""
     q0 = Fraction(q0)
     bm = big_map(family, q0)
     G = groupoid_for(family)
     H = hecke_poly(family)
     relation_failures: list[str] = []
-    checked = 0
     for s in bm.summands:
-        fails = verify_block_rep(s, H)
-        checked += 1
         relation_failures.extend(
-            f"({s.left.label} x {s.right.label}): {msg}" for msg in fails
+            f"({s.left.label} x {s.right.label}): {msg}" for msg in verify_block_rep(s, H)
         )
-    closure, per_summand = _closure_rank(bm)
-    vectors = _basis_image_vectors(bm, G)
-    ech = IntEchelon(len(vectors[0]))
-    for v in vectors:
-        ech.insert(v)
-    basis_rank = ech.rank
-    # pairwise non-equivalence of summands by trace vectors over words
-    words: list[tuple] = [()]
-    gens_idx = [
-        (i, a) for a in G.roots.domains for i in range(1, family.rank + 1)
-    ]
-    words += [(g,) for g in gens_idx] + [
-        (g, h) for g in gens_idx for h in gens_idx
-    ]
-    sigs = set()
-    for s in bm.summands:
-        sig = []
-        for word in words:
-            m = mat_identity(s.total_dim)
-            for i, a in word:
-                m = mat_mul(s.matrix_t(i, a), m)
-            sig.append(sum(m[k][k] for k in range(s.total_dim)))
-        sigs.add((s.total_dim, tuple(sig)))
+    closure = [_closure_rank(s) for s in bm.summands]
     return IsoReport(
         family=family,
         q0=q0,
         dim_formula=dimension_formula(family),
         dim_enumerated=G.order(),
         summand_dims=bm.block_dims(),
-        relations_checked=checked,
+        relations_checked=len(bm.summands),
         relation_failures=relation_failures,
-        summand_surjective=per_summand,
-        basis_rank=basis_rank,
-        closure_rank=closure,
-        pairwise_distinct=len(sigs) == len(bm.summands),
+        summand_surjective=[r == s.total_dim ** 2 for r, s in zip(closure, bm.summands)],
+        basis_rank=_basis_rank(bm, G),
+        closure_rank=sum(closure),
+        pairwise_distinct=len({_trace_signature(s) for s in bm.summands}) == len(bm.summands),
     )
 
 

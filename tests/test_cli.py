@@ -195,3 +195,28 @@ def test_max_elements_does_not_leak_between_calls(capsys):
     assert cli.main(["dim", *fam, "--max-elements", "143"]) == 2
     assert cli.main(["dim", *fam, "--max-elements", "144"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "structconst", "reps", "verify-all"])
+def test_max_elements_caps_every_family_command(command):
+    # A(1,1) has 144 elements: past the cap the command exits 2 before any work
+    proc = run_cli(command, "--family", "A", "--m", "1", "--n", "1", "--max-elements", "10")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: more than 10 elements\n"
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the reader closes the pipe before the (multi-megabyte) table is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superhecke.cli", "structconst", "--family", "A",
+         "--m", "1", "--n", "1", "--scalar", "eval", "--q", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=ROOT,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert stderr == b""

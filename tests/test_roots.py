@@ -69,6 +69,27 @@ def test_coxeter_entries():
             assert rs22.coxeter_entry(3, 4, a) == 4
 
 
+def test_coxeter_entry_matches_bounded_search():
+    # the count over R_a against a brute-force search of c1 alpha_i + c2 alpha_j
+    # with 0 <= c1, c2 <= 10, not both zero
+    bound = 10
+    for fam in [Family("A", 1, 1), Family("B", 1, 2), Family("CD", 2, 1), Family("CD", 1, 2)]:
+        rs = root_system(fam)
+        for a in rs.domains:
+            for i in range(1, fam.rank + 1):
+                for j in range(1, fam.rank + 1):
+                    if i == j:
+                        continue
+                    ai, aj = rs.simple_root(i, a), rs.simple_root(j, a)
+                    found = {
+                        tuple(c1 * x + c2 * y for x, y in zip(ai, aj))
+                        for c1 in range(bound + 1)
+                        for c2 in range(bound + 1)
+                        if c1 or c2
+                    }
+                    assert rs.coxeter_entry(i, j, a) == sum(rs.is_root(v, a) for v in found)
+
+
 def test_theta_examples_and_divisibility():
     rs = root_system(Family("A", 1, 1))
     d_e = (0, 0, 1, 1)

@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from superhecke import cli, superreps
 from superhecke.domains import CDDomain, Family, act, enumerate_domains
 from superhecke.groupoid import groupoid_for
 from superhecke.hecke import hecke_poly
-from superhecke.linalg import mat_identity, mat_mul
+from superhecke.linalg import kron, mat_identity, mat_mul
 from superhecke.superreps import (
+    BigMap,
     big_map,
     box_tensor,
     factor_types,
@@ -16,7 +20,7 @@ from superhecke.superreps import (
     verify_block_rep,
     verify_isomorphism,
 )
-from superhecke.weylgroups import WeylType
+from superhecke.weylgroups import WeylType, poincare
 from superhecke.weylreps import irreps
 
 
@@ -56,31 +60,25 @@ def test_worked_braid_chain_in_matrices():
     d = (0, 0, 1, 0, 1)
     i = 1
     assert d[i - 1] == 0 and d[i] == 0 and d[i + 1] == 1
-    d1 = act(fam, i, d)
-    d2 = act(fam, i + 1, d1)
-    d4 = act(fam, i + 1, d)
-    d5 = act(fam, i, d4)
-    lhs = mat_mul(rep.matrix_t(i, d2), mat_mul(rep.matrix_t(i + 1, d1), rep.matrix_t(i, d)))
-    rhs = mat_mul(rep.matrix_t(i + 1, d5), mat_mul(rep.matrix_t(i, d4), rep.matrix_t(i + 1, d)))
+
+    def chain(letters):
+        # T_{letters} on block d, rightmost letter first: (target, block)
+        dom, out = d, mat_identity(rep.block_dim)
+        for letter in reversed(letters):
+            dom, block = rep.blocks[letter][dom]
+            out = mat_mul(block, out)
+        return dom, out
+
+    lhs_target, lhs = chain((i, i + 1, i))
+    rhs_target, rhs = chain((i + 1, i, i + 1))
     assert lhs == rhs
     # closed form: transport to d3 composed with the left generator action
     from superhecke.domains import invert_perm, tau_plus
 
+    d3 = act(fam, i, act(fam, i + 1, act(fam, i, d)))
+    assert lhs_target == rhs_target == d3
     k = invert_perm(tau_plus(fam, d))[i - 1]
-    single = rep.matrix_t(i, d)
-    d3 = act(fam, i, d2)
-    expected = [
-        [Fraction(0)] * rep.total_dim for _ in range(rep.total_dim)
-    ]
-    row0 = rep.domain_index(d3) * rep.block_dim
-    col0 = rep.domain_index(d) * rep.block_dim
-    from superhecke.linalg import kron
-
-    block = kron(l.gens[k], mat_identity(r.dim))
-    for rr in range(rep.block_dim):
-        for cc in range(rep.block_dim):
-            expected[row0 + rr][col0 + cc] = block[rr][cc]
-    assert lhs == expected
+    assert lhs == kron(l.gens[k], mat_identity(r.dim))
 
 
 def test_b_edge_case_m0():
@@ -141,6 +139,8 @@ ISO_CASES = [
     (Family("B", 0, 2), Fraction(2), 8),
     (Family("CD", 1, 1), Fraction(2), 18),
     (Family("CD", 2, 1), Fraction(2), 128),
+    (Family("A", 2, 1), Fraction(2), 1200),
+    (Family("CD", 1, 2), Fraction(1, 3), 200),
 ]
 
 
@@ -160,3 +160,71 @@ def test_injectivity_is_basis_independence():
     fam = Family("B", 1, 1)
     report = verify_isomorphism(fam, Fraction(2))
     assert report.basis_rank == groupoid_for(fam).order()
+
+
+def _scaled(rep, i, a, c):
+    """Replace the block of T_{i,a} by c times itself."""
+    b, block = rep.blocks[i][a]
+    rep.blocks[i][a] = (b, [[c * x for x in row] for row in block])
+
+
+def test_scaled_even_block_breaks_quadratic_and_braids():
+    fam = Family("A", 1, 1)
+    rep = big_map(fam, Fraction(2)).summands[0]
+    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b == a)
+    _scaled(rep, i, a, 2)
+    fails = verify_block_rep(rep, hecke_poly(fam))
+    assert fails[0] == f"quadratic fails at i={i}, a={a}"
+    assert len(fails) > 1
+    assert all(f.startswith("HArel") for f in fails[1:])
+
+
+def test_broken_isotropic_block_is_rejected():
+    fam = Family("B", 1, 1)
+    rep = big_map(fam, Fraction(2)).summands[0]
+    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b != a)
+    _scaled(rep, i, a, 2)
+    fails = verify_block_rep(rep, hecke_poly(fam))
+    assert f"isotropic relation fails at i={i}, a={a}" in fails
+    assert f"isotropic relation fails at i={i}, a={act(fam, i, a)}" in fails
+
+
+def test_dropped_summand_loses_rank(monkeypatch):
+    fam = Family("A", 1, 1)
+    bm = big_map(fam, Fraction(2))
+    monkeypatch.setattr(superreps, "big_map", lambda f, q0: BigMap(f, q0, bm.summands[1:]))
+    report = verify_isomorphism(fam, Fraction(2))
+    assert report.basis_rank < report.dim_formula
+    assert report.passed is False
+
+
+def test_duplicated_summand_is_not_distinct(monkeypatch):
+    fam = Family("B", 1, 1)
+    bm = big_map(fam, Fraction(2))
+    monkeypatch.setattr(
+        superreps, "big_map", lambda f, q0: BigMap(f, q0, bm.summands + bm.summands[:1])
+    )
+    report = verify_isomorphism(fam, Fraction(2))
+    assert report.pairwise_distinct is False
+    assert report.passed is False
+
+
+SWEEP_FAMILIES = [Family("A", 1, 1), Family("B", 1, 1), Family("CD", 1, 1), Family("B", 0, 2)]
+small_nonzero = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SWEEP_FAMILIES), small_nonzero)
+@example(Family("A", 1, 1), Fraction(-1))
+@example(Family("B", 0, 2), Fraction(-1))
+def test_isomorphism_exactly_when_semisimple(fam, q0):
+    lt, rt = factor_types(fam)
+    args = ["reps", "--family", fam.kind, "--m", str(fam.m), "--n", str(fam.n), "--q", str(q0)]
+    if q0 * poincare(lt, q0) * poincare(rt, q0) != 0:
+        report = verify_isomorphism(fam, q0)
+        assert report.passed, report.relation_failures[:3]
+        assert report.basis_rank == report.dim_formula
+    else:
+        with pytest.raises(ValueError):
+            big_map(fam, q0)
+        assert cli.main(args) == 2
