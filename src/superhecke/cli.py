@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .domains import Family, domain_from_json, domain_str, domain_to_json, enumerate_domains
 from .groupoid import (
@@ -66,12 +67,19 @@ def _capped_groupoid(args, fam: Family) -> CoxeterGroupoid:
     return G
 
 
-def _emit(args, text: str):
+@contextmanager
+def _writer(args):
+    """The write function of --output, or of stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
+
+
+def _emit(args, text: str):
+    with _writer(args) as write:
+        write(text)
 
 
 def _json_dump(data) -> str:
@@ -118,12 +126,13 @@ def cmd_enumerate(args) -> int:
     G = groupoid_for(fam)
     els = G.elements(args.max_elements)
     if args.format == "json":
+        length = G.tables().length
         _emit(args, _json_dump({
             "schema_version": 1,
             "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
             "count": len(els),
             "elements": [
-                {**element_to_json(w), "length": G.length(w)} for w in els
+                {**element_to_json(w), "length": length[k]} for k, w in enumerate(els)
             ],
         }))
     else:
@@ -227,9 +236,47 @@ def cmd_structconst(args) -> int:
     fam = _parse_family(args)
     _capped_groupoid(args, fam)
     alg = _algebra(args, fam)
-    data = alg.structure_constants_json()
-    _emit(args, _json_dump(data))
+    with _writer(args) as write:
+        _write_structconst(alg, write)
     return 0
+
+
+# One entry of the structure-constant document, as json.dumps(indent=2)
+# lays it out at its depth; "poly" values sit at depth 5.
+_ENTRY_HEAD = '    {\n      "u": %d,\n      "v": %d,\n      "terms": [\n'
+_TERM = '        {\n          "w": %d,\n          "poly": %s\n        }'
+_ENTRY_TAIL = "\n      ]\n    }"
+_TERM_INDENT = "\n" + " " * 10
+
+
+def _write_structconst(alg: HeckeAlgebra, write) -> None:
+    """The structure-constant document, byte for byte as _json_dump of
+    alg.structure_constants_json(), written about a megabyte at a time as it
+    is encoded.  Each distinct coefficient is encoded once.  The table is
+    never empty: it holds the identity rows."""
+    head = _json_dump({**alg.structconst_header(), "entries": []})
+    write(head[: -len("[]\n}\n")] + "[\n")
+    encoded: dict = {}
+    chunk: list[str] = []
+    size = 0
+    sep = ""
+    for (u, v), row in alg.structure_constants().items():
+        terms = []
+        for w, c in row:
+            text = encoded.get(c)
+            if text is None:
+                text = encoded[c] = json.dumps(alg.encode(c), indent=2).replace("\n", _TERM_INDENT)
+            terms.append(_TERM % (w, text))
+        entry = sep + _ENTRY_HEAD % (u, v) + ",\n".join(terms) + _ENTRY_TAIL
+        chunk.append(entry)
+        size += len(entry)
+        sep = ",\n"
+        if size >= 1 << 20:
+            write("".join(chunk))
+            chunk.clear()
+            size = 0
+    chunk.append("\n  ]\n}\n")
+    write("".join(chunk))
 
 
 def cmd_poincare(args) -> int:
@@ -372,15 +419,7 @@ def cmd_verify_all(args) -> int:
     report("root system axioms", axioms.passed)
     pres = hecke_poly(fam).verify_presentation()
     report("presentation relations", pres.passed, f"{pres.checked} instances")
-    # length theory
-    lengths_ok = True
-    for w in G.elements():
-        if G.length(G.inverse(w)) != G.length(w):
-            lengths_ok = False
-        word = G.canonical_reduced_word(w)
-        if len(word.letters) != G.length(w) or G.evaluate(word) != w:
-            lengths_ok = False
-    report("length theory", lengths_ok)
+    report("length theory", _length_theory(G))
     if count <= args.braid_cap:
         braid_ok = all(G.braid_connected(w) for w in G.elements())
         report("braid connectivity", braid_ok, f"{count} elements")
@@ -406,6 +445,25 @@ def cmd_verify_all(args) -> int:
         lines.append(f"SKIP  Z[q] structure constants  ({count} > cap {args.structconst_cap})")
     _emit(args, "\n".join(lines) + ("\nOK\n" if ok else "\nFAILED\n"))
     return 0 if ok else 1
+
+
+def _length_theory(G: CoxeterGroupoid) -> bool:
+    """Every table entry against the root-count definitions: the length is
+    the number of positive roots sent to negative roots and equals the
+    inverse's, first is the smallest left descent, and the table's canonical
+    word evaluates to the element."""
+    T = G.tables()
+    letters = range(1, G.family.rank + 1)
+    for k, w in enumerate(G.elements()):
+        length = G.length(w)
+        if T.length[k] != length or G.length(G.inverse(w)) != length:
+            return False
+        if T.first[k] != next((i for i in letters if G.left_descent(w, i)), 0):
+            return False
+        word = Word(w.source, T.canonical_letters(k))
+        if len(word.letters) != length or G.evaluate(word) != w:
+            return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,13 @@ An element is the triple (source domain, target domain, signed permutation);
 the representation is faithful, so equality of triples is equality in the
 groupoid and multiplication is composition when the domains match, the zero
 element otherwise.  Length, descents, reduced words, and the braid-move
-machinery all reduce to exact root bookkeeping.
+machinery of single elements all reduce to exact root bookkeeping.
+
+Enumeration also fills flat integer tables (`Tables`) over the elements, in
+the breadth-first search from the identities: an element's length is its
+minimal word length, which is the depth at which the search first reaches it
+(Heckenberger-Yamane, Math. Z. 259, 2008).  Bulk work on every element reads
+these tables instead of recomputing roots.
 """
 
 from __future__ import annotations
@@ -58,14 +64,45 @@ class SizeCapExceeded(RuntimeError):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class Tables:
+    """Integer tables over the elements, indexed by position in
+    `CoxeterGroupoid.elements()`.  That order starts with length, so the
+    element lgen[first[k]][k] comes before k.
+
+    - index: element -> position;
+    - src, tgt: positions in `roots.domains` of the source and target;
+    - length: minimal word length, the depth of the enumeration's search;
+    - lgen[i][k]: position of s_{i, tgt}·w_k, for letters i >= 1 (lgen[0]
+      is empty);
+    - first[k]: the smallest i with length[lgen[i][k]] < length[k], the
+      first letter of the canonical reduced word; 0 at the identities.
+    """
+
+    index: dict[Element, int]
+    src: tuple[int, ...]
+    tgt: tuple[int, ...]
+    length: tuple[int, ...]
+    lgen: tuple[tuple[int, ...], ...]
+    first: tuple[int, ...]
+
+    def canonical_letters(self, k: int) -> tuple[int, ...]:
+        """Letters of the canonical reduced word of element k."""
+        letters = []
+        while self.length[k]:
+            i = self.first[k]
+            letters.append(i)
+            k = self.lgen[i][k]
+        return tuple(letters)
+
+
 class CoxeterGroupoid:
     def __init__(self, family: Family, max_elements: int = 500_000):
         self.family = family
         self.roots: RootSystem = root_system(family)
         self.max_elements = max_elements
         self._elements: tuple[Element, ...] | None = None
-        self._length: dict[Element, int] = {}
-        self._canonical: dict[Element, tuple[int, ...]] = {}
+        self._tables: Tables | None = None
         self._reduced_words: dict[Element, tuple[tuple[int, ...], ...]] = {}
 
     # ---- basic elements ----
@@ -89,16 +126,12 @@ class CoxeterGroupoid:
 
     def length(self, w: Element) -> int:
         """Number of positive roots of the source sent to negative roots."""
-        cached = self._length.get(w)
-        if cached is not None:
-            return cached
         pos_t = self.roots.positive_roots(w.target)
         count = 0
         for beta in self.roots.positive_roots(w.source):
             img = sp_apply(w.smap, beta)
             if tuple(-c for c in img) in pos_t:
                 count += 1
-        self._length[w] = count
         return count
 
     def sign(self, w: Element) -> int:
@@ -125,39 +158,73 @@ class CoxeterGroupoid:
         cap), whether or not an earlier call already enumerated the groupoid.
         """
         cap = self.max_elements if max_elements is None else max_elements
-        if self._elements is not None:
-            if len(self._elements) > cap:
-                raise SizeCapExceeded(f"more than {cap} elements")
-            return self._elements
-        seen: set[Element] = set()
-        frontier: list[Element] = []
-        for a in self.roots.domains:
-            e = self.identity(a)
-            seen.add(e)
-            frontier.append(e)
-            self._length[e] = 0
+        if self._elements is None:
+            self._enumerate(cap)
+        elif len(self._elements) > cap:
+            raise SizeCapExceeded(f"more than {cap} elements")
+        return self._elements
+
+    def tables(self, max_elements: int | None = None) -> Tables:
+        """The integer tables over `elements()`, enumerating first if needed."""
+        self.elements(max_elements)
+        return self._tables
+
+    def _enumerate(self, cap: int):
+        """Breadth-first search from the identities, recording each element's
+        depth and its left neighbours s_i·w, then sorting into the tables."""
+        rank = self.family.rank
+        gens = {(i, a): self.generator(i, a) for i in range(1, rank + 1) for a in self.roots.domains}
+        depth: dict[Element, int] = {}
+        nbrs: dict[Element, tuple[Element, ...]] = {}
+        frontier = [self.identity(a) for a in self.roots.domains]
+        for e in frontier:
+            depth[e] = 0
+        d = 0
         while frontier:
+            d += 1
             nxt = []
             for w in frontier:
-                for i in range(1, self.family.rank + 1):
-                    u = self.multiply(self.generator(i, w.target), w)
-                    if u not in seen:
-                        if len(seen) >= cap:
+                row = []
+                for i in range(1, rank + 1):
+                    u = self.multiply(gens[(i, w.target)], w)
+                    row.append(u)
+                    if u not in depth:
+                        if len(depth) >= cap:
                             raise SizeCapExceeded(f"more than {cap} elements")
-                        seen.add(u)
+                        depth[u] = d
                         nxt.append(u)
+                nbrs[w] = tuple(row)
             frontier = nxt
-        ordered = sorted(
-            seen,
-            key=lambda w: (
-                self.length(w),
-                domain_sort_key(w.source),
-                domain_sort_key(w.target),
-                w.smap,
-            ),
+        ordered = tuple(
+            sorted(
+                depth,
+                key=lambda w: (
+                    depth[w],
+                    domain_sort_key(w.source),
+                    domain_sort_key(w.target),
+                    w.smap,
+                ),
+            )
         )
-        self._elements = tuple(ordered)
-        return self._elements
+        index = {w: k for k, w in enumerate(ordered)}
+        dom = {a: j for j, a in enumerate(self.roots.domains)}
+        length = tuple(depth[w] for w in ordered)
+        lgen = ((),) + tuple(
+            tuple(index[nbrs[w][i]] for w in ordered) for i in range(rank)
+        )
+        first = tuple(
+            next((i for i in range(1, rank + 1) if length[lgen[i][k]] < lk), 0)
+            for k, lk in enumerate(length)
+        )
+        self._tables = Tables(
+            index=index,
+            src=tuple(dom[w.source] for w in ordered),
+            tgt=tuple(dom[w.target] for w in ordered),
+            length=length,
+            lgen=lgen,
+            first=first,
+        )
+        self._elements = ordered
 
     def order(self, max_elements: int | None = None) -> int:
         """|W \\ {0}|."""
@@ -182,12 +249,9 @@ class CoxeterGroupoid:
 
     def canonical_reduced_word(self, w: Element) -> Word:
         """Deterministic reduced word: strip the smallest left descent first."""
-        cached = self._canonical.get(w)
-        if cached is not None:
-            return Word(w.source, cached)
         letters: list[int] = []
         cur = w
-        while self.length(cur) > 0:
+        for _ in range(self.length(w)):
             for i in range(1, self.family.rank + 1):
                 if self.left_descent(cur, i):
                     letters.append(i)
@@ -195,7 +259,6 @@ class CoxeterGroupoid:
                     break
             else:
                 raise AssertionError("no left descent on a positive-length element")
-        self._canonical[w] = tuple(letters)
         return Word(w.source, tuple(letters))
 
     def all_reduced_words(self, w: Element, cap: int = 1_000_000) -> tuple[Word, ...]:

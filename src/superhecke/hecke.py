@@ -5,6 +5,11 @@ the basis indexed by nonzero groupoid elements; associativity is not assumed
 but verified exhaustively at desk scale by the test-suite.  Products work in
 either scalar mode: "poly" (Laurent polynomials in q, no division ever
 happens) or "eval" (exact rationals at a fixed q0).
+
+Inside the algebra a basis element is its position in the groupoid's
+`elements()`, and left multiplication by a generator reads the groupoid's
+integer tables (`lgen`, `length`); groupoid elements appear only where the
+API takes or returns them (`f`, `e`, `t`, `coefficient`, JSON).
 """
 
 from __future__ import annotations
@@ -15,19 +20,20 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .domains import Domain, Family, act, domain_to_json
-from .groupoid import CoxeterGroupoid, Element, Word, groupoid_for
+from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
 from .scalars import LaurentPoly, laurent_to_json, rational_to_string
 
 HeckeScalar = Union[LaurentPoly, Fraction]
 
 
 class HeckeElement:
-    """Finite scalar combination of basis elements f(w); immutable."""
+    """Finite scalar combination of basis elements f(w), keyed by basis
+    index; immutable."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[Element, HeckeScalar]] = ()):
-        acc: dict[Element, HeckeScalar] = {}
+    def __init__(self, terms: Iterable[tuple[int, HeckeScalar]] = ()):
+        acc: dict[int, HeckeScalar] = {}
         for w, c in terms:
             if w in acc:
                 c = acc[w] + c
@@ -52,9 +58,6 @@ class HeckeElement:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, w: Element) -> HeckeScalar:
-        return self._terms.get(w, 0)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         d = dict(self._terms)
@@ -88,7 +91,7 @@ class HeckeElement:
     def __repr__(self):
         if not self._terms:
             return "HeckeElement(0)"
-        return "HeckeElement(" + ", ".join(f"{c}*f{w.smap}" for w, c in self._terms.items()) + ")"
+        return "HeckeElement(" + ", ".join(f"{c}*f[{k}]" for k, c in self._terms.items()) + ")"
 
 
 @dataclass
@@ -125,9 +128,12 @@ class HeckeAlgebra:
                 raise ValueError("eval mode needs q0 != 0")
             self.mode = "eval"
             self.one = Fraction(1)
+        self._qm1 = self.q - 1
         self.groupoid: CoxeterGroupoid = groupoid_for(family)
         self.basis: tuple[Element, ...] = self.groupoid.elements()
-        self.index: dict[Element, int] = {w: k for k, w in enumerate(self.basis)}
+        self.tables: Tables = self.groupoid.tables()
+        self.index: dict[Element, int] = self.tables.index
+        self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
         self._table: dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]] | None = None
 
     @property
@@ -137,7 +143,7 @@ class HeckeAlgebra:
     # ---- basis elements ----
 
     def f(self, w: Element) -> HeckeElement:
-        return HeckeElement._raw({w: self.one})
+        return HeckeElement._raw({self.index[w]: self.one})
 
     def e(self, a: Domain) -> HeckeElement:
         return self.f(self.groupoid.identity(a))
@@ -148,52 +154,74 @@ class HeckeAlgebra:
     def unit(self) -> HeckeElement:
         """Sum of all idempotents E_a: the unit of the algebra."""
         return HeckeElement._raw(
-            {self.groupoid.identity(a): self.one for a in self.groupoid.roots.domains}
+            {self.index[self.groupoid.identity(a)]: self.one for a in self.groupoid.roots.domains}
         )
+
+    def coefficient(self, x: HeckeElement, w: Element) -> HeckeScalar:
+        return x._terms.get(self.index[w], 0)
 
     # ---- left multiplication by generators ----
 
     def lmul_e(self, a: Domain, x: HeckeElement) -> HeckeElement:
-        return HeckeElement._raw({w: c for w, c in x.items() if w.target == a})
+        return HeckeElement._raw(self._project(self._domain[a], x._terms))
+
+    def _project(self, a: int, terms: dict) -> dict:
+        tgt = self.tables.tgt
+        return {k: c for k, c in terms.items() if tgt[k] == a}
 
     def lmul_t(self, i: int, a: Domain, x: HeckeElement) -> HeckeElement:
         """T_{i,a} x, extended linearly from the basis rules."""
-        G = self.groupoid
-        q = self.q
-        moved = act(self.family, i, a) != a
-        gen = G.generator(i, a)
-        out: dict[Element, HeckeScalar] = {}
+        return HeckeElement._raw(self._lmul(i, self._domain[a], x._terms.items()))
 
-        def put(w, c):
+    def _lmul(self, i: int, a: int, terms) -> dict:
+        """T_{i,a} applied to the (index, scalar) pairs of terms."""
+        T = self.tables
+        tgt, length, gen = T.tgt, T.length, T.lgen[i]
+        q, qm1 = self.q, self._qm1
+        out: dict[int, HeckeScalar] = {}
+
+        def put(k, c):
             # no stored zeros: c * (q0 - 1) vanishes at q0 = 1
-            if w in out:
-                c = out[w] + c
+            if k in out:
+                c = out[k] + c
             if c:
-                out[w] = c
+                out[k] = c
             else:
-                out.pop(w, None)
+                out.pop(k, None)
 
-        for w, c in x.items():
-            if w.target != a:
+        for k, c in terms:
+            if tgt[k] != a:
                 continue
-            sw = G.multiply(gen, w)
-            if G.length(sw) == G.length(w) + 1:
-                put(sw, c)
-            elif moved:
-                put(sw, c)
+            sk = gen[k]
+            if length[sk] > length[k] or tgt[sk] != a:  # longer, or i moves a
+                put(sk, c)
             else:
-                put(w, c * (q - 1))
-                put(sw, c * q)
-        return HeckeElement._raw(out)
+                put(k, c * qm1)
+                put(sk, c * q)
+        return out
+
+    def _lmul_basis(self, u: int, terms: dict) -> dict:
+        """f(u) applied to terms supported on target source(u): the letters of
+        u's canonical word, the rightmost first."""
+        T = self.tables
+        steps = []
+        while T.length[u]:
+            i = T.first[u]
+            u = T.lgen[i][u]
+            steps.append((i, T.tgt[u]))
+        for i, a in reversed(steps):
+            terms = self._lmul(i, a, terms.items())
+        return terms
 
     def apply_word(self, word: Word, x: HeckeElement) -> HeckeElement:
         """Left-multiply x by T_{i1} ... T_{im, base} (no source projection)."""
         doms = self.groupoid.word_domains(word)
+        terms = x._terms
         for k in range(len(word.letters) - 1, -1, -1):
-            x = self.lmul_t(word.letters[k], doms[k], x)
-            if x.is_zero:
+            terms = self._lmul(word.letters[k], self._domain[doms[k]], terms.items())
+            if not terms:
                 break
-        return x
+        return HeckeElement._raw(terms)
 
     def element_of_word(self, word: Word) -> HeckeElement:
         """The algebra element T_{i1} ... T_{im, base} itself."""
@@ -203,70 +231,75 @@ class HeckeAlgebra:
 
     def product(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
         """Bilinear product; the left factor is decomposed by canonical words."""
-        G = self.groupoid
+        src = self.tables.src
         total = HeckeElement._raw({})
         for u, cu in x.items():
-            word = G.canonical_reduced_word(u)
-            z = self.lmul_e(u.source, y)
-            if z.is_zero:
-                continue
-            z = self.apply_word(word, z)
-            if not z.is_zero:
-                total = total + z.scaled(cu)
+            z = self._project(src[u], y._terms)
+            if z:
+                total = total + HeckeElement._raw(self._lmul_basis(u, z)).scaled(cu)
         return total
 
     # ---- structure constants ----
 
     def structure_constants(self) -> dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]]:
-        """Complete table c^w_{u,v}, keyed by basis indices, sparse rows."""
+        """Complete table c^w_{u,v}, keyed by basis indices, sparse rows, in
+        (u, v) order.
+
+        Basis order starts with length, so the row of u' = lgen[i][u], with
+        i = first[u], is in the table before u's, and
+        f(u) f(v) = T_{i, tgt(u')} (f(u') f(v)) costs one generator product.
+        """
         if self._table is not None:
             return self._table
+        T = self.tables
+        by_target: list[list[int]] = [[] for _ in self._domain]
+        for v, a in enumerate(T.tgt):
+            by_target[a].append(v)
         table: dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]] = {}
-        G = self.groupoid
-        for ui, u in enumerate(self.basis):
-            word = G.canonical_reduced_word(u)
-            src = u.source
-            for vi, v in enumerate(self.basis):
-                if v.target != src:
-                    continue
-                z = self.apply_word(word, self.f(v))
-                if z.is_zero:
-                    continue
-                row = tuple(
-                    sorted((self.index[w], c) for w, c in z.items())
-                )
-                table[(ui, vi)] = row
+        one = self.one
+        shared: dict = {}  # one object per distinct coefficient: most repeat
+        for u, a in enumerate(T.src):
+            if T.length[u] == 0:
+                for v in by_target[a]:
+                    table[(u, v)] = ((v, one),)
+                continue
+            i = T.first[u]
+            r = T.lgen[i][u]
+            b = T.tgt[r]
+            for v in by_target[a]:
+                z = self._lmul(i, b, table[(r, v)])
+                if z:
+                    table[(u, v)] = tuple(sorted((w, shared.setdefault(c, c)) for w, c in z.items()))
         self._table = table
         return table
 
-    def structure_constants_json(self):
-        table = self.structure_constants()
-        words = [
-            {
-                "base": domain_to_json(w.source),
-                "letters": list(self.groupoid.canonical_reduced_word(w).letters),
-            }
-            for w in self.basis
-        ]
+    def encode(self, c: HeckeScalar):
+        """The JSON value of one coefficient."""
+        return laurent_to_json(c) if self.mode == "poly" else rational_to_string(c)
 
-        def enc(c):
-            return laurent_to_json(c) if self.mode == "poly" else rational_to_string(c)
-
-        entries = [
-            {
-                "u": u,
-                "v": v,
-                "terms": [{"w": w, "poly": enc(c)} for w, c in row],
-            }
-            for (u, v), row in sorted(table.items())
-        ]
+    def structconst_header(self) -> dict:
+        """The structure-constant document without its entries."""
+        T = self.tables
         return {
             "schema_version": 1,
             "family": {"kind": self.family.kind, "m": self.family.m, "n": self.family.n},
             "mode": self.mode,
-            "basis": words,
-            "entries": entries,
+            "basis": [
+                {"base": domain_to_json(w.source), "letters": list(T.canonical_letters(k))}
+                for k, w in enumerate(self.basis)
+            ],
         }
+
+    def structure_constants_json(self):
+        entries = [
+            {
+                "u": u,
+                "v": v,
+                "terms": [{"w": w, "poly": self.encode(c)} for w, c in row],
+            }
+            for (u, v), row in self.structure_constants().items()
+        ]
+        return {**self.structconst_header(), "entries": entries}
 
     # ---- presentation ----
 

@@ -39,13 +39,24 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         for e, c in items:
             if c:
                 acc[e] = acc.get(e, 0) + c
                 if not acc[e]:
                     del acc[e]
         self._c = tuple(sorted(acc.items()))
+
+    @classmethod
+    def _raw(cls, c: tuple[tuple[int, int], ...]) -> "LaurentPoly":
+        """From pairs already sorted by exponent, with no zero coefficient."""
+        out = object.__new__(cls)
+        out._c = c
+        return out
+
+    @classmethod
+    def _from_dict(cls, d: dict[int, int]) -> "LaurentPoly":
+        return cls._raw(tuple(sorted((e, c) for e, c in d.items() if c)))
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -106,12 +117,12 @@ class LaurentPoly:
         d = dict(self._c)
         for e, c in o._c:
             d[e] = d.get(e, 0) + c
-        return LaurentPoly(d)
+        return LaurentPoly._from_dict(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(tuple((e, -c) for e, c in self._c))
+        return LaurentPoly._raw(tuple((e, -c) for e, c in self._c))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -129,12 +140,19 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self._c, o._c
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial: shift and scale, no sorting or cancellation needed
+            e1, c1 = a[0]
+            return LaurentPoly._raw(tuple((e1 + e2, c1 * c2) for e2, c2 in b))
         d: dict[int, int] = {}
-        for e1, c1 in self._c:
-            for e2, c2 in o._c:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 d[e] = d.get(e, 0) + c1 * c2
-        return LaurentPoly(d)
+        return LaurentPoly._from_dict(d)
 
     __rmul__ = __mul__
 
@@ -152,7 +170,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self._c))
+        return LaurentPoly._raw(tuple((e + k, c) for e, c in self._c))
 
     def evaluate(self, q0: Fraction) -> Fraction:
         """Exact substitution q -> q0.  Needs q0 != 0 if negative exponents occur."""

@@ -31,7 +31,7 @@ from .domains import (
     tau_minus,
     tau_plus,
 )
-from .groupoid import CoxeterGroupoid, Element, dimension_formula, groupoid_for
+from .groupoid import CoxeterGroupoid, dimension_formula, groupoid_for
 from .hecke import HeckeAlgebra, hecke_poly
 from .linalg import IntEchelon, Matrix, flatten, kron, mat_identity, mat_mul
 from .weylgroups import WeylType, is_semisimple
@@ -313,27 +313,30 @@ def _basis_rank(bm: BigMap, G: CoxeterGroupoid) -> int:
     target(w), so images with different (target, source) have disjoint
     supports: the rank is the sum of the ranks of those groups.  Each f(w) is
     T_i f(s_i w) for the first letter i of w's canonical word (its smallest
-    left descent); only the previous length's images are kept.
+    left descent, `first` in the groupoid's tables); only the previous
+    length's images are kept.
     """
     width = sum(s.block_dim ** 2 for s in bm.summands)
-    groups: dict[tuple[Domain, Domain], IntEchelon] = {}
-    prev: dict[Element, list[Matrix]] = {}
-    cur: dict[Element, list[Matrix]] = {}
+    T = G.tables()
+    domains = G.roots.domains
+    groups: dict[tuple[int, int], IntEchelon] = {}
+    prev: dict[int, list[Matrix]] = {}
+    cur: dict[int, list[Matrix]] = {}
     length = 0
-    for w in G.elements():  # ordered by length
-        if G.length(w) != length:
-            length, prev, cur = G.length(w), cur, {}
+    for k in range(len(T.length)):  # ordered by length
+        if T.length[k] != length:
+            length, prev, cur = T.length[k], cur, {}
         if length == 0:
             images = [mat_identity(s.block_dim) for s in bm.summands]
         else:
-            i = next(i for i in range(1, G.family.rank + 1) if G.left_descent(w, i))
-            rest = G.multiply(G.generator(i, w.target), w)
-            images = [
-                mat_mul(s.blocks[i][rest.target][1], m)
-                for s, m in zip(bm.summands, prev[rest])
-            ]
-        cur[w] = images
-        ech = groups.setdefault((w.target, w.source), IntEchelon(width))
+            i = T.first[k]
+            rest = T.lgen[i][k]
+            if rest not in prev:
+                raise ValueError(f"groupoid tables: element {rest} is not one length below element {k}")
+            a = domains[T.tgt[rest]]
+            images = [mat_mul(s.blocks[i][a][1], m) for s, m in zip(bm.summands, prev[rest])]
+        cur[k] = images
+        ech = groups.setdefault((T.tgt[k], T.src[k]), IntEchelon(width))
         if ech.rank < width:
             ech.insert([x for m in images for x in flatten(m)])
     return sum(ech.rank for ech in groups.values())

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, exit codes, determinism, schemas."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -220,3 +221,63 @@ def test_closed_output_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 141
     assert stderr == b""
+
+
+@pytest.fixture
+def uncached():
+    # a test that corrupts a cached groupoid's tables must not leave it, or an
+    # algebra built on it, in the caches for later tests
+    from superhecke.groupoid import groupoid_for
+    from superhecke.hecke import hecke_poly
+
+    groupoid_for.cache_clear()
+    hecke_poly.cache_clear()
+    yield groupoid_for
+    groupoid_for.cache_clear()
+    hecke_poly.cache_clear()
+
+
+@pytest.mark.parametrize("field", ["length", "first"])
+def test_verify_all_fails_on_a_corrupted_table_entry(uncached, monkeypatch, capsys, field):
+    # "length theory" compares every table entry with the root-count
+    # definitions, so one wrong entry is a FAIL and exit 1
+    import dataclasses
+
+    from superhecke import cli
+    from superhecke.domains import Family
+
+    G = uncached(Family("B", 1, 1))
+    T = G.tables()
+    letters = range(1, 3)
+    # an element with two left descents: first stays a descent, but not the smallest
+    k = next(
+        k for k, w in enumerate(G.elements()) if all(G.left_descent(w, i) for i in letters)
+    )
+    values = list(getattr(T, field))
+    values[k] = values[k] + 2 if field == "length" else 2
+    monkeypatch.setattr(G, "_tables", dataclasses.replace(T, **{field: tuple(values)}))
+    assert cli.main(["verify-all", "--family", "B", "--m", "1", "--n", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  length theory" in out.splitlines()
+    assert out.endswith("FAILED\n")
+
+
+@pytest.mark.parametrize("scalar", [[], ["--scalar", "eval", "--q=-2/3"]])
+def test_streamed_structconst_is_the_json_dump(tmp_path, scalar):
+    # the streamed writer against json.dumps of the whole document
+    from fractions import Fraction
+
+    from superhecke import cli
+    from superhecke.domains import Family
+    from superhecke.hecke import hecke_eval, hecke_poly
+
+    fam = Family("CD", 2, 1)
+    out = tmp_path / "table.json"
+    argv = ["structconst", "--family", "CD", "--m", "2", "--n", "1", *scalar, "--output", str(out)]
+    assert cli.main(argv) == 0
+    alg = hecke_eval(fam, Fraction(-2, 3)) if scalar else hecke_poly(fam)
+    text = out.read_text()
+    expected = json.dumps(alg.structure_constants_json(), indent=2) + "\n"
+    # a bool, not the strings: a diff of two megabyte documents takes minutes
+    same = text == expected
+    assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"

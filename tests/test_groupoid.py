@@ -269,3 +269,41 @@ def test_json_forms():
     assert word_to_json(G.canonical_reduced_word(w))["letters"] == list(
         G.canonical_reduced_word(w).letters
     )
+
+
+# every family at a size where the whole groupoid enumerates in well under a second
+ALL_FAMILIES = SMALL + [Family("A", 0, 2), Family("A", 2, 1), Family("B", 1, 2), Family("B", 2, 1),
+                        Family("B", 0, 3), Family("CD", 2, 1), Family("CD", 1, 2)]
+
+
+@pytest.mark.parametrize("fam", SMALL + [Family("CD", 2, 1), Family("B", 0, 3)])
+def test_tables_match_root_definitions(fam):
+    G = groupoid_for(fam)
+    els = G.elements()
+    T = G.tables()
+    doms = G.roots.domains
+    assert [T.index[w] for w in els] == list(range(len(els)))
+    for k, w in enumerate(els):
+        assert (doms[T.src[k]], doms[T.tgt[k]]) == (w.source, w.target)
+        assert T.length[k] == G.length(w)
+        for i in range(1, fam.rank + 1):
+            assert els[T.lgen[i][k]] == G.multiply(G.generator(i, w.target), w)
+        descents = [i for i in range(1, fam.rank + 1) if G.left_descent(w, i)]
+        assert T.first[k] == (descents[0] if descents else 0)
+        assert T.canonical_letters(k) == G.canonical_reduced_word(w).letters
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.data())
+def test_random_word_length_in_tables(fam, data):
+    # the table length of a word's element is at most the word's length, with
+    # the same parity, and equals the number of inverted positive roots
+    G = groupoid_for(fam)
+    T = G.tables()
+    base = data.draw(st.sampled_from(G.roots.domains))
+    letters = data.draw(st.lists(st.integers(1, fam.rank), max_size=14))
+    w = G.evaluate(Word(base, tuple(letters)))
+    length = T.length[T.index[w]]
+    assert length <= len(letters)
+    assert (len(letters) - length) % 2 == 0
+    assert length == G.length(w)

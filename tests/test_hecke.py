@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superhecke.domains import Family, act
 from superhecke.hecke import HeckeAlgebra, hecke_eval, hecke_poly
@@ -171,6 +173,22 @@ def test_specialization_commutes():
         assert specialized == te.get(key, ())
 
 
+def _triple_products(table, ui, vi, wi, zero):
+    """(f(u) f(v)) f(w) and f(u) (f(v) f(w)) from the table, without zeros."""
+    left = {}
+    for xi, c in table.get((ui, vi), ()):
+        for yi, d in table.get((xi, wi), ()):
+            left[yi] = left.get(yi, zero) + c * d
+    right = {}
+    for xi, c in table.get((vi, wi), ()):
+        for yi, d in table.get((ui, xi), ()):
+            right[yi] = right.get(yi, zero) + c * d
+    return (
+        {k: v for k, v in left.items() if v},
+        {k: v for k, v in right.items() if v},
+    )
+
+
 def test_associativity_exhaustive_b11():
     H = hecke_poly(Family("B", 1, 1))
     table = H.structure_constants()
@@ -179,17 +197,62 @@ def test_associativity_exhaustive_b11():
     for ui in range(dim):
         for vi in range(dim):
             for wi in range(dim):
-                left = {}
-                for xi, c in table.get((ui, vi), ()):
-                    for yi, d in table.get((xi, wi), ()):
-                        left[yi] = left.get(yi, zero) + c * d
-                right = {}
-                for xi, c in table.get((vi, wi), ()):
-                    for yi, d in table.get((ui, xi), ()):
-                        right[yi] = right.get(yi, zero) + c * d
-                assert {k: v for k, v in left.items() if v} == {
-                    k: v for k, v in right.items() if v
-                }
+                left, right = _triple_products(table, ui, vi, wi, zero)
+                assert left == right
+
+
+def test_associativity_random_triples_a21():
+    # seeded composable triples of the A(2,1) poly table (1 200 basis elements)
+    H = hecke_poly(Family("A", 2, 1))
+    T = H.tables
+    table = H.structure_constants()
+    by_target = {}
+    for k, a in enumerate(T.tgt):
+        by_target.setdefault(a, []).append(k)
+    keys = list(table)
+    rng = random.Random(21)
+    zero = LaurentPoly.zero()
+    for _ in range(300):
+        ui, vi = keys[rng.randrange(len(keys))]
+        wi = rng.choice(by_target[T.src[vi]])
+        left, right = _triple_products(table, ui, vi, wi, zero)
+        assert left and left == right
+
+
+@pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("B", 1, 1)])
+@pytest.mark.parametrize("q", [None, Fraction(2), Fraction(1, 3)])
+def test_table_rows_match_products_through_canonical_words(fam, q):
+    # the length-layer recursion against the definition: f(u) f(v) is the
+    # canonical word of u, from its root-count descents, applied to f(v)
+    H = hecke_poly(fam) if q is None else hecke_eval(fam, q)
+    G = H.groupoid
+    table = H.structure_constants()
+    pairs = 0
+    for ui, u in enumerate(H.basis):
+        word = G.canonical_reduced_word(u)
+        for vi, v in enumerate(H.basis):
+            row = table.get((ui, vi))
+            if v.target != u.source:
+                assert row is None
+                continue
+            pairs += 1
+            assert row == tuple(sorted(H.apply_word(word, H.f(v)).items()))
+    assert pairs == len(table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(SMALL),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+)
+def test_eval_table_is_poly_table_at_q0(fam, q0):
+    te = hecke_eval(fam, q0).structure_constants()
+    specialized = {}
+    for key, row in hecke_poly(fam).structure_constants().items():
+        values = tuple((wi, c.evaluate(q0)) for wi, c in row if c.evaluate(q0))
+        if values:
+            specialized[key] = values
+    assert specialized == te
 
 
 def test_product_bilinear_random():
