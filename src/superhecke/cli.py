@@ -10,6 +10,7 @@ when the reader closes the output pipe early.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .groupoid import (
 from .hecke import HeckeAlgebra, hecke_eval, hecke_poly
 from .roots import dynkin_dot, dynkin_json, root_system
 from .scalars import laurent_to_json, rational_from_string, rational_to_string
-from .superreps import iso_report_json, verify_isomorphism
+from .superreps import iso_report_json, require_semisimple, verify_isomorphism
 from .weylgroups import WeylType, is_semisimple, poincare
 from .weylreps import irreps, split_regular_weyl
 
@@ -311,6 +312,8 @@ def cmd_irreps(args) -> int:
     wt = WeylType(args.type, args.n)
     q0 = rational_from_string(args.q)
     if args.oracle:
+        if importlib.util.find_spec("sympy") is None:
+            raise SystemExit2("irreps --oracle needs sympy: pip install 'superhecke[oracle]'")
         comps = split_regular_weyl(wt, q0, seed=args.seed)
         data = {
             "schema_version": 1,
@@ -367,6 +370,7 @@ def cmd_reps(args) -> int:
     fam = _parse_family(args)
     q0 = rational_from_string(args.q)
     _capped_groupoid(args, fam)
+    require_semisimple(fam, q0)
     if args.mode == "build":
         from .superreps import big_map
 
@@ -412,6 +416,7 @@ def cmd_verify_all(args) -> int:
         lines.append(f"{'PASS' if passed else 'FAIL'}  {name}{tail}")
 
     G = _capped_groupoid(args, fam)
+    require_semisimple(fam, q0)
     count = G.order()
     formula = dimension_formula(fam)
     report("dimension formula", count == formula, f"|W\\0| = {count}, formula = {formula}")

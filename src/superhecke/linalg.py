@@ -1,11 +1,13 @@
 """Exact linear algebra over Q: dense matrix helpers, fraction-free rank,
 incremental echelon forms, nullspaces, and minimal polynomials.
 
-Matrices are lists of lists of Fraction.  There is one elimination kernel,
-IntEchelon: it scales rows to integers and eliminates fraction-free, keeping
-each row gcd-reduced so intermediate growth stays bounded (the integer-
-preserving scheme of Bareiss, 1968).  Rank, rref, nullspaces and coordinate
-solves all run through it; everything is exact.
+Matrices are lists of lists of Fraction, except where the caller has scaled
+them to integers over a common denominator (IntMatrix, multiplied by
+int_mat_mul).  There is one elimination kernel, IntEchelon: it scales rows to
+integers and eliminates fraction-free, keeping each row gcd-reduced so
+intermediate growth stays bounded (the integer-preserving scheme of Bareiss,
+1968).  Integer rows go in without scaling.  Rank, rref, nullspaces and
+coordinate solves all run through it; everything is exact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import gcd
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
+IntMatrix = list[list[int]]
 
 
 def mat_zeros(r: int, c: int) -> Matrix:
@@ -44,6 +47,24 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def int_identity(n: int) -> IntMatrix:
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a b, built row by row as combinations of b's rows: a's zero entries
+    cost nothing, which suits a sparse left factor such as a generator."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [u + x * y for u, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     ra, ca = len(a), len(a[0]) if a else 0
     rb, cb = len(b), len(b[0]) if b else 0
@@ -68,15 +89,13 @@ def _scale_to_int(vec: Sequence[Fraction]) -> list[int]:
     for x in vec:
         d = x.denominator
         lcm = lcm * d // gcd(lcm, d)
-    out = [x.numerator * (lcm // x.denominator) for x in vec]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+    return _primitive([x.numerator * (lcm // x.denominator) for x in vec])
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries (v itself when that is 0 or 1)."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _eliminate(v: list[int], row: list[int], p: int) -> list[int]:
@@ -84,49 +103,66 @@ def _eliminate(v: list[int], row: list[int], p: int) -> list[int]:
     a, b = row[p], v[p]
     g = gcd(a, b)
     ca, cb = a // g, b // g
-    v = [ca * x - cb * y for x, y in zip(v, row)]
     # gcd-reduce after each elimination to keep entries bounded
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        v = [x // g for x in v]
-    return v
+    return _primitive([ca * x - cb * y for x, y in zip(v, row)])
 
 
 class IntEchelon:
     """Incremental row echelon over Z (projectively), for rank and span tests.
 
     Rows are kept integer and gcd-reduced; insert() returns True when the
-    vector enlarged the span.
+    vector enlarged the span.  Each row is also kept as its list of nonzero
+    (column, entry) pairs, so eliminating with it costs its nonzeros, plus
+    one pass over the vector when the vector must be scaled first.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self._nonzeros: list[list[tuple[int, int]]] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: Sequence[Fraction]) -> list[int]:
-        v = _scale_to_int(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v = _eliminate(v, row, p)
+        return self._reduce(_scale_to_int(vec))
+
+    def _reduce(self, v: list[int]) -> list[int]:
+        """v reduced by every row in insertion order, in place; the result
+        is zero exactly when v is in the span."""
+        for row, nonzeros, p in zip(self.rows, self._nonzeros, self.pivots):
+            b = v[p]
+            if b:
+                a = row[p]
+                g = gcd(a, b)
+                ca, cb = a // g, b // g
+                if ca != 1:
+                    v = [ca * x for x in v]
+                for c, y in nonzeros:
+                    v[c] -= cb * y
+                if ca != 1:
+                    # v was scaled up: divide out its content again
+                    v = _primitive(v)
         return v
 
     def insert(self, vec: Sequence[Fraction]) -> bool:
-        v = self.reduce(vec)
+        return self._insert(self.reduce(vec))
+
+    def insert_int(self, vec: Sequence[int]) -> bool:
+        """insert() for an integer vector, which needs no scaling."""
+        return self._insert(self._reduce(list(vec)))
+
+    def _insert(self, v: list[int]) -> bool:
         for p, x in enumerate(v):
             if x:
+                v = _primitive(v)
                 if x < 0:
                     v = [-y for y in v]
                 self.rows.append(v)
                 self.pivots.append(p)
+                self._nonzeros.append([(c, y) for c, y in enumerate(v) if y])
                 return True
         return False
 

@@ -278,6 +278,8 @@ def test_criterion_08_isomorphism_theorems():
         (Family("CD", 2, 1), Fraction(2)),
         (Family("A", 2, 1), Fraction(2)),
         (Family("CD", 1, 2), Fraction(1, 3)),
+        (Family("B", 2, 2), Fraction(2)),
+        (Family("CD", 2, 2), Fraction(1, 3)),
     ]
     for fam, q0 in cases:
         report = verify_isomorphism(fam, q0)

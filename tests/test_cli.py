@@ -281,3 +281,15 @@ def test_streamed_structconst_is_the_json_dump(tmp_path, scalar):
     # a bool, not the strings: a diff of two megabyte documents takes minutes
     same = text == expected
     assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"
+
+
+def test_oracle_without_sympy_names_the_extra(monkeypatch, capsys):
+    # sympy is the optional [oracle] extra: without it the oracle is a usage
+    # error with one line, not a traceback
+    from superhecke import cli
+
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    assert cli.main(["irreps", "--type", "A", "--n", "2", "--oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "superhecke[oracle]" in err

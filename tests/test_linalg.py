@@ -1,11 +1,20 @@
 """The one elimination kernel: rref, nullspace and solve_coords on IntEchelon."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhecke.linalg import nullspace, rank_exact, rref, solve_coords
+from superhecke.linalg import (
+    IntEchelon,
+    int_mat_mul,
+    mat_mul,
+    nullspace,
+    rank_exact,
+    rref,
+    solve_coords,
+)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
@@ -72,3 +81,30 @@ def test_solve_coords_reconstructs_or_rejects(mat, data):
         recon = [sum((c * r[j] for c, r in zip(coords, mat)), Fraction(0)) for j in range(len(vec))]
         assert recon == vec
         assert rank_exact(mat + [vec]) == rank_exact(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(1, 30))
+def test_integer_rows_span_like_their_fractions(mat, scale):
+    # insert_int on integer multiples of the rows gives the same echelon
+    # decisions, rank and membership as insert on the rows themselves
+    lcm = math.lcm(scale, *(x.denominator for row in mat for x in row))
+    exact, ints = IntEchelon(len(mat[0])), IntEchelon(len(mat[0]))
+    for row in mat:
+        as_ints = [int(x * lcm) for x in row]
+        assert ints.insert_int(as_ints) == exact.insert(row)
+        assert as_ints == [int(x * lcm) for x in row]  # the input is not modified
+    assert ints.rank == exact.rank == rank_exact(mat)
+    assert ints.rows == exact.rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_int_mat_mul_is_mat_mul(mat, data):
+    ints = [[x.numerator for x in row] for row in mat]
+    other = data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+        min_size=len(ints[0]), max_size=len(ints[0]),
+    ))
+    expect = mat_mul([[Fraction(x) for x in row] for row in ints], [[Fraction(x) for x in row] for row in other])
+    assert int_mat_mul(ints, other) == expect

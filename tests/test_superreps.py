@@ -1,5 +1,8 @@
 """Box-tensor representations and the isomorphism verification machinery."""
 
+import contextlib
+import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,10 +16,13 @@ from superhecke.hecke import hecke_poly
 from superhecke.linalg import kron, mat_identity, mat_mul
 from superhecke.superreps import (
     BigMap,
+    _basis_rank,
     big_map,
     box_tensor,
+    common_denominator,
     factor_types,
     iso_report_json,
+    scale_rep,
     verify_block_rep,
     verify_isomorphism,
 )
@@ -141,6 +147,8 @@ ISO_CASES = [
     (Family("CD", 2, 1), Fraction(2), 128),
     (Family("A", 2, 1), Fraction(2), 1200),
     (Family("CD", 1, 2), Fraction(1, 3), 200),
+    (Family("B", 2, 2), Fraction(2), 2304),
+    (Family("CD", 2, 2), Fraction(1, 3), 2592),
 ]
 
 
@@ -154,6 +162,70 @@ def test_isomorphism(fam, q0, expected):
     assert sum(d * d for d in report.summand_dims) == expected
     data = iso_report_json(report)
     assert data["passed"] is True
+
+
+def _spied_basis_rank(monkeypatch) -> list:
+    """Record every call of the exact joint rank inside verify_isomorphism."""
+    calls = []
+
+    def spy(bm, G):
+        calls.append(bm.family)
+        return _basis_rank(bm, G)
+
+    monkeypatch.setattr(superreps, "_basis_rank", spy)
+    return calls
+
+
+SWEEP_CASES = [
+    (fam, q0)
+    for fam in [Family("A", 1, 1), Family("B", 1, 1), Family("CD", 1, 1), Family("B", 0, 2)]
+    for q0 in [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 7)]
+]
+
+
+@pytest.mark.parametrize("fam,q0", [(f, q) for f, q, _ in ISO_CASES] + SWEEP_CASES)
+def test_certified_basis_rank_is_the_joint_rank(monkeypatch, fam, q0):
+    # the density certificate stands in for the joint rank; compute that rank
+    # anyway and compare
+    calls = _spied_basis_rank(monkeypatch)
+    report = verify_isomorphism(fam, q0)
+    assert report.passed, report.relation_failures[:3]
+    assert calls == []
+    assert report.basis_rank == _basis_rank(big_map(fam, q0), groupoid_for(fam))
+
+
+def test_signature_tie_falls_back_to_the_joint_rank(monkeypatch):
+    # equal trace signatures prove nothing: the joint rank decides, and PASS
+    calls = _spied_basis_rank(monkeypatch)
+    monkeypatch.setattr(superreps, "_trace_signature", lambda sr: 0)
+    fam = Family("A", 1, 1)
+    report = verify_isomorphism(fam, Fraction(2))
+    assert calls == [fam]
+    assert report.pairwise_distinct is True
+    assert report.basis_rank == 144
+    assert report.passed is True
+
+
+def test_entry_moved_by_one_over_d_breaks_the_quadratic():
+    # the integer check is exact at the scale D: 1/D on one entry is seen
+    fam = Family("A", 2, 1)
+    q0 = Fraction(5, 7)
+    bm = big_map(fam, q0)
+    D = math.lcm(q0.denominator, *(
+        x.denominator for s in bm.summands for per in s.blocks.values()
+        for _, m in per.values() for row in m for x in row
+    ))
+    assert common_denominator(q0, bm.summands) == D
+    rep = max(bm.summands, key=lambda s: s.block_dim)
+    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b == a)
+    b, block = rep.blocks[i][a]
+    moved = [list(row) for row in block]
+    moved[0][0] += Fraction(1, D)
+    rep.blocks[i][a] = (b, moved)
+    assert common_denominator(q0, [rep]) == D
+    H = hecke_poly(fam)
+    for fails in (verify_block_rep(rep, H), verify_block_rep(rep, H, scale_rep(rep, D))):
+        assert fails[0] == f"quadratic fails at i={i}, a={a}"
 
 
 def test_injectivity_is_basis_independence():
@@ -227,4 +299,10 @@ def test_isomorphism_exactly_when_semisimple(fam, q0):
     else:
         with pytest.raises(ValueError):
             big_map(fam, q0)
-        assert cli.main(args) == 2
+        # bad input is an exit-2 error before any output, never a FAIL line
+        for command in ("reps", "verify-all"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert cli.main([command, *args[1:]]) == 2
+            assert out.getvalue() == ""
+            assert err.getvalue() == f"error: q0 = {q0} violates q P_left(q) P_right(q) != 0 for {fam.name()}\n"
