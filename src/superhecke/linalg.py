@@ -3,7 +3,11 @@ incremental echelon forms, nullspaces, and minimal polynomials.
 
 Matrices are lists of lists of Fraction, except where the caller has scaled
 them to integers over a common denominator (IntMatrix, multiplied by
-int_mat_mul).  There is one elimination kernel, IntEchelon: it scales rows to
+int_mat_mul).  The Fraction helpers compute on integers too: mat_mul and
+mat_apply_poly scale each factor to integers over one common denominator,
+multiply with int_mat_mul and divide once per nonzero entry of the result;
+mat_vec skips zero entries of either factor.  Every entry they return is a
+Fraction.  There is one elimination kernel, IntEchelon: it scales rows to
 integers and eliminates fraction-free, keeping each row gcd-reduced so
 intermediate growth stays bounded (the integer-preserving scheme of Bareiss,
 1968).  Integer rows go in without scaling.  Rank, rref, nullspaces and
@@ -13,11 +17,13 @@ coordinate solves all run through it; everything is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
+
+_ZERO = Fraction(0)
 
 
 def mat_zeros(r: int, c: int) -> Matrix:
@@ -32,19 +38,22 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = mat_zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
+    da, ia = to_int_matrix(a)
+    db, ib = to_int_matrix(b)
+    return from_int_matrix(int_mat_mul(ia, ib), da * db)
+
+
+def to_int_matrix(a: Matrix) -> tuple[int, IntMatrix]:
+    """(D, D a) with D the least common denominator of a's entries."""
+    d = lcm(*{x.denominator for row in a for x in row})
+    if d == 1:
+        return 1, [[x.numerator for x in row] for row in a]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+
+def from_int_matrix(a: IntMatrix, d: int) -> Matrix:
+    """The Fraction matrix a / d."""
+    return [[Fraction(x, d) if x else _ZERO for x in row] for row in a]
 
 
 def int_identity(n: int) -> IntMatrix:
@@ -260,18 +269,24 @@ def solve_coords_multi(
 
 
 def mat_apply_poly(mat: Matrix, coeffs: Sequence[Fraction]) -> Matrix:
-    """coeffs[0] + coeffs[1] A + ... evaluated at A = mat (ascending)."""
+    """coeffs[0] + coeffs[1] A + ... evaluated at A = mat (ascending).
+
+    With A = M / d for an integer M, the sum is sum c_k d^(K-k) M^k over d^K,
+    K = deg: the powers of M and the sum stay integers, scaled once more by
+    the common denominator r of the coefficients."""
     n = len(mat)
-    out = mat_zeros(n, n)
-    power = mat_identity(n)
+    d, m = to_int_matrix(mat)
+    deg = len(coeffs) - 1
+    r = lcm(*(Fraction(c).denominator for c in coeffs))
+    out = [[0] * n for _ in range(n)]
+    power = int_identity(n)
     for k, c in enumerate(coeffs):
         if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * power[i][j]
-        if k + 1 < len(coeffs):
-            power = mat_mul(power, mat)
-    return out
+            ck = int(c * r) * d ** (deg - k)
+            out = [[u + ck * y for u, y in zip(ou, pu)] for ou, pu in zip(out, power)]
+        if k < deg:
+            power = int_mat_mul(power, m)
+    return from_int_matrix(out, r * d ** max(deg, 0))
 
 
 def commutant(mats: list[Matrix], dim: int) -> list[Matrix]:
@@ -324,22 +339,29 @@ def minimal_polynomial(mat: Matrix) -> list[Fraction]:
 
 
 def mat_vec(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
-    return [
-        sum(row[c] * vec[c] for c in range(len(vec)) if vec[c]) for row in mat
-    ]
+    """mat vec; a zero entry of either factor costs nothing."""
+    support = [(c, x) for c, x in enumerate(vec) if x]
+    out = []
+    for row in mat:
+        acc = _ZERO
+        for c, x in support:
+            y = row[c]
+            if y:
+                acc += y * x
+        out.append(acc)
+    return out
 
 
 def local_minimal_polynomial(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
     """Monic minimal polynomial of mat on the cyclic subspace of vec
     (a divisor of the minimal polynomial; equal to it for generic vec)."""
     basis: list[list[Fraction]] = []
+    ech = IntEchelon(len(vec))
     cur = vec
-    while True:
-        if basis:
-            coords = solve_coords(basis, cur)
-        else:
-            coords = [] if not any(cur) else None
-        if coords is not None:
-            return [-c for c in coords] + [Fraction(1)]
+    while ech.insert(cur):
         basis.append(cur)
         cur = mat_vec(mat, cur)
+    # cur is the first Krylov vector dependent on the earlier ones
+    coords = solve_coords(basis, cur) if basis else []
+    assert coords is not None
+    return [-c for c in coords] + [Fraction(1)]

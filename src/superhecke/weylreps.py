@@ -7,6 +7,11 @@ restricts the two-parameter type-B construction at its first parameter set to
 oracle, split_regular_module, decomposes the right regular module by minimal
 polynomial kernels of random left multiplications; the two routes are
 compared up to equivalence in the test-suite.
+
+Products of generator words, in the oracle and in trace vectors, are taken on
+integer matrices: each generator is scaled once by the common denominator D of
+its family, so a word of length l gives D^l times its true product, and only
+the result, a trace or the oracle's random element, is divided back.
 """
 
 from __future__ import annotations
@@ -14,11 +19,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Sequence
 
 from .linalg import (
+    IntEchelon,
+    IntMatrix,
     Matrix,
     commutant,
+    from_int_matrix,
+    int_identity,
+    int_mat_mul,
     local_minimal_polynomial,
     mat_apply_poly,
     mat_identity,
@@ -26,6 +37,8 @@ from .linalg import (
     minimal_polynomial,
     nullspace,
     solve_coords,
+    solve_coords_multi,
+    to_int_matrix,
 )
 from .tableaux import (
     BiTableau,
@@ -275,8 +288,6 @@ def _split_in_two(gens: Sequence[Matrix], dim: int, q0: Fraction):
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if x < 0:
         return None
-    from math import isqrt
-
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
@@ -284,23 +295,18 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _restrict(gens: Sequence[Matrix], basis: list[list[Fraction]]):
-    """Restrict operators to the column span of the given basis vectors."""
-    from .linalg import mat_vec, solve_coords_multi
+    """Restrict operators to the column span of the given basis vectors.
 
+    The images g b_j of every generator are the rows of basis g^T, and their
+    coordinates come from one elimination against the basis."""
     k = len(basis)
-    rows = basis  # basis vectors as rows
-    out = []
-    for g in gens:
-        images = [mat_vec(g, rows[j]) for j in range(k)]
-        coords = solve_coords_multi(rows, images)
-        mat = [[Fraction(0)] * k for _ in range(k)]
-        for j in range(k):
-            cj = coords[j]
-            assert cj is not None, "subspace is not invariant"
-            for i in range(k):
-                mat[i][j] = cj[i]
-        out.append(mat)
-    return k, tuple(out)
+    images = [row for g in gens for row in mat_mul(basis, [list(col) for col in zip(*g)])]
+    coords = solve_coords_multi(basis, images)
+    assert all(c is not None for c in coords), "subspace is not invariant"
+    # coords[t k + j] is column j of generator t's matrix
+    return k, tuple(
+        [list(row) for row in zip(*coords[t * k:(t + 1) * k])] for t in range(len(gens))
+    )
 
 
 # ---- verification helpers ----
@@ -347,13 +353,38 @@ def words_up_to(rank: int, maxlen: int):
     return out
 
 
+def _scaled_generators(mats: Sequence[Matrix]) -> tuple[int, list[IntMatrix]]:
+    """(D, [D g for g in mats]) with D the common denominator of every entry."""
+    scaled = [to_int_matrix(g) for g in mats]
+    d = lcm(*(dg for dg, _ in scaled))
+    return d, [[[x * (d // dg) for x in row] for row in g] for dg, g in scaled]
+
+
+def _trace(m: IntMatrix) -> int:
+    return sum(row[k] for k, row in enumerate(m))
+
+
 def trace_vector(rep: Irrep, words) -> tuple[Fraction, ...]:
+    """Traces of the generator products over the words.
+
+    Each product is the product of its word's prefix times one generator, so
+    a prefix-closed list costs one product per word; a word whose prefix was
+    not seen yet is multiplied out in full."""
+    d, gens = _scaled_generators(rep.gens)
+    prods: dict[tuple[int, ...], IntMatrix] = {(): int_identity(rep.dim)}
     traces = []
     for w in words:
-        m = mat_identity(rep.dim)
-        for i in w:
-            m = mat_mul(m, rep.gens[i])
-        traces.append(sum(m[k][k] for k in range(rep.dim)))
+        w = tuple(w)
+        m = prods.get(w)
+        if m is None:
+            m = prods.get(w[:-1])
+            start = len(w) - 1
+            if m is None:
+                m, start = prods[()], 0
+            for i in w[start:]:
+                m = int_mat_mul(m, gens[i])
+            prods[w] = m
+        traces.append(Fraction(_trace(m), d ** len(w)))
     return tuple(traces)
 
 
@@ -373,15 +404,7 @@ def pairwise_distinct_traces(reps: list[Irrep], rank: int, maxlen: int = 2) -> b
 def character_on_group(wt: WeylType, rep: Irrep) -> tuple[Fraction, ...]:
     """Traces over one fixed reduced word per group element; a complete
     equivalence invariant for semisimple specializations."""
-    words = canonical_words(wt)
-    order = sorted(words.values())
-    out = []
-    for w in order:
-        m = mat_identity(rep.dim)
-        for i in w:
-            m = mat_mul(m, rep.gens[i])
-        out.append(sum(m[k][k] for k in range(rep.dim)))
-    return tuple(out)
+    return trace_vector(rep, sorted(canonical_words(wt).values()))
 
 
 # ---- the regular-module splitting oracle ----
@@ -401,19 +424,31 @@ def split_regular_module(
     random left multiplication (these commute with the right action, so the
     kernels are submodules), then isolates one irreducible inside each piece
     via generator eigenspace slices; classes are merged by trace equality.
-    Raises RuntimeError when the random-element budget is exhausted.
+
+    The words spanning the right action, and the regular trace over them, do
+    not depend on the random element: they are computed once per call and
+    shared by every attempt.  Each retry's reason is logged at DEBUG on the
+    "superhecke" logger.  Raises RuntimeError when the random-element budget
+    is exhausted.
     """
     q0 = Fraction(q0)
     if not left_mults:
         triv = Irrep("trivial", 1, q0, ())
         return [SplitComponent(triv, 1)]
+    # imported here, like sympy, so that commands without the oracle do not
+    # load logging
+    import logging
+
+    log = logging.getLogger("superhecke")
     dim = len(left_mults[0])
+    words, reg_trace = _algebra_word_basis(right_mults, dim)
     rng = random.Random(seed)
     last_error: Exception | None = None
-    for _ in range(max_retries):
+    for attempt in range(1, max_retries + 1):
         try:
-            return _split_once(left_mults, right_mults, q0, rng, dim)
+            return _split_once(left_mults, right_mults, q0, rng, dim, words, reg_trace)
         except _RetrySplit as exc:
+            log.debug("splitting oracle: attempt %d retries: %s", attempt, exc)
             last_error = exc
     raise RuntimeError(f"splitting budget exceeded: {last_error}")
 
@@ -422,49 +457,66 @@ class _RetrySplit(RuntimeError):
     pass
 
 
+_MAX_WORD = 3  # the longest word in a random left element
+
+
 def _random_left_element(left_mults, rng, dim) -> Matrix:
-    out = mat_identity(dim)
+    """scale + sum of c_t times random generator words, with D^_MAX_WORD times
+    it built on integers: a word of length l enters as D^(_MAX_WORD - l) times
+    its scaled product."""
+    d, gens = _scaled_generators(left_mults)
+    top = d**_MAX_WORD
     scale = rng.randint(1, 5)
-    out = [[Fraction(scale) * x for x in row] for row in out]
+    out = [[scale * top if r == c else 0 for c in range(dim)] for r in range(dim)]
     for _ in range(2 * len(left_mults) + 2):
-        word_len = rng.randint(1, 3)
-        m = mat_identity(dim)
+        word_len = rng.randint(1, _MAX_WORD)
+        m = int_identity(dim)
         for _ in range(word_len):
-            m = mat_mul(m, left_mults[rng.randrange(len(left_mults))])
-        c = Fraction(rng.randint(-4, 4))
+            m = int_mat_mul(m, gens[rng.randrange(len(gens))])
+        c = rng.randint(-4, 4)
         if not c:
             continue
-        out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
-    return out
+        f = c * d ** (_MAX_WORD - word_len)
+        out = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
+    return from_int_matrix(out, top)
 
 
-def _algebra_word_basis(mats, dim) -> tuple[list[tuple[int, ...]], list[Matrix]]:
+def _algebra_word_basis(mats, dim) -> tuple[list[tuple[int, ...]], list[Fraction]]:
     """Words whose products span the image algebra of the generators, found by
-    closure with frontier pruning, plus the products themselves.  Traces over
-    these words are a complete equivalence invariant for semisimple modules."""
-    from .linalg import IntEchelon, flatten
+    closure with frontier pruning, plus the exact trace of each product.
+    Traces over these words are a complete equivalence invariant for
+    semisimple modules.  The word list is prefix-closed.
 
-    ident = mat_identity(dim)
+    The closure runs on the generators scaled by their common denominator D,
+    so a word of length l has D^l times its true product; the echelon is
+    projective, so it takes the same words as on the true products.  It stops
+    once the products span all dim x dim matrices."""
+    d, gens = _scaled_generators(mats)
+    ident = int_identity(dim)
     ech = IntEchelon(dim * dim)
-    ech.insert(flatten(ident))
+    ech.insert_int([x for row in ident for x in row])
     words: list[tuple[int, ...]] = [()]
-    prods: list[Matrix] = [ident]
-    frontier: list[tuple[tuple[int, ...], Matrix]] = [((), ident)]
-    while frontier:
+    traces: list[Fraction] = [Fraction(dim)]
+    frontier: list[tuple[tuple[int, ...], IntMatrix]] = [((), ident)]
+    while frontier and ech.rank < dim * dim:
         nxt = []
         for w, m in frontier:
-            for gi, g in enumerate(mats):
-                m2 = mat_mul(m, g)
-                if ech.insert(flatten(m2)):
+            for gi, g in enumerate(gens):
+                m2 = int_mat_mul(m, g)
+                if ech.insert_int([x for row in m2 for x in row]):
                     w2 = w + (gi,)
                     words.append(w2)
-                    prods.append(m2)
+                    traces.append(Fraction(_trace(m2), d ** len(w2)))
                     nxt.append((w2, m2))
         frontier = nxt
-    return words, prods
+    return words, traces
 
 
-def _split_once(left_mults, right_mults, q0, rng, dim) -> list[SplitComponent]:
+def _split_once(
+    left_mults, right_mults, q0, rng, dim, words, reg_trace
+) -> list[SplitComponent]:
+    """One attempt with a fresh random element; words and reg_trace are the
+    right action's word basis and the regular module's traces over it."""
     import sympy
 
     lb = _random_left_element(left_mults, rng, dim)
@@ -488,7 +540,6 @@ def _split_once(left_mults, right_mults, q0, rng, dim) -> list[SplitComponent]:
     if sum(len(p) for p in pieces) != dim:
         # the probe vector missed part of the spectrum
         raise _RetrySplit("primary components do not span the module")
-    words, prods = _algebra_word_basis(right_mults, dim)
     # collect pairwise inequivalent irreducibles from all pieces
     classes: dict[tuple, Irrep] = {}
     for basis in pieces:
@@ -502,7 +553,6 @@ def _split_once(left_mults, right_mults, q0, rng, dim) -> list[SplitComponent]:
         )
     # multiplicities from the exact character system against the regular trace
     keys = sorted(classes)
-    reg_trace = [sum(m[k][k] for k in range(dim)) for m in prods]
     char_rows = [list(key[1]) for key in keys]
     mults = solve_coords(char_rows, reg_trace)
     if mults is None or any(c.denominator != 1 or c <= 0 for c in mults):
@@ -524,8 +574,8 @@ def _is_irreducible_split(gens: Sequence[Matrix], dim: int) -> bool:
         return True
     if not gens:
         return False
-    _, prods = _algebra_word_basis(list(gens), dim)
-    return len(prods) == dim * dim
+    words, _ = _algebra_word_basis(gens, dim)
+    return len(words) == dim * dim
 
 
 def _extract_irreducibles(basis, right_mults, q0, rng) -> list[Irrep]:
@@ -578,25 +628,32 @@ def _extract_irreducibles(basis, right_mults, q0, rng) -> list[Irrep]:
 
 
 def _spin_up(v, mats) -> list[list[Fraction]]:
-    """Smallest submodule containing v, as an explicit basis."""
-    from .linalg import IntEchelon, mat_vec
+    """Smallest submodule containing v, as an explicit basis: v, then each
+    image of a basis vector under a generator that enlarges the span.
 
+    A vector is kept as integers over its denominator, and the generators are
+    scaled once by theirs, D, so an image is one integer product over D times
+    its vector's denominator."""
     if not any(v):
         return []
+    d, gens = _scaled_generators(mats)
+    transposed = [[list(col) for col in zip(*g)] for g in gens]
+    dv, (ints,) = to_int_matrix([v])
     ech = IntEchelon(len(v))
-    ech.insert(v)
-    basis = [list(v)]
-    frontier = [v]
+    ech.insert_int(ints)
+    basis = [(ints, dv)]
+    frontier = list(basis)
     while frontier:
         nxt = []
-        for vec in frontier:
-            for m in mats:
-                img = mat_vec(m, vec)
-                if ech.insert(img):
-                    basis.append(img)
-                    nxt.append(img)
+        for vec, den in frontier:
+            for gt in transposed:
+                # g vec, as the row vec^T g^T
+                img = int_mat_mul([vec], gt)[0]
+                if ech.insert_int(img):
+                    nxt.append((img, den * d))
+        basis += nxt
         frontier = nxt
-    return basis
+    return [[Fraction(x, den) for x in vec] for vec, den in basis]
 
 
 def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitComponent]:

@@ -1,6 +1,8 @@
 """Pinned CLI outputs: sha256 of the whole document, recorded before the
 groupoid tables and the streamed structure-constant writer replaced the
-element-keyed code, so any change to a byte of these outputs shows here."""
+element-keyed code, so any change to a byte of these outputs shows here.
+The irreps pins were recorded on the Fraction-matrix splitting oracle, before
+it moved to integer kernels: the same seed must give the same bytes."""
 
 import hashlib
 
@@ -41,4 +43,24 @@ def test_cli_output_matches_pinned_checksum(tmp_path, family, argv, digest):
     out = tmp_path / "out.json"
     command, rest = argv[0], argv[1:]
     assert cli.main([command, *FAMILIES[family], *rest, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+IRREPS_GOLDEN = [
+    (["--type", "A", "--n", "4", "--oracle", "--seed", "0"], "06a762552bd67ca0302a444e9a11b2837fae40dc89208281eb4d71b2a442a0e7"),
+    (["--type", "D", "--n", "3", "--oracle", "--seed", "0"], "7b376e7c1d0aabf1e02fe86c11895627eb1e7c26806cd6fd387f70621adecc0e"),
+    (["--type", "A", "--n", "3", "--oracle", "--seed", "5"], "db478dc26d08a3c88b54ea76a8c2245f5ea8120e1da7215b555520b988f72200"),
+    (["--type", "B", "--n", "2", "--oracle", "--seed", "5"], "5bbfa2ba9149a296e576b3875395cad6ecdf47731133e1e42a18ea9649ea43a0"),
+    (["--type", "B", "--n", "2", "--oracle", "--q", "1/3"], "aafa24ba1960318953d14c3a60e9bde468020e918e3e27f5b5a39fcfb5d2d251"),
+    (["--type", "A", "--n", "3", "--oracle", "--q", "5/7", "--seed", "3"], "c9223904b9fee433226db932b0613a8da28da1b7edd8f5f0b0a49e87b481d61f"),
+    (["--type", "D", "--n", "4"], "3a8ce82b7ac068351814a90e9ef969b0d30e92f1b4c0a3357367d25d612bcc73"),
+    (["--type", "B", "--n", "4"], "9496e2944a10e844bc491a4967332dd8e70a0e851915b7d8af105aefcb587807"),
+    (["--type", "A", "--n", "4", "--q", "1/3"], "af686652a30c27a749da7bfd211e17d783fa2a60f57f46cbf799c7832850ad73"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", IRREPS_GOLDEN, ids=[" ".join(a) for a, _ in IRREPS_GOLDEN])
+def test_irreps_output_matches_pinned_checksum(tmp_path, argv, digest):
+    out = tmp_path / "out.json"
+    assert cli.main(["irreps", *argv, "--format", "json", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

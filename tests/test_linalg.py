@@ -1,4 +1,6 @@
-"""The one elimination kernel: rref, nullspace and solve_coords on IntEchelon."""
+"""The one elimination kernel: rref, nullspace and solve_coords on IntEchelon;
+the Fraction matrix helpers that compute on integers against schoolbook
+references."""
 
 import math
 from fractions import Fraction
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 from superhecke.linalg import (
     IntEchelon,
     int_mat_mul,
+    local_minimal_polynomial,
+    mat_apply_poly,
     mat_mul,
+    mat_vec,
     nullspace,
     rank_exact,
     rref,
@@ -108,3 +113,82 @@ def test_int_mat_mul_is_mat_mul(mat, data):
     ))
     expect = mat_mul([[Fraction(x) for x in row] for row in ints], [[Fraction(x) for x in row] for row in other])
     assert int_mat_mul(ints, other) == expect
+
+
+# entries with many zeros and mixed denominators
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals, st.builds(Fraction, st.integers(-50, 50), st.integers(1, 36)))
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(sparse_rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def schoolbook_mul(a, b):
+    m = len(b[0]) if b else 0
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(m)]
+        for i in range(len(a))
+    ]
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_mul_is_schoolbook(n, k, m, data):
+    # rectangular and empty shapes; b has k rows, so a k = 0 product is n x 0
+    a = data.draw(_matrix(n, k))
+    b = data.draw(_matrix(k, m))
+    out = mat_mul(a, b)
+    assert out == schoolbook_mul(a, b)
+    assert _all_fractions(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_vec_is_schoolbook(n, k, data):
+    a = data.draw(_matrix(n, k))
+    vec = data.draw(st.one_of(
+        st.just([Fraction(0)] * k),
+        st.lists(sparse_rationals, min_size=k, max_size=k),
+    ))
+    out = mat_vec(a, vec)
+    assert out == [sum((row[c] * vec[c] for c in range(k)), Fraction(0)) for row in a]
+    assert _all_fractions([out])
+
+
+def test_mat_vec_of_zero_vector_is_fraction_zeros():
+    out = mat_vec([[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-1)]], [Fraction(0), Fraction(0)])
+    assert out == [0, 0]
+    assert _all_fractions([out])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.lists(sparse_rationals, max_size=4), st.data())
+def test_mat_apply_poly_is_schoolbook(n, coeffs, data):
+    a = data.draw(_matrix(n, n))
+    expect = [[Fraction(0)] * n for _ in range(n)]
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in coeffs:
+        expect = [[e + c * p for e, p in zip(er, pr)] for er, pr in zip(expect, power)]
+        power = schoolbook_mul(power, a)
+    out = mat_apply_poly(a, coeffs)
+    assert out == expect
+    assert _all_fractions(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_local_minimal_polynomial_annihilates_and_is_minimal(n, data):
+    a = data.draw(_matrix(n, n))
+    vec = data.draw(st.lists(sparse_rationals, min_size=n, max_size=n))
+    poly = local_minimal_polynomial(a, vec)
+    assert poly[-1] == 1
+    krylov = [vec]
+    for _ in range(len(poly) - 1):
+        krylov.append(mat_vec(a, krylov[-1]))
+    # p(A) vec = 0, and the Krylov vectors below its degree are independent
+    assert all(sum(c * v[i] for c, v in zip(poly, krylov)) == 0 for i in range(n))
+    assert rank_exact(krylov[:-1]) == len(poly) - 1

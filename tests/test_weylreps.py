@@ -1,10 +1,14 @@
 """Classical Weyl groups, Poincare polynomials, seminormal irreducibles, and
 the regular-module splitting oracle."""
 
+import logging
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superhecke import weylreps
 from superhecke.linalg import mat_mul
 from superhecke.scalars import LaurentPoly
 from superhecke.tableaux import (
@@ -27,7 +31,9 @@ from superhecke.weylreps import (
     irreps,
     pairwise_distinct_traces,
     split_regular_weyl,
+    trace_vector,
     verify_irrep_relations,
+    words_up_to,
 )
 
 Q = LaurentPoly.q()
@@ -168,9 +174,12 @@ ORACLE_CASES = [("A", 2), ("A", 3), ("A", 4), ("B", 1), ("B", 2), ("D", 2), ("D"
 
 @pytest.mark.parametrize("kind,n", ORACLE_CASES)
 def test_split_oracle_agrees_with_seminormal(kind, n):
-    wt = WeylType(kind, n)
-    comps = split_regular_weyl(wt, Fraction(2), seed=7)
-    reps = irreps(wt, Fraction(2))
+    _assert_oracle_agrees(WeylType(kind, n), Fraction(2), seed=7)
+
+
+def _assert_oracle_agrees(wt, q0, seed):
+    comps = split_regular_weyl(wt, q0, seed=seed)
+    reps = irreps(wt, q0)
     # regular module: every class appears with multiplicity = its dimension
     assert all(c.multiplicity == c.irrep.dim for c in comps)
     assert sum(c.irrep.dim * c.multiplicity for c in comps) == group_order(wt)
@@ -195,3 +204,59 @@ def test_split_oracle_seed_determinism():
     assert [(c.irrep.dim, c.multiplicity, c.irrep.gens) for c in a] == [
         (c.irrep.dim, c.multiplicity, c.irrep.gens) for c in b
     ]
+
+
+def test_oracle_word_basis_once_per_call(monkeypatch, caplog):
+    # S_4 at seed 0 retries once, and both attempts share one word basis
+    calls = []
+    inner = weylreps._algebra_word_basis
+
+    def counted(mats, dim):
+        calls.append(dim)
+        return inner(mats, dim)
+
+    monkeypatch.setattr(weylreps, "_algebra_word_basis", counted)
+    caplog.set_level(logging.DEBUG, logger="superhecke")
+    split_regular_weyl(WeylType("A", 4), Fraction(2), seed=0)
+    assert calls.count(24) == 1
+    assert len(caplog.records) == 1
+
+
+def test_oracle_logs_each_retry(caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="superhecke")
+    split_regular_weyl(WeylType("A", 4), Fraction(2), seed=0)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "sum of squares 23 != 24" in caplog.records[0].getMessage()
+    assert capsys.readouterr() == ("", "")
+
+
+def _per_word_traces(rep, words):
+    out = []
+    for w in words:
+        m = [[Fraction(int(i == j)) for j in range(rep.dim)] for i in range(rep.dim)]
+        for i in w:
+            m = mat_mul(m, rep.gens[i])
+        out.append(sum(m[k][k] for k in range(rep.dim)))
+    return tuple(out)
+
+
+TRACE_REPS = irreps(WeylType("B", 3), Fraction(1, 3)) + irreps(WeylType("D", 4), Fraction(5, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(TRACE_REPS),
+    st.lists(st.lists(st.integers(0, 2), max_size=6).map(tuple), max_size=12),
+    st.randoms(use_true_random=False),
+)
+def test_trace_vector_is_per_word_product(rep, words, rnd):
+    # arbitrary word lists: prefixes missing, repeated, or after their words
+    words = list(words) + words_up_to(len(rep.gens), 2)
+    rnd.shuffle(words)
+    assert trace_vector(rep, words) == _per_word_traces(rep, words)
+
+
+@pytest.mark.parametrize("q0", [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 7)], ids=str)
+@pytest.mark.parametrize("kind, n", [("A", 3), ("B", 2), ("D", 3)])
+def test_split_oracle_agrees_with_irreps_across_q0(kind, n, q0):
+    _assert_oracle_agrees(WeylType(kind, n), q0, seed=0)
