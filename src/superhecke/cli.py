@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands expose every capability with machine-readable output: domains,
-dynkin, enumerate, dim, words, verify, structconst, poincare, irreps,
+dynkin, enumerate, dim, words, verify, structconst, poincare, irreps, reps,
 verify-all.  Output is deterministic for fixed flags and seed.  Exit codes:
 0 success, 1 verification failure, 2 invalid arguments, 141 (128 + SIGPIPE)
 when the reader closes the output pipe early.

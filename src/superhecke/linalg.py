@@ -2,16 +2,17 @@
 incremental echelon forms, nullspaces, and minimal polynomials.
 
 Matrices are lists of lists of Fraction, except where the caller has scaled
-them to integers over a common denominator (IntMatrix, multiplied by
-int_mat_mul).  The Fraction helpers compute on integers too: mat_mul and
-mat_apply_poly scale each factor to integers over one common denominator,
-multiply with int_mat_mul and divide once per nonzero entry of the result;
-mat_vec skips zero entries of either factor.  Every entry they return is a
-Fraction.  There is one elimination kernel, IntEchelon: it scales rows to
-integers and eliminates fraction-free, keeping each row gcd-reduced so
-intermediate growth stays bounded (the integer-preserving scheme of Bareiss,
-1968).  Integer rows go in without scaling.  Rank, rref, nullspaces and
-coordinate solves all run through it; everything is exact.
+them to integers over a common denominator (IntMatrix: scale_to_int makes
+them, int_mat_mul multiplies and kron tensors them).  The Fraction helpers
+compute on integers too: mat_mul and mat_apply_poly scale each factor to
+integers over one common denominator, multiply with int_mat_mul and divide
+once per nonzero entry of the result; mat_vec skips zero entries of either
+factor.  Every entry they return is a Fraction.  There is one elimination
+kernel, IntEchelon: it scales rows to integers and eliminates fraction-free,
+keeping each row gcd-reduced so intermediate growth stays bounded (the
+integer-preserving scheme of Bareiss, 1968).  Integer rows go in without
+scaling.  Rank, rref, nullspaces and coordinate solves all run through it;
+everything is exact.
 """
 
 from __future__ import annotations
@@ -48,7 +49,15 @@ def to_int_matrix(a: Matrix) -> tuple[int, IntMatrix]:
     d = lcm(*{x.denominator for row in a for x in row})
     if d == 1:
         return 1, [[x.numerator for x in row] for row in a]
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    return d, scale_to_int(a, d)
+
+
+def scale_to_int(a: Matrix, d: int) -> IntMatrix:
+    """d a as an integer matrix; d must be a multiple of every entry's
+    denominator."""
+    if any(d % x.denominator for row in a for x in row):
+        raise ValueError(f"{d} is not a common denominator of the matrix")
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
 def from_int_matrix(a: IntMatrix, d: int) -> Matrix:
@@ -74,19 +83,9 @@ def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    out = mat_zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            c = a[i][j]
-            if c:
-                for k in range(rb):
-                    for l in range(cb):
-                        if b[k][l]:
-                            out[i * rb + k][j * cb + l] = c * b[k][l]
-    return out
+def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The Kronecker product: entry (i rb + k, j cb + l) is a[i][j] b[k][l]."""
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
 
 
 def flatten(a: Matrix) -> list[Fraction]:

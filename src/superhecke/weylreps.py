@@ -36,6 +36,7 @@ from .linalg import (
     mat_mul,
     minimal_polynomial,
     nullspace,
+    scale_to_int,
     solve_coords,
     solve_coords_multi,
     to_int_matrix,
@@ -205,11 +206,15 @@ def _special_last_order(gens_special_first: Sequence[Matrix]) -> tuple[Matrix, .
     return tuple(list(gens_special_first[1:])[::-1] + [gens_special_first[0]])
 
 
+def _require_semisimple(wt: WeylType, q0: Fraction) -> None:
+    if not is_semisimple(wt, q0):
+        raise ValueError(f"H_q({wt.name()}) is not semisimple at q0 = {q0}")
+
+
 def irreps(wt: WeylType, q0: Fraction) -> list[Irrep]:
     """A complete set of pairwise non-equivalent irreducibles at generic q0."""
     q0 = Fraction(q0)
-    if not is_semisimple(wt, q0):
-        raise ValueError(f"H_q({wt.name()}) is not semisimple at q0 = {q0}")
+    _require_semisimple(wt, q0)
     out: list[Irrep] = []
     if wt.kind == "A":
         for lam in partitions(wt.n):
@@ -355,9 +360,8 @@ def words_up_to(rank: int, maxlen: int):
 
 def _scaled_generators(mats: Sequence[Matrix]) -> tuple[int, list[IntMatrix]]:
     """(D, [D g for g in mats]) with D the common denominator of every entry."""
-    scaled = [to_int_matrix(g) for g in mats]
-    d = lcm(*(dg for dg, _ in scaled))
-    return d, [[[x * (d // dg) for x in row] for row in g] for dg, g in scaled]
+    d = lcm(*{x.denominator for g in mats for row in g for x in row})
+    return d, [scale_to_int(g, d) for g in mats]
 
 
 def _trace(m: IntMatrix) -> int:
@@ -657,9 +661,13 @@ def _spin_up(v, mats) -> list[list[Fraction]]:
 
 
 def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitComponent]:
-    """The oracle applied to a classical Hecke algebra's regular module."""
-    lefts, rights = hecke_regular_matrices(wt, Fraction(q0))
+    """The oracle applied to a classical Hecke algebra's regular module, which
+    splits only where H_q(W) is semisimple: elsewhere a ValueError, as from
+    irreps, before any splitting."""
+    q0 = Fraction(q0)
+    _require_semisimple(wt, q0)
+    lefts, rights = hecke_regular_matrices(wt, q0)
     if not lefts:
-        triv = Irrep("trivial", 1, Fraction(q0), ())
+        triv = Irrep("trivial", 1, q0, ())
         return [SplitComponent(triv, 1)]
     return split_regular_module(lefts, rights, q0, seed=seed)

@@ -293,3 +293,20 @@ def test_oracle_without_sympy_names_the_extra(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "superhecke[oracle]" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--type", "A", "--n", "3", "--q", "-1"], "H_q(S_3) is not semisimple at q0 = -1"),
+        (["--type", "A", "--n", "3", "--q", "0"], "H_q(S_3) is not semisimple at q0 = 0"),
+        (["--type", "B", "--n", "3", "--q", "-1"], "H_q(W(B_3)) is not semisimple at q0 = -1"),
+    ],
+)
+def test_oracle_at_a_non_semisimple_q0_is_a_usage_error(argv, message):
+    # the regular module does not split there: exit 2 with one line before
+    # any splitting, as irreps without --oracle does
+    proc = run_cli("irreps", *argv, "--oracle")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"

@@ -2,7 +2,9 @@
 groupoid tables and the streamed structure-constant writer replaced the
 element-keyed code, so any change to a byte of these outputs shows here.
 The irreps pins were recorded on the Fraction-matrix splitting oracle, before
-it moved to integer kernels: the same seed must give the same bytes."""
+it moved to integer kernels: the same seed must give the same bytes.  The
+reps and verify-all pins were recorded while each box tensor was still built
+as Fraction blocks and scaled to integers afterwards."""
 
 import hashlib
 
@@ -14,8 +16,18 @@ FAMILIES = {
     "A(1,1)": ["--family", "A", "--m", "1", "--n", "1"],
     "B(1,2)": ["--family", "B", "--m", "1", "--n", "2"],
     "osp(2|4)": ["--family", "CD", "--m", "1", "--n", "2"],
+    "A(0,2)": ["--family", "A", "--m", "0", "--n", "2"],
+    "A(2,1)": ["--family", "A", "--m", "2", "--n", "1"],
+    "B(0,3)": ["--family", "B", "--m", "0", "--n", "3"],
+    "B(1,1)": ["--family", "B", "--m", "1", "--n", "1"],
+    "B(2,1)": ["--family", "B", "--m", "2", "--n", "1"],
+    "B(2,2)": ["--family", "B", "--m", "2", "--n", "2"],
+    "osp(2|2)": ["--family", "CD", "--m", "1", "--n", "1"],
+    "osp(4|2)": ["--family", "CD", "--m", "2", "--n", "1"],
+    "osp(4|4)": ["--family", "CD", "--m", "2", "--n", "2"],
 }
 EVAL = ["--scalar", "eval", "--q"]
+REPS = ["reps", "--format", "json", "--q"]
 
 GOLDEN = [
     ("A(1,1)", ["structconst"], "dc4fe45438a9faf8950e54e64eb8cead6ba6e71ea576c7ef235692fe48335149"),
@@ -33,6 +45,23 @@ GOLDEN = [
     ("osp(2|4)", ["structconst", *EVAL, "1/3"], "5db4deed276384aa8fdab18741b8027e84f4fa511cc87688eb5a92f3c8d98fb6"),
     ("osp(2|4)", ["structconst", *EVAL, "1"], "34d711721240326a1a6fb47712bdec3de8361dabcc64fe7d3cb0e9edc87a89f3"),
     ("osp(2|4)", ["enumerate", "--format", "json"], "66569a80d4f74ee8e908affbcac0ebdf5c7cdd23fb82c611b9b7e567db42f494"),
+    ("A(1,1)", [*REPS, "2"], "ddb14c8b6a6c99e3d5fe5616748bb7bb535662ebde2d09d3859057fd0be679f4"),
+    ("B(2,1)", [*REPS, "2"], "3522b61b63dd1d2979e7bcd643a5b79de7b8ecc5b1499bb43a70cdc57b700e3c"),
+    ("osp(2|4)", [*REPS, "2"], "8074eb882ff6c644d8caf248e852129dd423cea5c3ee4921fcde1658fef2c411"),
+    ("osp(2|4)", [*REPS, "1/3"], "61545f7353318bc67b37fbbbbcfb8a70352dc58eebf0492affcd2e3f99b65cdc"),
+    ("A(0,2)", [*REPS, "2"], "28b6667118df2aef111de8a0ca1f2e353b38b94f7fd3ad944135b5249b8680e0"),
+    ("B(1,2)", [*REPS, "2"], "780a6b142440df5b1b8b2da671c59b356a029b86af8f69f92049115980ac52a0"),
+    ("osp(4|2)", [*REPS, "2"], "03e47cd26b4319d8df6c17f07890828dc9c33f6d59e38e93cbee0eb95ecbf4b3"),
+    ("B(0,3)", [*REPS, "1/3"], "8031695ca97fc22eb7a6a0b0d20175116ac6d1aff7e3e812aecb57337000f9d0"),
+    ("A(2,1)", [*REPS, "2"], "48f5a16c72c080dfad0db0b8dba0bb0dbb404aa8225f4b061f262752445895c7"),
+    ("B(2,2)", [*REPS, "2"], "ee744ab567a8384106d70dfb1a697eb948e199707649d51e1933f20004c26eca"),
+    ("osp(4|4)", [*REPS, "1/3"], "eae7b12193e9a8a1fca23d8400d10bf1f64246995e49b8c176714bc6d96e58a4"),
+    ("A(1,1)", ["reps", "--mode", "build"], "b4ace4884f918e8318ed00db879e9869f9a0caa5d8a3a0dd9ba983f44e099907"),
+    ("osp(2|4)", ["reps", "--mode", "build"], "31c589e61dcaaad1f32cfbce7f812eb18a213edf62cd8660596e67e51a848ab9"),
+    ("A(1,1)", ["verify-all"], "a363f86fd7f7652816612ba2cec61b22b045a4d38bac19cd8147578bed553f6d"),
+    ("B(1,1)", ["verify-all"], "8d9b81fb711c6045dcc5301285cb231c552c25fee257b4f2f754dbcce67fc7cc"),
+    ("A(2,1)", ["verify-all"], "32d149473b0c95a9c9c5d3bd27b6955d0aa88ce6c3490cfbf342338f94983dbe"),
+    ("osp(2|2)", ["verify-all"], "a9068eae31982acba6e16be7dde4effc79923d143cf050c14a2e0e0554e7fd83"),
 ]
 
 

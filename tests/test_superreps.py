@@ -13,20 +13,19 @@ from superhecke import cli, superreps
 from superhecke.domains import CDDomain, Family, act, enumerate_domains
 from superhecke.groupoid import groupoid_for
 from superhecke.hecke import hecke_poly
-from superhecke.linalg import kron, mat_identity, mat_mul
+from superhecke.linalg import int_identity, int_mat_mul, kron, scale_to_int
 from superhecke.superreps import (
     BigMap,
     _basis_rank,
+    _even_generator,
     big_map,
     box_tensor,
-    common_denominator,
     factor_types,
     iso_report_json,
-    scale_rep,
     verify_block_rep,
     verify_isomorphism,
 )
-from superhecke.weylgroups import WeylType, poincare
+from superhecke.weylgroups import WeylType, generators, poincare
 from superhecke.weylreps import irreps
 
 
@@ -42,9 +41,54 @@ def test_trivial_box_dims():
     lt, rt = factor_types(fam)
     l = irreps(lt, Fraction(2))[0]
     r = irreps(rt, Fraction(2))[0]
-    rep = box_tensor(fam, l, r)
+    rep = box_tensor(fam, l, r, 1)
     assert rep.block_dim == 1
     assert rep.total_dim == len(enumerate_domains(fam))
+
+
+def test_box_tensor_rejects_a_scale_that_leaves_fractions():
+    # D must clear q0's denominator, even where no irrep entry has it (S_1
+    # has no generators), and every irrep entry's denominator
+    fam = Family("A", 0, 0)
+    l, r = (irreps(wt, Fraction(1, 3))[0] for wt in factor_types(fam))
+    assert box_tensor(fam, l, r, 3).D == 3
+    with pytest.raises(ValueError):
+        box_tensor(fam, l, r, 1)
+    fam = Family("A", 2, 1)
+    lt, rt = factor_types(fam)
+    l = next(r for r in irreps(lt, Fraction(2)) if r.dim == 2)
+    r = irreps(rt, Fraction(2))[0]
+    assert box_tensor(fam, l, r, 3).D == 3
+    with pytest.raises(ValueError):
+        box_tensor(fam, l, r, 1)
+    # the factors swapped: S_2's irrep on the left of A(2,1) has one generator
+    with pytest.raises(ValueError, match="left factor has 1 generators, expected 2"):
+        box_tensor(fam, r, l, 3)
+
+
+def _families_up_to_rank(top: int) -> list[Family]:
+    fams = [Family("A", m, r - 1 - m) for r in range(1, top + 1) for m in range(r)]
+    fams += [Family("B", m, r - m) for r in range(1, top + 1) for m in range(r)]
+    fams += [Family("CD", m, r - m) for r in range(2, top + 1) for m in range(1, r)]
+    return fams
+
+
+RANK_6 = _families_up_to_rank(6)  # 21 A, 21 B and 15 CD families
+
+
+@pytest.mark.parametrize("fam", RANK_6, ids=[f.name() for f in RANK_6])
+def test_even_generator_case_table_is_complete(fam):
+    # every fixed (i, a) gets a classical generator of the right factor, in
+    # range, and every generator of both factors acts somewhere
+    ranks = {side: len(generators(wt)) for side, wt in zip(("left", "right"), factor_types(fam))}
+    used = set()
+    for a in enumerate_domains(fam):
+        for i in range(1, fam.rank + 1):
+            if act(fam, i, a) == a:
+                side, k = _even_generator(fam, i, a)
+                assert 1 <= k <= ranks[side], (i, a, side, k)
+                used.add((side, k))
+    assert used == {(side, k) for side, n in ranks.items() for k in range(1, n + 1)}
 
 
 def test_block_rep_is_homomorphism():
@@ -62,17 +106,19 @@ def test_worked_braid_chain_in_matrices():
     lt, rt = factor_types(fam)
     l = next(r for r in irreps(lt, Fraction(2)) if r.dim == 2)
     r = irreps(rt, Fraction(2))[0]
-    rep = box_tensor(fam, l, r)
+    D = big_map(fam, Fraction(2)).summands[0].D
+    assert D > 1
+    rep = box_tensor(fam, l, r, D)
     d = (0, 0, 1, 0, 1)
     i = 1
     assert d[i - 1] == 0 and d[i] == 0 and d[i + 1] == 1
 
     def chain(letters):
-        # T_{letters} on block d, rightmost letter first: (target, block)
-        dom, out = d, mat_identity(rep.block_dim)
+        # D^3 T_{letters} on block d, rightmost letter first: (target, block)
+        dom, out = d, int_identity(rep.block_dim)
         for letter in reversed(letters):
             dom, block = rep.blocks[letter][dom]
-            out = mat_mul(block, out)
+            out = int_mat_mul(block, out)
         return dom, out
 
     lhs_target, lhs = chain((i, i + 1, i))
@@ -84,7 +130,7 @@ def test_worked_braid_chain_in_matrices():
     d3 = act(fam, i, act(fam, i + 1, act(fam, i, d)))
     assert lhs_target == rhs_target == d3
     k = invert_perm(tau_plus(fam, d))[i - 1]
-    assert lhs == kron(l.gens[k], mat_identity(r.dim))
+    assert lhs == kron(scale_to_int(l.gens[k], D**3), int_identity(r.dim))
 
 
 def test_b_edge_case_m0():
@@ -211,21 +257,21 @@ def test_entry_moved_by_one_over_d_breaks_the_quadratic():
     fam = Family("A", 2, 1)
     q0 = Fraction(5, 7)
     bm = big_map(fam, q0)
+    lt, rt = factor_types(fam)
     D = math.lcm(q0.denominator, *(
-        x.denominator for s in bm.summands for per in s.blocks.values()
-        for _, m in per.values() for row in m for x in row
+        x.denominator for r in irreps(lt, q0) + irreps(rt, q0)
+        for g in r.gens for row in g for x in row
     ))
-    assert common_denominator(q0, bm.summands) == D
+    assert D > q0.denominator
+    assert {s.D for s in bm.summands} == {D}
     rep = max(bm.summands, key=lambda s: s.block_dim)
     i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b == a)
     b, block = rep.blocks[i][a]
     moved = [list(row) for row in block]
-    moved[0][0] += Fraction(1, D)
+    moved[0][0] += 1
     rep.blocks[i][a] = (b, moved)
-    assert common_denominator(q0, [rep]) == D
-    H = hecke_poly(fam)
-    for fails in (verify_block_rep(rep, H), verify_block_rep(rep, H, scale_rep(rep, D))):
-        assert fails[0] == f"quadratic fails at i={i}, a={a}"
+    fails = verify_block_rep(rep, hecke_poly(fam))
+    assert fails[0] == f"quadratic fails at i={i}, a={a}"
 
 
 def test_injectivity_is_basis_independence():
