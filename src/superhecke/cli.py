@@ -478,45 +478,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_opts(p):
+    def add_family_opts(p, formats, *reads):
+        """--family, --m, --n and --output; --format with the given choices,
+        if any; and those of --scalar, --q and --max-elements that the
+        subcommand reads."""
         p.add_argument("--family", choices=["A", "B", "CD", "C"], required=True)
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
-        p.add_argument("--format", choices=["json", "dot", "text"], default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output")
-        p.add_argument("--scalar", choices=["poly", "eval"], default="poly")
-        p.add_argument("--q", default="2")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-elements", dest="max_elements", type=int, default=500_000)
+        if "--scalar" in reads:
+            p.add_argument("--scalar", choices=["poly", "eval"], default="poly")
+        if "--q" in reads:
+            p.add_argument("--q", default="2")
+        if "--max-elements" in reads:
+            p.add_argument("--max-elements", dest="max_elements", type=int, default=500_000)
+
+    text_json = ("json", "text")
 
     p = sub.add_parser("domains", help="list the domain set")
-    add_family_opts(p)
+    add_family_opts(p, text_json)
     p.set_defaults(func=cmd_domains)
 
     p = sub.add_parser("dynkin", help="per-domain diagrams and the orbit graph")
-    add_family_opts(p)
+    add_family_opts(p, ("json", "dot", "text"))
     p.set_defaults(func=cmd_dynkin)
 
     p = sub.add_parser("enumerate", help="all nonzero groupoid elements")
-    add_family_opts(p)
+    add_family_opts(p, text_json, "--max-elements")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("dim", help="|W \\ 0| against the closed formula")
-    add_family_opts(p)
+    add_family_opts(p, text_json, "--max-elements")
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("words", help="length / reduced words / braid check of a word")
-    add_family_opts(p)
+    add_family_opts(p, text_json)
     p.add_argument("--base", required=True, help="domain as JSON")
     p.add_argument("--letters", required=True, help="comma-separated generator indices")
     p.set_defaults(func=cmd_words)
 
     p = sub.add_parser("verify", help="root-system axioms and presentation relations")
-    add_family_opts(p)
+    add_family_opts(p, text_json, "--scalar", "--q", "--max-elements")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("structconst", help="structure-constant table as JSON")
-    add_family_opts(p)
+    add_family_opts(p, (), "--scalar", "--q", "--max-elements")
     p.set_defaults(func=cmd_structconst)
 
     p = sub.add_parser("poincare", help="Poincare polynomial of a classical group")
@@ -538,12 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_irreps)
 
     p = sub.add_parser("reps", help="box-tensor representations: build summands or verify the isomorphism")
-    add_family_opts(p)
+    add_family_opts(p, text_json, "--q", "--max-elements")
     p.add_argument("--mode", choices=["build", "verify"], default="verify")
     p.set_defaults(func=cmd_reps)
 
     p = sub.add_parser("verify-all", help="full verification suite for one family")
-    add_family_opts(p)
+    add_family_opts(p, (), "--q", "--max-elements")
     p.add_argument("--braid-cap", dest="braid_cap", type=int, default=200)
     p.add_argument("--structconst-cap", dest="structconst_cap", type=int, default=200)
     p.set_defaults(func=cmd_verify_all)

@@ -9,7 +9,7 @@ happens) or "eval" (exact rationals at a fixed q0).
 Inside the algebra a basis element is its position in the groupoid's
 `elements()`, and left multiplication by a generator reads the groupoid's
 integer tables (`lgen`, `length`); groupoid elements appear only where the
-API takes or returns them (`f`, `e`, `t`, `coefficient`, JSON).
+API takes or returns them (`f`, `e`, `t`, JSON).
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class HeckeElement:
         out = cls.__new__(cls)
         out._terms = d
         return out
-
-    def terms(self) -> dict:
-        return dict(self._terms)
 
     def items(self):
         return self._terms.items()
@@ -156,9 +153,6 @@ class HeckeAlgebra:
         return HeckeElement._raw(
             {self.index[self.groupoid.identity(a)]: self.one for a in self.groupoid.roots.domains}
         )
-
-    def coefficient(self, x: HeckeElement, w: Element) -> HeckeScalar:
-        return x._terms.get(self.index[w], 0)
 
     # ---- left multiplication by generators ----
 

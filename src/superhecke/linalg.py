@@ -12,14 +12,16 @@ kernel, IntEchelon: it scales rows to integers and eliminates fraction-free,
 keeping each row gcd-reduced so intermediate growth stays bounded (the
 integer-preserving scheme of Bareiss, 1968).  Integer rows go in without
 scaling.  Rank, rref, nullspaces and coordinate solves all run through it;
-everything is exact.
+everything is exact.  There is one span closure, closure: breadth first over
+words in block generators, one IntEchelon per (target, source) pair of
+domains, keeping the products that enlarge their pair's span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
@@ -176,6 +178,48 @@ class IntEchelon:
 
     def contains(self, vec: Sequence[Fraction]) -> bool:
         return all(x == 0 for x in self.reduce(vec))
+
+
+def closure(
+    seeds: Iterable[tuple[Hashable, IntMatrix]],
+    gens: Mapping[Hashable, Mapping[Hashable, tuple[Hashable, IntMatrix]]],
+    width: int,
+) -> Iterator[tuple[tuple, Hashable, Hashable, IntMatrix]]:
+    """Breadth-first span closure of the products of block generators.
+
+    Each seed (a, m) is the product of the empty word from domain a to a.
+    A product m from source a to target b is multiplied on the left by every
+    letter's generator at b, gens[i][b] = (c, t), letters in mapping order,
+    giving the product t m of word + (i,) from a to c.  The products of one
+    (target, source) pair, flattened to width entries, share one IntEchelon; a
+    pair whose span is full is skipped before anything is multiplied.  Yields
+    (word, target, source, product) for each product that enlarges its pair's
+    span, seeds first; only those products are multiplied further.
+    """
+    echs: dict[tuple[Hashable, Hashable], IntEchelon] = {}
+
+    def enlarges(target, source, m: IntMatrix) -> bool:
+        return echs[target, source].insert_int([x for row in m for x in row])
+
+    def open_pair(target, source) -> bool:
+        return echs.setdefault((target, source), IntEchelon(width)).rank < width
+
+    frontier = []
+    for a, m in seeds:
+        if open_pair(a, a) and enlarges(a, a, m):
+            frontier.append(((), a, a, m))
+            yield (), a, a, m
+    while frontier:
+        nxt = []
+        for word, b, a, m in frontier:
+            for i, per in gens.items():
+                c, t = per[b]
+                if open_pair(c, a):
+                    prod = int_mat_mul(t, m)
+                    if enlarges(c, a, prod):
+                        nxt.append((word + (i,), c, a, prod))
+                        yield nxt[-1]
+        frontier = nxt
 
 
 def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:

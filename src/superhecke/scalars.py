@@ -97,12 +97,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return self._c[-1][0]
 
-    def coefficient(self, exp: int) -> int:
-        for e, c in self._c:
-            if e == exp:
-                return c
-        return 0
-
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
@@ -167,10 +161,6 @@ class LaurentPoly:
             base = base * base
             k >>= 1
         return out
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q^k."""
-        return LaurentPoly._raw(tuple((e + k, c) for e, c in self._c))
 
     def evaluate(self, q0: Fraction) -> Fraction:
         """Exact substitution q -> q0.  Needs q0 != 0 if negative exponents occur."""

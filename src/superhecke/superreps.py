@@ -33,9 +33,10 @@ block a to block act(i, a), so every word in the generators, and every basis
 image f(w), is one d x d block per summand.  Every check multiplies the
 integer blocks D T; a word of length l carries D^l, and the relations are
 multiplied through by powers of D.  Relations multiply blocks along their
-words; the closure and basis-image ranks split into one small echelon per
+words; the closure and basis-image ranks keep one small echelon per
 (target, source) pair of domains, since images with different supports are
-independent; trace signatures skip words that do not close into a loop.  No
+independent (the closure rank is linalg.closure's count of kept products);
+trace signatures skip words that do not close into a loop.  No
 (|domains| d)-sized matrix is ever built.
 """
 
@@ -57,7 +58,7 @@ from .domains import (
 )
 from .groupoid import CoxeterGroupoid, dimension_formula, groupoid_for
 from .hecke import HeckeAlgebra, hecke_poly
-from .linalg import IntEchelon, IntMatrix, int_identity, int_mat_mul, kron, scale_to_int
+from .linalg import IntEchelon, IntMatrix, closure, int_identity, int_mat_mul, kron, scale_to_int
 from .weylgroups import WeylType, generators, is_semisimple
 from .weylreps import Irrep, irreps
 
@@ -339,48 +340,14 @@ def _basis_rank(bm: BigMap, G: CoxeterGroupoid) -> int:
 
 
 def _closure_rank(rep: BlockRep) -> int:
-    """Dimension of the algebra generated by the E_a and T_{i,a}.
-
-    Every product of generators is one d x d block from some block a to some
-    block b, so the span splits over (b, a): one echelon of width d^2 per
-    pair, grown by multiplying each new product by the generators whose
-    source is its target, until nothing new appears or the span is full.
-    The products are of the integer blocks D T, which span the same spaces.
-    """
+    """Dimension of the algebra generated by the E_a and T_{i,a}: the number
+    of products linalg.closure keeps, starting from the identity on each
+    block.  Every product is one d x d block from some block a to some block
+    b, so the span splits into one echelon of width d^2 per pair (b, a).  The
+    products are of the integer blocks D T, which span the same spaces."""
     d = rep.block_dim
-    full = len(rep.domains) ** 2 * d * d
-    letters = range(1, rep.family.rank + 1)
-    echs: dict[tuple[Domain, Domain], IntEchelon] = {}
-    rank = 0
-
-    def is_full(target: Domain, source: Domain) -> bool:
-        ech = echs.get((target, source))
-        return ech is not None and ech.rank == d * d
-
-    def insert(target: Domain, source: Domain, m: IntMatrix) -> bool:
-        nonlocal rank
-        ech = echs.setdefault((target, source), IntEchelon(d * d))
-        if ech.rank == d * d or not ech.insert_int([x for row in m for x in row]):
-            return False
-        rank += 1
-        return True
-
-    frontier = []
-    for a in rep.domains:
-        gens = [(a, int_identity(d))] + [rep.blocks[i][a] for i in letters]
-        frontier += [(b, a, m) for b, m in gens if insert(b, a, m)]
-    while frontier and rank < full:
-        nxt = []
-        for b, a, m in frontier:
-            for i in letters:
-                c, t = rep.blocks[i][b]
-                if is_full(c, a):
-                    continue
-                prod = int_mat_mul(t, m)
-                if insert(c, a, prod):
-                    nxt.append((c, a, prod))
-        frontier = nxt
-    return rank
+    seeds = [(a, int_identity(d)) for a in rep.domains]
+    return sum(1 for _ in closure(seeds, rep.blocks, d * d))
 
 
 def _trace_signature(rep: BlockRep) -> tuple:

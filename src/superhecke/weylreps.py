@@ -1,9 +1,10 @@
 """Irreducible representations of the classical Iwahori-Hecke algebras
 H_q(S_n), H_q(W(B_n)), H_q(W(D_n)) with exact rational matrices.
 
-Types A and B are built in seminormal form on standard (bi)tableaux; type D
-restricts the two-parameter type-B construction at its first parameter set to
-1 and splits the symmetric labels on an invariant subspace.  An independent
+Type B is built in seminormal form on standard bitableaux, and type A as
+type B on (lam, ()) without its special generator; type D restricts the
+two-parameter type-B construction at its first parameter set to 1 and splits
+the symmetric labels on an invariant subspace.  An independent
 oracle, split_regular_module, decomposes the right regular module by minimal
 polynomial kernels of random left multiplications; the two routes are
 compared up to equivalence in the test-suite.
@@ -11,7 +12,9 @@ compared up to equivalence in the test-suite.
 Products of generator words, in the oracle and in trace vectors, are taken on
 integer matrices: each generator is scaled once by the common denominator D of
 its family, so a word of length l gives D^l times its true product, and only
-the result, a trace or the oracle's random element, is divided back.
+the result, a trace or the oracle's random element, is divided back.  The
+oracle's word basis, its Burnside test and its spin-up are one span closure,
+linalg.closure, over the products of generator words.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from math import isqrt, lcm
 from typing import Sequence
 
 from .linalg import (
-    IntEchelon,
     IntMatrix,
     Matrix,
+    closure,
     commutant,
     from_int_matrix,
     int_identity,
@@ -45,11 +48,9 @@ from .tableaux import (
     BiTableau,
     bipartitions,
     bitab_position,
-    entry_position,
     is_standard,
     partitions,
     standard_bitableaux,
-    standard_tableaux,
     swap_entries,
 )
 from .weylgroups import (
@@ -112,37 +113,6 @@ def _block_coeff(d: int, q0: Fraction) -> Fraction:
     if d > 0:
         return q0**d / qint(d).evaluate(q0)
     return -1 / qint(-d).evaluate(q0)
-
-
-def _symmetric_seminormal(lam, q0: Fraction) -> tuple[int, tuple[Matrix, ...]]:
-    """Seminormal matrices of H_q(S_n) on standard tableaux of shape lam."""
-    n = sum(lam)
-    tabs = standard_tableaux(lam)
-    index = {t: k for k, t in enumerate(tabs)}
-    dim = len(tabs)
-    gens: list[Matrix] = []
-    for i in range(1, n):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for t in tabs:
-            col = index[t]
-            ri, ci = entry_position(t, i)
-            rj, cj = entry_position(t, i + 1)
-            if ri == rj:
-                mat[col][col] = q0
-                continue
-            if ci == cj:
-                mat[col][col] = Fraction(-1)
-                continue
-            a = _block_coeff((cj - rj) - (ci - ri), q0)
-            t2 = tuple(
-                tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
-                for row in t
-            )
-            assert is_standard(t2)
-            mat[col][col] = a
-            mat[index[t2]][col] = 1 + a
-        gens.append(mat)
-    return dim, tuple(gens)
 
 
 def _bitab_content(bt: BiTableau, k: int, Q: Fraction, q0: Fraction) -> Fraction:
@@ -218,8 +188,10 @@ def irreps(wt: WeylType, q0: Fraction) -> list[Irrep]:
     out: list[Irrep] = []
     if wt.kind == "A":
         for lam in partitions(wt.n):
-            dim, gens = _symmetric_seminormal(lam, q0)
-            out.append(Irrep(lam, dim, q0, gens))
+            # on (lam, ()) every entry lies in the first component, where
+            # u_1 ... u_{n-1} are the S_n seminormal matrices
+            dim, gens = _type_b_seminormal((lam, ()), q0, q0)
+            out.append(Irrep(lam, dim, q0, gens[1:]))
         return out
     if wt.kind == "B":
         for pair in bipartitions(wt.n):
@@ -485,34 +457,33 @@ def _random_left_element(left_mults, rng, dim) -> Matrix:
     return from_int_matrix(out, top)
 
 
+def _one_domain(gens: Sequence[IntMatrix]) -> dict:
+    """Generators as linalg.closure takes them, letters 0, 1, ... on one
+    domain 0."""
+    return {i: {0: (0, g)} for i, g in enumerate(gens)}
+
+
 def _algebra_word_basis(mats, dim) -> tuple[list[tuple[int, ...]], list[Fraction]]:
     """Words whose products span the image algebra of the generators, found by
-    closure with frontier pruning, plus the exact trace of each product.
-    Traces over these words are a complete equivalence invariant for
-    semisimple modules.  The word list is prefix-closed.
+    linalg.closure, plus the exact trace of each product.  Traces over these
+    words are a complete equivalence invariant for semisimple modules.  The
+    word list is prefix-closed.
 
-    The closure runs on the generators scaled by their common denominator D,
-    so a word of length l has D^l times its true product; the echelon is
-    projective, so it takes the same words as on the true products.  It stops
-    once the products span all dim x dim matrices."""
+    The closure runs on the transposes of the generators scaled by their
+    common denominator D: the product g_1 ... g_l of a word is the transpose
+    of g_l^T ... g_1^T, a product of left factors, and transposing permutes
+    the flattened entries and keeps the trace.  So the words, their order and
+    their traces are those of the products g_1 ... g_l, each D^l times its
+    true product; the echelon is projective, so it takes the same words as on
+    the true products.  It stops once the products span all dim x dim
+    matrices."""
     d, gens = _scaled_generators(mats)
-    ident = int_identity(dim)
-    ech = IntEchelon(dim * dim)
-    ech.insert_int([x for row in ident for x in row])
-    words: list[tuple[int, ...]] = [()]
-    traces: list[Fraction] = [Fraction(dim)]
-    frontier: list[tuple[tuple[int, ...], IntMatrix]] = [((), ident)]
-    while frontier and ech.rank < dim * dim:
-        nxt = []
-        for w, m in frontier:
-            for gi, g in enumerate(gens):
-                m2 = int_mat_mul(m, g)
-                if ech.insert_int([x for row in m2 for x in row]):
-                    w2 = w + (gi,)
-                    words.append(w2)
-                    traces.append(Fraction(_trace(m2), d ** len(w2)))
-                    nxt.append((w2, m2))
-        frontier = nxt
+    transposed = [[list(col) for col in zip(*g)] for g in gens]
+    words: list[tuple[int, ...]] = []
+    traces: list[Fraction] = []
+    for w, _, _, m in closure([(0, int_identity(dim))], _one_domain(transposed), dim * dim):
+        words.append(w)
+        traces.append(Fraction(_trace(m), d ** len(w)))
     return words, traces
 
 
@@ -633,31 +604,16 @@ def _extract_irreducibles(basis, right_mults, q0, rng) -> list[Irrep]:
 
 def _spin_up(v, mats) -> list[list[Fraction]]:
     """Smallest submodule containing v, as an explicit basis: v, then each
-    image of a basis vector under a generator that enlarges the span.
+    image of a basis vector under a generator that enlarges the span, found
+    by linalg.closure on v as a column.
 
-    A vector is kept as integers over its denominator, and the generators are
-    scaled once by theirs, D, so an image is one integer product over D times
-    its vector's denominator."""
-    if not any(v):
-        return []
+    The vector is kept as integers over its denominator dv, and the
+    generators are scaled once by theirs, D, so the image under a word of
+    length l is one integer column over dv D^l."""
     d, gens = _scaled_generators(mats)
-    transposed = [[list(col) for col in zip(*g)] for g in gens]
     dv, (ints,) = to_int_matrix([v])
-    ech = IntEchelon(len(v))
-    ech.insert_int(ints)
-    basis = [(ints, dv)]
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for vec, den in frontier:
-            for gt in transposed:
-                # g vec, as the row vec^T g^T
-                img = int_mat_mul([vec], gt)[0]
-                if ech.insert_int(img):
-                    nxt.append((img, den * d))
-        basis += nxt
-        frontier = nxt
-    return [[Fraction(x, den) for x in vec] for vec, den in basis]
+    found = closure([(0, [[x] for x in ints])], _one_domain(gens), len(v))
+    return [[Fraction(x, dv * d ** len(w)) for (x,) in col] for w, _, _, col in found]
 
 
 def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitComponent]:

@@ -207,6 +207,57 @@ def test_max_elements_caps_every_family_command(command):
     assert proc.stderr == "error: more than 10 elements\n"
 
 
+@pytest.mark.parametrize("argv", [["verify-all", "--format", "json"], ["dim", "--q", "1/0"]])
+def test_option_the_command_does_not_read_exits_2(argv):
+    # argparse refuses it before any work: verify-all prints only text, and
+    # dim never evaluates q
+    proc = run_cli(*argv[:1], "--family", "A", "--m", "1", "--n", "1", *argv[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in proc.stderr
+
+
+# the family subcommands' options that each one never reads
+UNREAD = {
+    "domains": ["--scalar", "--q", "--max-elements"],
+    "dynkin": ["--scalar", "--q", "--max-elements"],
+    "enumerate": ["--scalar", "--q"],
+    "dim": ["--scalar", "--q"],
+    "words": ["--scalar", "--q", "--max-elements"],
+    "verify": [],
+    "structconst": ["--format"],
+    "reps": ["--scalar"],
+    "verify-all": ["--scalar", "--format"],
+}
+VALUES = {"--scalar": "poly", "--q": "2", "--max-elements": "10", "--format": "json", "--seed": "0"}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c, opts in UNREAD.items() for o in ["--seed", *opts]],
+)
+def test_family_commands_take_only_the_options_they_read(command, option, capsys):
+    from superhecke import cli
+
+    argv = [command, "--family", "A", "--m", "1", "--n", "1", option, VALUES[option]]
+    if command == "words":
+        argv += ["--base", "[0,1,0,1]", "--letters", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["domains", "enumerate", "dim", "words", "verify", "reps"])
+def test_dot_format_is_dynkin_only(command, capsys):
+    from superhecke import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, "--family", "A", "--m", "1", "--n", "1", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
 def test_closed_output_pipe_exits_quietly():
     # the reader closes the pipe before the (multi-megabyte) table is written
     proc = subprocess.Popen(

@@ -1,6 +1,7 @@
 """The one elimination kernel: rref, nullspace and solve_coords on IntEchelon;
 the Fraction matrix helpers that compute on integers against schoolbook
-references."""
+references; the span closure against the brute-force rank of all word
+products."""
 
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from superhecke.linalg import (
     IntEchelon,
+    closure,
     int_mat_mul,
     local_minimal_polynomial,
     mat_apply_poly,
@@ -192,3 +194,81 @@ def test_local_minimal_polynomial_annihilates_and_is_minimal(n, data):
     # p(A) vec = 0, and the Krylov vectors below its degree are independent
     assert all(sum(c * v[i] for c, v in zip(poly, krylov)) == 0 for i in range(n))
     assert rank_exact(krylov[:-1]) == len(poly) - 1
+
+
+def _schoolbook_rank(vectors) -> int:
+    """Rank by Gaussian elimination over Fraction, without IntEchelon."""
+    rows = [[Fraction(x) for x in v] for v in set(map(tuple, vectors))]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _schoolbook_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def block_generators(draw):
+    """One or two domains, d x d integer blocks with d <= 2, one or two
+    letters, each sending every domain to a drawn target; one seed per domain,
+    the identity or a drawn block (possibly zero)."""
+    domains = list(range(draw(st.integers(1, 2))))
+    d = draw(st.integers(1, 2))
+    block = st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)
+    ident = [[int(r == c) for c in range(d)] for r in range(d)]
+    gens = {
+        i: {b: (draw(st.sampled_from(domains)), draw(block)) for b in domains}
+        for i in range(1, draw(st.integers(1, 2)) + 1)
+    }
+    seeds = [(a, draw(st.one_of(st.just(ident), block))) for a in domains]
+    return domains, d, gens, seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_generators())
+def test_closure_counts_the_rank_of_all_word_products(case):
+    domains, d, gens, seeds = case
+    found = list(closure(seeds, gens, d * d))
+    # every yielded product is its word's product, applied left to right
+    seed_of = dict(seeds)
+    for word, target, source, prod in found:
+        dom, m = source, seed_of[source]
+        for i in word:
+            dom, t = gens[i][dom]
+            m = _schoolbook_mul(t, m)
+        assert (target, prod) == (dom, m)
+    # brute force: all words up to the length by which every source's span
+    # (of dimension <= |domains| d^2) must have stopped growing, with equal
+    # (target, product) pairs merged since they have the same future
+    products: dict[tuple, list] = {}
+    for a, m in seeds:
+        layer = {(a, tuple(map(tuple, m)))}
+        for _ in range(len(domains) * d * d + 1):
+            for b, m in layer:
+                products.setdefault((b, a), []).append([x for row in m for x in row])
+            layer = {
+                (gens[i][b][0], tuple(map(tuple, _schoolbook_mul(gens[i][b][1], m))))
+                for b, m in layer
+                for i in gens
+            }
+    for pair, vectors in products.items():
+        kept = [[x for row in p for x in row] for _, t, s, p in found if (t, s) == pair]
+        assert len(kept) == _schoolbook_rank(kept) == _schoolbook_rank(vectors)
+    assert {(t, s) for _, t, s, _ in found} <= set(products)
+
+
+def test_closure_yields_seeds_first_and_nothing_into_a_full_pair():
+    # width 1: each pair is full after its first product; (2,) from x is the
+    # zero product, so only (1,) from y adds a pair, (x, y)
+    gens = {1: {"x": ("x", [[3]]), "y": ("x", [[1]])}, 2: {"x": ("y", [[0]]), "y": ("y", [[5]])}}
+    found = list(closure([("x", [[1]]), ("y", [[2]])], gens, 1))
+    assert found == [((), "x", "x", [[1]]), ((), "y", "y", [[2]]), ((1,), "x", "y", [[2]])]

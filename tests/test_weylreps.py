@@ -3,13 +3,22 @@ the regular-module splitting oracle."""
 
 import logging
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhecke import weylreps
-from superhecke.linalg import mat_mul
+from superhecke.linalg import (
+    IntEchelon,
+    int_identity,
+    int_mat_mul,
+    mat_mul,
+    mat_vec,
+    rank_exact,
+    scale_to_int,
+)
 from superhecke.scalars import LaurentPoly
 from superhecke.tableaux import (
     bipartitions,
@@ -21,6 +30,7 @@ from superhecke.weylgroups import (
     WeylType,
     elements_with_length,
     group_order,
+    hecke_regular_matrices,
     is_semisimple,
     poincare,
     poincare_closed,
@@ -260,3 +270,85 @@ def test_trace_vector_is_per_word_product(rep, words, rnd):
 @pytest.mark.parametrize("kind, n", [("A", 3), ("B", 2), ("D", 3)])
 def test_split_oracle_agrees_with_irreps_across_q0(kind, n, q0):
     _assert_oracle_agrees(WeylType(kind, n), q0, seed=0)
+
+
+def _right_bfs_word_basis(mats, dim):
+    """Reference word basis: breadth first over the words w + (i,), whose
+    product m g_i takes the generator on the right, keeping a word when its
+    product enlarges the span; each trace is that of the scaled product over
+    D^length."""
+    d = lcm(*{x.denominator for g in mats for row in g for x in row})
+    gens = [scale_to_int(g, d) for g in mats]
+    ech = IntEchelon(dim * dim)
+    words, traces = [], []
+    candidates = [((), int_identity(dim))]
+    while candidates:
+        kept = []
+        for w, m in candidates:
+            if ech.insert_int([x for row in m for x in row]):
+                words.append(w)
+                traces.append(Fraction(sum(m[k][k] for k in range(dim)), d ** len(w)))
+                kept.append((w, m))
+        candidates = [(w + (i,), int_mat_mul(m, g)) for w, m in kept for i, g in enumerate(gens)]
+    return words, traces
+
+
+def _rational_matrices(n, count):
+    """count n x n rational matrices, about half their entries zero."""
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.lists(square, min_size=count, max_size=count)
+
+
+@pytest.mark.parametrize("q0", [Fraction(2), Fraction(1, 3)], ids=str)
+def test_word_basis_is_the_right_multiplication_closure_on_s4(q0):
+    # T_w -> T_{w^-1} reverses words and keeps the regular trace, so this pins
+    # the order and the traces but not the side a generator multiplies on
+    _, rights = hecke_regular_matrices(WeylType("A", 4), q0)
+    words, traces = weylreps._algebra_word_basis(rights, 24)
+    assert len(words) == 24  # the right action spans a copy of H, |S_4| = 24
+    assert (words, traces) == _right_bfs_word_basis(rights, 24)
+
+
+def test_word_basis_multiplies_words_left_to_right():
+    # a = E_31 and b = E_23: ab = 0 but ba = E_21, so (0, 1) is dropped and (1, 0) kept
+    def unit(r, c):
+        return [[Fraction(int((i, j) == (r, c))) for j in range(3)] for i in range(3)]
+
+    basis = weylreps._algebra_word_basis([unit(2, 0), unit(1, 2)], 3)
+    assert basis == ([(), (0,), (1,), (1, 0)], [3, 0, 0, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_word_basis_is_the_right_multiplication_closure(n, count, data):
+    mats = data.draw(_rational_matrices(n, count))
+    assert weylreps._algebra_word_basis(mats, n) == _right_bfs_word_basis(mats, n)
+
+
+S3_RIGHT = {q0: hecke_regular_matrices(WeylType("A", 3), q0)[1] for q0 in (Fraction(2), Fraction(1, 3))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_spin_up_is_the_submodule_generated_by_v(data):
+    if data.draw(st.booleans()):
+        mats = S3_RIGHT[data.draw(st.sampled_from(sorted(S3_RIGHT)))]
+    else:
+        n = data.draw(st.integers(1, 4))
+        mats = data.draw(_rational_matrices(n, data.draw(st.integers(1, 2))))
+    n = len(mats[0])
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+    v = data.draw(st.lists(entry, min_size=n, max_size=n).filter(any))
+    basis = weylreps._spin_up(v, mats)
+    assert basis[0] == v
+    assert rank_exact(basis) == len(basis)
+    # every generator maps the span into itself ...
+    for g in mats:
+        assert all(rank_exact(basis + [mat_vec(g, b)]) == len(basis) for b in basis)
+    # ... and it is no larger than the span of all word images of v
+    images, layer = [v], [v]
+    for _ in range(n):
+        layer = [mat_vec(g, u) for u in layer for g in mats]
+        images += layer
+    assert rank_exact(images) == len(basis)
