@@ -10,7 +10,6 @@ when the reader closes the output pipe early.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
@@ -312,8 +311,6 @@ def cmd_irreps(args) -> int:
     wt = WeylType(args.type, args.n)
     q0 = rational_from_string(args.q)
     if args.oracle:
-        if importlib.util.find_spec("sympy") is None:
-            raise SystemExit2("irreps --oracle needs sympy: pip install 'superhecke[oracle]'")
         comps = split_regular_weyl(wt, q0, seed=args.seed)
         data = {
             "schema_version": 1,

@@ -6,7 +6,8 @@ type B on (lam, ()) without its special generator; type D restricts the
 two-parameter type-B construction at its first parameter set to 1 and splits
 the symmetric labels on an invariant subspace.  An independent
 oracle, split_regular_module, decomposes the right regular module by minimal
-polynomial kernels of random left multiplications; the two routes are
+polynomial kernels of random left multiplications, with the minimal
+polynomial factored over Q by factor.factor_list; the two routes are
 compared up to equivalence in the test-suite.
 
 Products of generator words, in the oracle and in trace vectors, are taken on
@@ -25,6 +26,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
+from .factor import factor_list
 from .linalg import (
     IntMatrix,
     Matrix,
@@ -411,8 +413,7 @@ def split_regular_module(
     if not left_mults:
         triv = Irrep("trivial", 1, q0, ())
         return [SplitComponent(triv, 1)]
-    # imported here, like sympy, so that commands without the oracle do not
-    # load logging
+    # imported here so that commands without the oracle do not load logging
     import logging
 
     log = logging.getLogger("superhecke")
@@ -492,19 +493,11 @@ def _split_once(
 ) -> list[SplitComponent]:
     """One attempt with a fresh random element; words and reg_trace are the
     right action's word basis and the regular module's traces over it."""
-    import sympy
-
     lb = _random_left_element(left_mults, rng, dim)
     probe = [Fraction(rng.randint(-9, 9)) for _ in range(dim)]
     mp = local_minimal_polynomial(lb, probe)
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(mp)], x
-    )
-    _, factors = poly.factor_list()
     pieces: list[list[list[Fraction]]] = []
-    for fac, mult in factors:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+    for coeffs, mult in factor_list(mp):
         g = mat_apply_poly(lb, coeffs)
         power = g
         for _ in range(mult - 1):

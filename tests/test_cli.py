@@ -1,5 +1,6 @@
 """The command-line surface: outputs, exit codes, determinism, schemas."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -334,16 +335,28 @@ def test_streamed_structconst_is_the_json_dump(tmp_path, scalar):
     assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"
 
 
-def test_oracle_without_sympy_names_the_extra(monkeypatch, capsys):
-    # sympy is the optional [oracle] extra: without it the oracle is a usage
-    # error with one line, not a traceback
+def test_oracle_runs_without_sympy(monkeypatch, capsys):
+    # the oracle factors its minimal polynomials in-house: with sympy
+    # unimportable it exits 0 with the bytes pinned in test_golden.py
     from superhecke import cli
 
+    argv = ["irreps", "--type", "A", "--n", "3", "--oracle", "--seed", "5", "--format", "json"]
     monkeypatch.setitem(sys.modules, "sympy", None)
-    assert cli.main(["irreps", "--type", "A", "--n", "2", "--oracle"]) == 2
+    assert cli.main(argv) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.count("\n") == 1 and "superhecke[oracle]" in err
+    assert err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "db478dc26d08a3c88b54ea76a8c2245f5ea8120e1da7215b555520b988f72200"
+    # and a fresh oracle process never imports it
+    probe = (
+        "import sys\n"
+        "from superhecke import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert 'sympy' not in sys.modules, 'the oracle imported sympy'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
