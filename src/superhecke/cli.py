@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 from .domains import Family, domain_from_json, domain_str, domain_to_json, enumerate_domains
 from .groupoid import (
@@ -49,8 +50,7 @@ def _parse_family(args) -> Family:
             family = Family(kind, m, n)
         except ValueError as exc:
             raise SystemExit2(str(exc))
-    q0 = rational_from_string(getattr(args, "q", "2"))
-    if getattr(args, "scalar", "poly") == "eval" and q0 == 0:
+    if getattr(args, "scalar", "poly") == "eval" and args.q == 0:
         raise SystemExit2("eval mode needs q0 != 0")
     return family
 
@@ -229,7 +229,7 @@ def cmd_verify(args) -> int:
 def _algebra(args, fam: Family) -> HeckeAlgebra:
     if args.scalar == "poly":
         return hecke_poly(fam)
-    return hecke_eval(fam, rational_from_string(args.q))
+    return hecke_eval(fam, args.q)
 
 
 def cmd_structconst(args) -> int:
@@ -292,7 +292,7 @@ def cmd_poincare(args) -> int:
         else:
             _emit(args, f"{p}\n")
         return 0
-    q0 = rational_from_string(args.q)
+    q0 = args.q
     val = poincare(wt, q0)
     if args.format == "json":
         _emit(args, _json_dump({
@@ -309,7 +309,7 @@ def cmd_poincare(args) -> int:
 
 def cmd_irreps(args) -> int:
     wt = WeylType(args.type, args.n)
-    q0 = rational_from_string(args.q)
+    q0 = args.q
     if args.oracle:
         comps = split_regular_weyl(wt, q0, seed=args.seed)
         data = {
@@ -365,7 +365,7 @@ def _label_json(label):
 
 def cmd_reps(args) -> int:
     fam = _parse_family(args)
-    q0 = rational_from_string(args.q)
+    q0 = args.q
     _capped_groupoid(args, fam)
     require_semisimple(fam, q0)
     if args.mode == "build":
@@ -402,7 +402,7 @@ def cmd_reps(args) -> int:
 
 def cmd_verify_all(args) -> int:
     fam = _parse_family(args)
-    q0 = rational_from_string(args.q)
+    q0 = args.q
     lines = []
     ok = True
 
@@ -468,6 +468,25 @@ def _length_theory(G: CoxeterGroupoid) -> bool:
     return True
 
 
+def _rational(text: str) -> Fraction:
+    """The argparse type of --q: "num/den" or "num"."""
+    try:
+        return rational_from_string(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of --max-elements: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superhecke",
@@ -488,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
         if "--scalar" in reads:
             p.add_argument("--scalar", choices=["poly", "eval"], default="poly")
         if "--q" in reads:
-            p.add_argument("--q", default="2")
+            p.add_argument("--q", type=_rational, default="2")
         if "--max-elements" in reads:
-            p.add_argument("--max-elements", dest="max_elements", type=int, default=500_000)
+            p.add_argument("--max-elements", dest="max_elements", type=_positive_int, default=500_000)
 
     text_json = ("json", "text")
 
@@ -527,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poincare", help="Poincare polynomial of a classical group")
     p.add_argument("--type", choices=["A", "B", "D"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q")
+    p.add_argument("--q", type=_rational)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--output")
     p.set_defaults(func=cmd_poincare)
@@ -535,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("irreps", help="irreducible representations of a classical Hecke algebra")
     p.add_argument("--type", choices=["A", "B", "D"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", default="2")
+    p.add_argument("--q", type=_rational, default="2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="use the regular-module splitting oracle")
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -574,7 +593,7 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ D / C+ / C- subject to the last-parity constraint.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Union
 
 TAGS = ("D", "C+", "C-")
@@ -25,30 +25,28 @@ class CDDomain(NamedTuple):
 Domain = Union[tuple, CDDomain]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "kind m n")):
     """One of the three families, with its integer parameters.
 
     kind "A": m, n >= 0.   kind "B": m >= 0, n >= 1.   kind "CD": m, n >= 1;
     CD covers C(n+1) at m = 1 and D(m,n) at m >= 2.
     """
 
-    kind: str
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "A":
-            if self.m < 0 or self.n < 0:
-                raise ValueError(f"family A needs m, n >= 0, got ({self.m}, {self.n})")
-        elif self.kind == "B":
-            if self.m < 0 or self.n < 1:
-                raise ValueError(f"family B needs m >= 0, n >= 1, got ({self.m}, {self.n})")
-        elif self.kind == "CD":
-            if self.m < 1 or self.n < 1:
-                raise ValueError(f"family CD needs m, n >= 1, got ({self.m}, {self.n})")
+    def __new__(cls, kind: str, m: int, n: int):
+        if kind == "A":
+            if m < 0 or n < 0:
+                raise ValueError(f"family A needs m, n >= 0, got ({m}, {n})")
+        elif kind == "B":
+            if m < 0 or n < 1:
+                raise ValueError(f"family B needs m >= 0, n >= 1, got ({m}, {n})")
+        elif kind == "CD":
+            if m < 1 or n < 1:
+                raise ValueError(f"family CD needs m, n >= 1, got ({m}, {n})")
         else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise ValueError(f"unknown family kind {kind!r}")
+        return super().__new__(cls, kind, m, n)
 
     @property
     def rank(self) -> int:

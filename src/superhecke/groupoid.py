@@ -15,7 +15,6 @@ these tables instead of recomputing roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -52,8 +51,7 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """Letters i1..im read as the product s_{i1} ... s_{im, base}."""
 
     base: Domain
@@ -64,8 +62,7 @@ class SizeCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Tables:
+class Tables(NamedTuple):
     """Integer tables over the elements, indexed by position in
     `CoxeterGroupoid.elements()`.  That order starts with length, so the
     element lgen[first[k]][k] comes before k.

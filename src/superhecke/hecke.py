@@ -14,10 +14,9 @@ API takes or returns them (`f`, `e`, `t`, JSON).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .domains import Domain, Family, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
@@ -91,19 +90,17 @@ class HeckeElement:
         return "HeckeElement(" + ", ".join(f"{c}*f[{k}]" for k, c in self._terms.items()) + ")"
 
 
-@dataclass
-class RelationInstance:
+class RelationInstance(NamedTuple):
     name: str
     base: Domain
     left: tuple[int, ...]
     right: tuple[int, ...]
 
 
-@dataclass
-class PresentationReport:
+class PresentationReport(NamedTuple):
     family: Family
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    checked: int
+    failures: list[str]
 
     @property
     def passed(self) -> bool:
@@ -374,15 +371,17 @@ class HeckeAlgebra:
 
     def verify_presentation(self) -> PresentationReport:
         """Check every defining relation instance as a HeckeElement identity."""
-        report = PresentationReport(self.family)
         G = self.groupoid
         rs = G.roots
         fam = self.family
+        checked = 0
+        failures: list[str] = []
 
         def check(ok: bool, msg: str):
-            report.checked += 1
+            nonlocal checked
+            checked += 1
             if not ok:
-                report.failures.append(msg)
+                failures.append(msg)
 
         domains = rs.domains
         # idempotent relations
@@ -446,7 +445,7 @@ class HeckeAlgebra:
                 lhs == rhs,
                 f"{inst.name} fails at base={inst.base}, {inst.left} vs {inst.right}",
             )
-        return report
+        return PresentationReport(fam, checked, failures)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ with a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .domains import (
     Domain,
@@ -87,17 +87,15 @@ def _unit(r: int, i: int, c: int = 1) -> Root:
     return tuple(v)
 
 
-@dataclass
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: int
     description: str
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     family: Family
     passed: bool
-    failures: list[AxiomFailure] = field(default_factory=list)
+    failures: list[AxiomFailure]
 
     def failed_axioms(self) -> set[int]:
         return {f.axiom for f in self.failures}
@@ -430,15 +428,13 @@ class RootSystem:
         return edges
 
 
-@dataclass(frozen=True)
-class DynkinNode:
+class DynkinNode(NamedTuple):
     index: int
     crossed: bool
     filled: bool
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     domain: Domain
     nodes: list[DynkinNode]
     edges: list[tuple[int, int, int]]

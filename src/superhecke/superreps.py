@@ -42,9 +42,9 @@ trace signatures skip words that do not close into a loop.  No
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .domains import (
     CDDomain,
@@ -72,8 +72,7 @@ def factor_types(family: Family) -> tuple[WeylType, WeylType]:
     return WeylType("D", family.m), WeylType("B", family.n)
 
 
-@dataclass
-class BlockRep:
+class BlockRep(NamedTuple):
     """One box-tensor representation as integer blocks per generator and
     domain.
 
@@ -174,8 +173,7 @@ def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
     return BlockRep(family, left.q0, left, right, domains, d, D, blocks)
 
 
-@dataclass
-class BigMap:
+class BigMap(NamedTuple):
     """Direct sum of all box-tensor representations over label pairs."""
 
     family: Family
@@ -212,8 +210,7 @@ def big_map(family: Family, q0: Fraction) -> BigMap:
     return BigMap(family, q0, summands)
 
 
-@dataclass
-class IsoReport:
+class IsoReport(NamedTuple):
     family: Family
     q0: Fraction
     dim_formula: int

@@ -9,7 +9,7 @@ W(D_n) the last generator swaps-and-negates the last two coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -19,20 +19,19 @@ from .roots import SignedPerm, sp_compose, sp_identity
 from .scalars import LaurentPoly
 
 
-@dataclass(frozen=True)
-class WeylType:
+class WeylType(namedtuple("WeylType", "kind n")):
     """kind "A": the symmetric group S_n.  kind "B"/"D": W(B_n) / W(D_n)."""
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("A", "B", "D"):
-            raise ValueError(f"unknown Weyl type {self.kind!r}")
-        if self.kind == "A" and self.n < 1:
+    def __new__(cls, kind: str, n: int):
+        if kind not in ("A", "B", "D"):
+            raise ValueError(f"unknown Weyl type {kind!r}")
+        if kind == "A" and n < 1:
             raise ValueError("S_n needs n >= 1")
-        if self.kind in ("B", "D") and self.n < 0:
+        if kind in ("B", "D") and n < 0:
             raise ValueError("W(B_n)/W(D_n) need n >= 0")
+        return super().__new__(cls, kind, n)
 
     def name(self) -> str:
         if self.kind == "A":

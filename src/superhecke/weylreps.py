@@ -21,10 +21,9 @@ linalg.closure, over the products of generator words.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .factor import factor_list
 from .linalg import (
@@ -64,8 +63,7 @@ from .weylgroups import (
 )
 
 
-@dataclass
-class Irrep:
+class Irrep(NamedTuple):
     """One irreducible representation: a label, its dimension, and one exact
     matrix per algebra generator (indices 1..rank, special node last for B/D)."""
 
@@ -75,8 +73,7 @@ class Irrep:
     gens: tuple[Matrix, ...]
 
 
-@dataclass
-class SplitComponent:
+class SplitComponent(NamedTuple):
     irrep: Irrep
     multiplicity: int
 
@@ -525,15 +522,14 @@ def _split_once(
     mults = solve_coords(char_rows, reg_trace)
     if mults is None or any(c.denominator != 1 or c <= 0 for c in mults):
         raise _RetrySplit("character system has no positive integer solution")
-    comps = []
-    for key, mult in zip(keys, mults):
-        comps.append(SplitComponent(classes[key], int(mult)))
+    comps = [SplitComponent(classes[key], int(mult)) for key, mult in zip(keys, mults)]
     if sum(c.irrep.dim * c.multiplicity for c in comps) != dim:
         raise _RetrySplit("component dimensions do not add up")
     comps.sort(key=lambda c: (c.irrep.dim, c.multiplicity))
-    for idx, comp in enumerate(comps):
-        comp.irrep.label = ("split", idx)
-    return comps
+    return [
+        SplitComponent(c.irrep._replace(label=("split", idx)), c.multiplicity)
+        for idx, c in enumerate(comps)
+    ]
 
 
 def _is_irreducible_split(gens: Sequence[Matrix], dim: int) -> bool:

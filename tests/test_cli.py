@@ -208,6 +208,45 @@ def test_max_elements_caps_every_family_command(command):
     assert proc.stderr == "error: more than 10 elements\n"
 
 
+FAMILY = ["--family", "A", "--m", "1", "--n", "1"]
+# the subcommands that read --q or --max-elements, with their required options
+READERS = {
+    "--q": {
+        **{c: FAMILY for c in ("verify", "structconst", "reps", "verify-all")},
+        "poincare": ["--type", "A", "--n", "3"],
+        "irreps": ["--type", "A", "--n", "3"],
+    },
+    "--max-elements": {
+        c: FAMILY for c in ("enumerate", "dim", "verify", "structconst", "reps", "verify-all")
+    },
+}
+BAD_VALUES = {
+    "--q": [("1/0", "'1/0' is not a rational number"), ("abc", "'abc' is not a rational number")],
+    "--max-elements": [("0", "must be at least 1, got 0"), ("-5", "must be at least 1, got -5")],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        (c, o, v, msg)
+        for o, readers in READERS.items()
+        for c in readers
+        for v, msg in BAD_VALUES[o]
+    ],
+)
+def test_bad_q_and_max_elements_are_usage_errors(command, option, value, message, capsys):
+    # argparse refuses them with a message naming the option, before any work
+    from superhecke import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *READERS[option][command], option, value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"superhecke {command}: error: argument {option}: {message}"
+
+
 @pytest.mark.parametrize("argv", [["verify-all", "--format", "json"], ["dim", "--q", "1/0"]])
 def test_option_the_command_does_not_read_exits_2(argv):
     # argparse refuses it before any work: verify-all prints only text, and
@@ -293,8 +332,6 @@ def uncached():
 def test_verify_all_fails_on_a_corrupted_table_entry(uncached, monkeypatch, capsys, field):
     # "length theory" compares every table entry with the root-count
     # definitions, so one wrong entry is a FAIL and exit 1
-    import dataclasses
-
     from superhecke import cli
     from superhecke.domains import Family
 
@@ -307,7 +344,7 @@ def test_verify_all_fails_on_a_corrupted_table_entry(uncached, monkeypatch, caps
     )
     values = list(getattr(T, field))
     values[k] = values[k] + 2 if field == "length" else 2
-    monkeypatch.setattr(G, "_tables", dataclasses.replace(T, **{field: tuple(values)}))
+    monkeypatch.setattr(G, "_tables", T._replace(**{field: tuple(values)}))
     assert cli.main(["verify-all", "--family", "B", "--m", "1", "--n", "1"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  length theory" in out.splitlines()
