@@ -3,8 +3,9 @@
 Subcommands expose every capability with machine-readable output: domains,
 dynkin, enumerate, dim, words, verify, structconst, poincare, irreps, reps,
 verify-all.  Output is deterministic for fixed flags and seed.  Exit codes:
-0 success, 1 verification failure, 2 invalid arguments, 141 (128 + SIGPIPE)
-when the reader closes the output pipe early.
+0 success, 1 verification failure, 2 invalid arguments, or a run the
+program declines (element cap, oracle budget), 141 (128 + SIGPIPE) when the
+reader closes the output pipe early.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .roots import dynkin_dot, dynkin_json, root_system
 from .scalars import laurent_to_json, rational_from_string, rational_to_string
 from .superreps import iso_report_json, require_semisimple, verify_isomorphism
 from .weylgroups import WeylType, is_semisimple, poincare
-from .weylreps import irreps, split_regular_weyl
+from .weylreps import SplittingBudgetExceeded, irreps, split_regular_weyl
 
 
 def _parse_family(args) -> Family:
@@ -364,6 +365,9 @@ def _label_json(label):
 
 
 def cmd_reps(args) -> int:
+    # build mode writes JSON only; verify mode defaults to text
+    if args.mode == "build" and args.format == "text":
+        raise SystemExit2("reps --mode build writes JSON only; --format text is not available")
     fam = _parse_family(args)
     q0 = args.q
     _capped_groupoid(args, fam)
@@ -494,15 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_opts(p, formats, *reads):
+    def add_family_opts(p, formats, *reads, format_default="text"):
         """--family, --m, --n and --output; --format with the given choices,
-        if any; and those of --scalar, --q and --max-elements that the
-        subcommand reads."""
+        if any, and default; and those of --scalar, --q and --max-elements
+        that the subcommand reads."""
         p.add_argument("--family", choices=["A", "B", "CD", "C"], required=True)
         p.add_argument("--m", type=int)
         p.add_argument("--n", type=int)
         if formats:
-            p.add_argument("--format", choices=formats, default="text")
+            p.add_argument("--format", choices=formats, default=format_default)
         p.add_argument("--output")
         if "--scalar" in reads:
             p.add_argument("--scalar", choices=["poly", "eval"], default="poly")
@@ -562,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_irreps)
 
     p = sub.add_parser("reps", help="box-tensor representations: build summands or verify the isomorphism")
-    add_family_opts(p, text_json, "--q", "--max-elements")
+    # no --format default: verify mode writes text and build mode JSON
+    add_family_opts(p, text_json, "--q", "--max-elements", format_default=None)
     p.add_argument("--mode", choices=["build", "verify"], default="verify")
     p.set_defaults(func=cmd_reps)
 
@@ -590,7 +595,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SizeCapExceeded as exc:
+    except (SizeCapExceeded, SplittingBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

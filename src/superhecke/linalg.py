@@ -1,20 +1,28 @@
 """Exact linear algebra over Q: dense matrix helpers, fraction-free rank,
-incremental echelon forms, nullspaces, and minimal polynomials.
+incremental echelon forms, nullspaces, coordinates and minimal polynomials.
 
 Matrices are lists of lists of Fraction, except where the caller has scaled
 them to integers over a common denominator (IntMatrix: scale_to_int makes
 them, int_mat_mul multiplies and kron tensors them).  The Fraction helpers
-compute on integers too: mat_mul and mat_apply_poly scale each factor to
-integers over one common denominator, multiply with int_mat_mul and divide
-once per nonzero entry of the result; mat_vec skips zero entries of either
-factor.  Every entry they return is a Fraction.  There is one elimination
-kernel, IntEchelon: it scales rows to integers and eliminates fraction-free,
-keeping each row gcd-reduced so intermediate growth stays bounded (the
+compute on integers too: mat_mul scales each factor to integers over one
+common denominator, multiplies with int_mat_mul and divides once per nonzero
+entry of the result; mat_vec skips zero entries of either factor.  Every
+entry they return is a Fraction.  There is one elimination kernel,
+IntEchelon: it scales rows to integers and eliminates fraction-free, keeping
+each row gcd-reduced so intermediate growth stays bounded (the
 integer-preserving scheme of Bareiss, 1968).  Integer rows go in without
-scaling.  Rank, rref, nullspaces and coordinate solves all run through it;
-everything is exact.  There is one span closure, closure: breadth first over
-words in block generators, one IntEchelon per (target, source) pair of
-domains, keeping the products that enlarge their pair's span.
+scaling.  Rank, rref, nullspaces and coordinates all run through it, and
+_reduced clears each pivot from the other rows on integers; everything is
+exact.
+
+The splitting oracle's per-piece algebra runs on integers:
+int_local_minimal_polynomial, int_mat_apply_poly and int_nullspace replaced
+the Fraction local_minimal_polynomial, mat_apply_poly and nullspace of a
+matrix polynomial, and int_coordinates replaced solve_coords_multi.  Only
+the entries of a result become Fractions.  There is one span closure,
+closure: breadth first over words in block generators, one IntEchelon per
+(target, source) pair of domains, keeping the products that enlarge their
+pair's span.
 """
 
 from __future__ import annotations
@@ -231,13 +239,25 @@ def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     return ech.rank
 
 
+def _reduced(ech: IntEchelon) -> tuple[IntMatrix, list[int]]:
+    """The echelon's rows and pivots, each pivot cleared from the other rows,
+    last-inserted pivot first, so no cleared pivot is filled again.  Every
+    row stays a primitive integer row with a positive pivot entry."""
+    rows, pivots = ech.rows, ech.pivots
+    for k in range(len(rows) - 1, 0, -1):
+        p = pivots[k]
+        for i in range(k):
+            if rows[i][p]:
+                rows[i] = _eliminate(rows[i], rows[k], p)
+    return rows, pivots
+
+
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over Q; returns (rref, pivot columns).
 
-    The rows go through IntEchelon, then each pivot is cleared from the other
-    rows, last-inserted pivot first, so no cleared pivot is filled again.
-    Entries stay integers until each row is divided by its leading entry once,
-    at the end; zero rows pad the result to the input's row count.
+    The rows go through IntEchelon and are reduced there on integers; each
+    row is divided by its leading entry once, at the end, and zero rows pad
+    the result to the input's row count.
     """
     if not mat:
         return [], []
@@ -245,12 +265,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     ech = IntEchelon(cols)
     for row in mat:
         ech.insert(row)
-    rows, pivots = ech.rows, ech.pivots
-    for k in range(len(rows) - 1, 0, -1):
-        p = pivots[k]
-        for i in range(k):
-            if rows[i][p]:
-                rows[i] = _eliminate(rows[i], rows[k], p)
+    rows, pivots = _reduced(ech)
     order = sorted(range(len(rows)), key=pivots.__getitem__)
     red = [[Fraction(x, rows[k][pivots[k]]) for x in rows[k]] for k in order]
     red += [[Fraction(0)] * cols for _ in range(len(mat) - len(red))]
@@ -261,75 +276,95 @@ def nullspace(mat: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel {x : mat @ x = 0}."""
     if not mat:
         return []
+    return int_nullspace(to_int_matrix(mat)[1])
+
+
+def int_nullspace(mat: IntMatrix) -> list[list[Fraction]]:
+    """Basis of the right kernel of an integer matrix, one vector per free
+    column c: 1 at c, 0 at the other free columns, and -row[c] / row[p] at
+    each pivot p of the reduced integer rows.  Only these entries become
+    Fractions."""
     cols = len(mat[0])
-    red, piv = rref(mat)
-    piv_set = set(piv)
-    free = [c for c in range(cols) if c not in piv_set]
+    ech = IntEchelon(cols)
+    for row in mat:
+        ech.insert_int(row)
+    rows, pivots = _reduced(ech)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [_ZERO] * cols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(piv):
-            vec[pc] = -red[r][fc]
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
 
+def int_coordinates(
+    basis: IntMatrix, vecs: IntMatrix
+) -> tuple[int, list[list[int] | None]]:
+    """Coordinates of integer vectors in the row span of integer basis rows,
+    over one common denominator: (L, X) with vecs[t] = sum_j X[t][j] basis[j] / L,
+    and X[t] None when vecs[t] is not in the span.
+
+    The basis is reduced once, keeping the transform: each row [basis[j] | e_j]
+    goes into one IntEchelon and is reduced, giving rows [R_r | T_r] with
+    R_r = T_r basis, a positive entry p_r at the pivot column P_r and zero at
+    the other pivots.  A vector v in the span is sum_r v[P_r] / p_r R_r, so its
+    coordinates are read at the pivot columns, and membership is checked
+    exactly, on integers, at the other columns.  Rows whose pivot falls among
+    the unit columns record dependencies of the basis and are left out, so a
+    dependent basis gives one of the solutions.
+    """
+    k = len(basis)
+    n = len(basis[0]) if k else 0
+    ech = IntEchelon(n + k)
+    for j, row in enumerate(basis):
+        ech.insert_int([*row, *(int(i == j) for i in range(k))])
+    rows, pivots = _reduced(ech)
+    kept = [(row, p) for row, p in zip(rows, pivots) if p < n]
+    if not kept:
+        # the span is zero
+        return 1, [None if any(v) else [0] * k for v in vecs]
+    den = lcm(*(row[p] for row, p in kept))
+    pivot_set = {p for _, p in kept}
+    free = [c for c in range(n) if c not in pivot_set]
+    # one product gives each vector's combination of the R_r at the free
+    # columns (to check) and of the T_r (its coordinates), all times den
+    combine = [[row[c] for c in free] + row[n:] for row, _ in kept]
+    weights = [[v[p] * (den // row[p]) for row, p in kept] for v in vecs]
+    out: list[list[int] | None] = []
+    for v, comb in zip(vecs, int_mat_mul(weights, combine)):
+        inside = all(x == den * v[c] for x, c in zip(comb, free))
+        out.append(comb[len(free):] if inside else None)
+    return den, out
+
+
 def solve_coords(basis_rows: Matrix, vec: list[Fraction]) -> list[Fraction] | None:
     """Coordinates of vec in the row span of basis_rows, or None."""
-    res = solve_coords_multi(basis_rows, [vec])
-    return res[0]
+    db, basis = to_int_matrix(basis_rows)
+    dv, (v,) = to_int_matrix([vec])
+    den, (coords,) = int_coordinates(basis, [v])
+    if coords is None:
+        return None
+    return [Fraction(x * db, den * dv) for x in coords]
 
 
-def solve_coords_multi(
-    basis_rows: Matrix, vecs: list[list[Fraction]]
-) -> list[list[Fraction] | None]:
-    """Coordinates of each vec in the row span of basis_rows (one elimination)."""
-    if not basis_rows:
-        return [([] if not any(v) else None) for v in vecs]
-    k = len(basis_rows)
-    cols = len(basis_rows[0])
-    aug = [
-        [basis_rows[r][c] for r in range(k)] + [v[c] for v in vecs]
-        for c in range(cols)
-    ]
-    red, piv = rref(aug)
-    out: list[list[Fraction] | None] = []
-    for t in range(len(vecs)):
-        coords = [Fraction(0)] * k
-        ok = True
-        for r, pc in enumerate(piv):
-            if pc >= k:
-                break
-            coords[pc] = red[r][k + t]
-        # consistency: rows whose pivot is beyond the basis columns must not hit vec t
-        for r in range(len(red)):
-            if all(red[r][c] == 0 for c in range(k)) and red[r][k + t] != 0:
-                ok = False
-                break
-        out.append(coords if ok else None)
-    return out
-
-
-def mat_apply_poly(mat: Matrix, coeffs: Sequence[Fraction]) -> Matrix:
-    """coeffs[0] + coeffs[1] A + ... evaluated at A = mat (ascending).
-
-    With A = M / d for an integer M, the sum is sum c_k d^(K-k) M^k over d^K,
-    K = deg: the powers of M and the sum stay integers, scaled once more by
-    the common denominator r of the coefficients."""
+def int_mat_apply_poly(mat: IntMatrix, coeffs: Sequence[int]) -> IntMatrix:
+    """coeffs[0] + coeffs[1] M + ... evaluated at M = mat (ascending), on
+    integers: the powers of M are built one product at a time."""
     n = len(mat)
-    d, m = to_int_matrix(mat)
-    deg = len(coeffs) - 1
-    r = lcm(*(Fraction(c).denominator for c in coeffs))
     out = [[0] * n for _ in range(n)]
     power = int_identity(n)
     for k, c in enumerate(coeffs):
         if c:
-            ck = int(c * r) * d ** (deg - k)
-            out = [[u + ck * y for u, y in zip(ou, pu)] for ou, pu in zip(out, power)]
-        if k < deg:
-            power = int_mat_mul(power, m)
-    return from_int_matrix(out, r * d ** max(deg, 0))
+            out = [[u + c * y for u, y in zip(ou, pu)] for ou, pu in zip(out, power)]
+        if k < len(coeffs) - 1:
+            power = int_mat_mul(power, mat)
+    return out
 
 
 def commutant(mats: list[Matrix], dim: int) -> list[Matrix]:
@@ -395,16 +430,22 @@ def mat_vec(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def local_minimal_polynomial(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
-    """Monic minimal polynomial of mat on the cyclic subspace of vec
-    (a divisor of the minimal polynomial; equal to it for generic vec)."""
-    basis: list[list[Fraction]] = []
-    ech = IntEchelon(len(vec))
-    cur = vec
-    while ech.insert(cur):
-        basis.append(cur)
-        cur = mat_vec(mat, cur)
-    # cur is the first Krylov vector dependent on the earlier ones
-    coords = solve_coords(basis, cur) if basis else []
-    assert coords is not None
-    return [-c for c in coords] + [Fraction(1)]
+def int_local_minimal_polynomial(mat: IntMatrix, vec: Sequence[int]) -> list[int]:
+    """The polynomial p of least degree with p(mat) vec = 0, a divisor of the
+    minimal polynomial of mat (equal to it for generic vec), as the primitive
+    integer multiple with a positive leading coefficient, ascending.
+
+    The Krylov vectors vec, mat vec, ... stay integers.  Each goes into one
+    IntEchelon followed by a unit vector that records it; the first that
+    depends on the earlier ones reduces to zero ahead of the unit columns,
+    and its stored row holds the relation, which is p."""
+    n = len(vec)
+    ech = IntEchelon(2 * n + 1)
+    cur = list(vec)
+    for k in range(n + 1):
+        ech.insert_int(cur + [int(i == k) for i in range(n + 1)])
+        if ech.pivots[-1] >= n:
+            break  # at the latest at k = n: n + 1 vectors in dimension n
+        cur = [sum(x * y for x, y in zip(row, cur) if y) for row in mat]
+    rel = ech.rows[-1][n:n + k + 1]
+    return rel if rel[-1] > 0 else [-x for x in rel]

@@ -13,9 +13,19 @@ compared up to equivalence in the test-suite.
 Products of generator words, in the oracle and in trace vectors, are taken on
 integer matrices: each generator is scaled once by the common denominator D of
 its family, so a word of length l gives D^l times its true product, and only
-the result, a trace or the oracle's random element, is divided back.  The
+the result, a trace or an entry of a restricted matrix, is divided back.  The
 oracle's word basis, its Burnside test and its spin-up are one span closure,
-linalg.closure, over the products of generator words.
+linalg.closure, over the products of generator words.  The random element,
+its local minimal polynomial, the factors applied to it, their kernels and
+every restriction to a subspace are integer computations in linalg.
+
+Inside a piece the oracle handles each irreducible once: a random vector in
+the span of the irreducibles already found there is passed over, without a
+spin-up, a restriction, a Burnside test or a trace vector.  That is sound:
+the span is a direct sum of simple modules, so any simple submodule of the
+vector's spin-up is isomorphic to one of them and has the key, dimension and
+trace vector, of a class already kept.  The vector ends its slice's draws as
+a spun-up one does, so the random draws, and the output, stay the same.
 """
 
 from __future__ import annotations
@@ -27,22 +37,24 @@ from typing import NamedTuple, Sequence
 
 from .factor import factor_list
 from .linalg import (
+    IntEchelon,
     IntMatrix,
     Matrix,
     closure,
     commutant,
     from_int_matrix,
+    int_coordinates,
     int_identity,
+    int_local_minimal_polynomial,
+    int_mat_apply_poly,
     int_mat_mul,
-    local_minimal_polynomial,
-    mat_apply_poly,
+    int_nullspace,
     mat_identity,
     mat_mul,
     minimal_polynomial,
     nullspace,
     scale_to_int,
     solve_coords,
-    solve_coords_multi,
     to_int_matrix,
 )
 from .tableaux import (
@@ -253,11 +265,12 @@ def _split_in_two(gens: Sequence[Matrix], dim: int, q0: Fraction):
         raise RuntimeError("splitting eigenvalues are irrational")
     r1 = (-b + root) / 2
     r2 = (-b - root) / 2
+    scaled = _scaled_generators(gens)
     halves = []
     for r in sorted((r1, r2)):
         shifted = [[phi[i][j] - (r if i == j else 0) for j in range(dim)] for i in range(dim)]
         basis = nullspace(shifted)
-        halves.append(_restrict(gens, basis))
+        halves.append(_restrict(scaled, basis))
     return halves
 
 
@@ -270,18 +283,31 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _restrict(gens: Sequence[Matrix], basis: list[list[Fraction]]):
-    """Restrict operators to the column span of the given basis vectors.
+def _restrict(scaled: tuple[int, list[IntMatrix]], basis: list[list[Fraction]]):
+    """Restrict operators to the column span of the given basis vectors,
+    written in that basis: column j of a generator's matrix holds the
+    coordinates of its image of b_j.
 
-    The images g b_j of every generator are the rows of basis g^T, and their
-    coordinates come from one elimination against the basis."""
+    The operators g come as _scaled_generators gives them, (D, [G = D g]),
+    and the basis goes to integers too, as the rows B of the basis times
+    their common denominator.  The columns of G B^T are then the images
+    D g b_j in the scale of B, and linalg.int_coordinates reads their
+    coordinates in the rows of B over one denominator L, so each entry is an
+    integer over L D.  The same call checks exactly, on integers, that every
+    image lies in the span; a span that is not invariant raises
+    RuntimeError."""
     k = len(basis)
-    images = [row for g in gens for row in mat_mul(basis, [list(col) for col in zip(*g)])]
-    coords = solve_coords_multi(basis, images)
-    assert all(c is not None for c in coords), "subspace is not invariant"
+    d, ints = scaled
+    _, rows = to_int_matrix(basis)
+    cols = [list(col) for col in zip(*rows)]
+    images = [list(col) for g in ints for col in zip(*int_mat_mul(g, cols))]
+    den, coords = int_coordinates(rows, images)
+    if any(c is None for c in coords):
+        raise RuntimeError("subspace is not invariant")
+    den *= d
     # coords[t k + j] is column j of generator t's matrix
     return k, tuple(
-        [list(row) for row in zip(*coords[t * k:(t + 1) * k])] for t in range(len(gens))
+        from_int_matrix(list(zip(*coords[t * k:(t + 1) * k])), den) for t in range(len(ints))
     )
 
 
@@ -402,9 +428,10 @@ def split_regular_module(
 
     The words spanning the right action, and the regular trace over them, do
     not depend on the random element: they are computed once per call and
-    shared by every attempt.  Each retry's reason is logged at DEBUG on the
-    "superhecke" logger.  Raises RuntimeError when the random-element budget
-    is exhausted.
+    shared by every attempt, and so are the generators scaled to integers.
+    Each retry's reason is logged at DEBUG on the "superhecke" logger.
+    Raises SplittingBudgetExceeded when max_retries random elements all
+    fail.
     """
     q0 = Fraction(q0)
     if not left_mults:
@@ -416,15 +443,23 @@ def split_regular_module(
     log = logging.getLogger("superhecke")
     dim = len(left_mults[0])
     words, reg_trace = _algebra_word_basis(right_mults, dim)
+    left, right = _scaled_generators(left_mults), _scaled_generators(right_mults)
     rng = random.Random(seed)
     last_error: Exception | None = None
     for attempt in range(1, max_retries + 1):
         try:
-            return _split_once(left_mults, right_mults, q0, rng, dim, words, reg_trace)
+            return _split_once(left, right, q0, rng, dim, words, reg_trace)
         except _RetrySplit as exc:
             log.debug("splitting oracle: attempt %d retries: %s", attempt, exc)
             last_error = exc
-    raise RuntimeError(f"splitting budget exceeded: {last_error}")
+    raise SplittingBudgetExceeded(
+        f"the splitting oracle gave up after {max_retries} random elements "
+        f"(the last: {last_error})"
+    )
+
+
+class SplittingBudgetExceeded(RuntimeError):
+    """No random element split the module within the oracle's budget."""
 
 
 class _RetrySplit(RuntimeError):
@@ -434,15 +469,16 @@ class _RetrySplit(RuntimeError):
 _MAX_WORD = 3  # the longest word in a random left element
 
 
-def _random_left_element(left_mults, rng, dim) -> Matrix:
-    """scale + sum of c_t times random generator words, with D^_MAX_WORD times
-    it built on integers: a word of length l enters as D^(_MAX_WORD - l) times
+def _random_left_element(left, rng, dim) -> tuple[IntMatrix, int]:
+    """scale + sum of c_t times random generator words, as the integer matrix
+    D^_MAX_WORD times it and that denominator, for the generators scaled as
+    left = (D, [D g]): a word of length l enters as D^(_MAX_WORD - l) times
     its scaled product."""
-    d, gens = _scaled_generators(left_mults)
+    d, gens = left
     top = d**_MAX_WORD
     scale = rng.randint(1, 5)
     out = [[scale * top if r == c else 0 for c in range(dim)] for r in range(dim)]
-    for _ in range(2 * len(left_mults) + 2):
+    for _ in range(2 * len(gens) + 2):
         word_len = rng.randint(1, _MAX_WORD)
         m = int_identity(dim)
         for _ in range(word_len):
@@ -452,7 +488,7 @@ def _random_left_element(left_mults, rng, dim) -> Matrix:
             continue
         f = c * d ** (_MAX_WORD - word_len)
         out = [[a + f * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
-    return from_int_matrix(out, top)
+    return out, top
 
 
 def _one_domain(gens: Sequence[IntMatrix]) -> dict:
@@ -485,21 +521,27 @@ def _algebra_word_basis(mats, dim) -> tuple[list[tuple[int, ...]], list[Fraction
     return words, traces
 
 
-def _split_once(
-    left_mults, right_mults, q0, rng, dim, words, reg_trace
-) -> list[SplitComponent]:
-    """One attempt with a fresh random element; words and reg_trace are the
-    right action's word basis and the regular module's traces over it."""
-    lb = _random_left_element(left_mults, rng, dim)
-    probe = [Fraction(rng.randint(-9, 9)) for _ in range(dim)]
-    mp = local_minimal_polynomial(lb, probe)
+def _split_once(left, right, q0, rng, dim, words, reg_trace) -> list[SplitComponent]:
+    """One attempt with a fresh random element.  left and right are the
+    generators of the two actions as _scaled_generators gives them; words
+    and reg_trace are the right action's word basis and the regular module's
+    traces over it.
+
+    The element is a = m / den for an integer m, and the pieces are found on
+    integers: p(m) probe = 0 for the local minimal polynomial p of m, so
+    p(den x) is that of a, which is factored; a factor h of degree K is
+    applied as den^K h(a) = sum h_k den^(K-k) m^k."""
+    m, den = _random_left_element(left, rng, dim)
+    probe = [rng.randint(-9, 9) for _ in range(dim)]
+    rel = int_local_minimal_polynomial(m, probe)
     pieces: list[list[list[Fraction]]] = []
-    for coeffs, mult in factor_list(mp):
-        g = mat_apply_poly(lb, coeffs)
+    for h, mult in factor_list([c * den**k for k, c in enumerate(rel)]):
+        deg = len(h) - 1
+        g = int_mat_apply_poly(m, [c * den ** (deg - k) for k, c in enumerate(h)])
         power = g
         for _ in range(mult - 1):
-            power = mat_mul(power, g)
-        kernel = nullspace(power)
+            power = int_mat_mul(power, g)
+        kernel = int_nullspace(power)
         if kernel:
             pieces.append(kernel)
     if sum(len(p) for p in pieces) != dim:
@@ -508,7 +550,7 @@ def _split_once(
     # collect pairwise inequivalent irreducibles from all pieces
     classes: dict[tuple, Irrep] = {}
     for basis in pieces:
-        for rep in _extract_irreducibles(basis, right_mults, q0, rng):
+        for _, rep in _extract_irreducibles(basis, right, q0, rng):
             key = (rep.dim, trace_vector(rep, words))
             classes.setdefault(key, rep)
     if sum(rep.dim**2 for rep in classes.values()) != dim:
@@ -542,64 +584,73 @@ def _is_irreducible_split(gens: Sequence[Matrix], dim: int) -> bool:
     return len(words) == dim * dim
 
 
-def _extract_irreducibles(basis, right_mults, q0, rng) -> list[Irrep]:
-    """Irreducible submodules found inside the span of the basis vectors.
+def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
+    """Irreducible submodules found inside the span of the basis vectors, a
+    piece: each as its basis, in coordinates of the piece's basis, and the
+    Irrep it carries.
 
     Generator eigenspace slices are spun up from random vectors; candidates
-    passing the Burnside irreducibility test are kept.  At least one find is
-    reported or the caller retries with a fresh random element.
+    passing the Burnside irreducibility test are kept.  A random vector in
+    the span of the irreducibles found so far is passed over: every simple
+    submodule of its spin-up is isomorphic to one found, so _split_once,
+    which keeps the first Irrep of each class, would drop it (see the module
+    docstring).  The irreducibles returned form a direct sum.  At least one
+    is found, or the caller retries with a fresh random element.
     """
     k = len(basis)
-    restricted = _restrict(right_mults, basis)[1]
+    restricted = _restrict(right, basis)[1]
     if not restricted:
-        return [Irrep(("piece",), 1, q0, ())] if k else []
-    slices: list[list[list[Fraction]]] = []
-    for g in restricted:
+        if not k:
+            return []
+        # with no generators, any line is an irreducible submodule
+        return [([[Fraction(int(i == 0)) for i in range(k)]], Irrep(("piece",), 1, q0, ()))]
+    d, gens = scaled = _scaled_generators(restricted)
+    # each slice's basis, and so each random vector, is taken on integers,
+    # times one constant per slice: the spin-up's span and the matrices
+    # written in its basis do not change with that constant
+    slices: list[IntMatrix] = []
+    for g in gens:
         for ev in (q0, Fraction(-1)):
+            # g - ev, times D and the denominator of ev
             shifted = [
-                [g[i][j] - (ev if i == j else 0) for j in range(k)] for i in range(k)
+                [ev.denominator * x - (d * ev.numerator if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(g)
             ]
-            sl = nullspace(shifted)
+            sl = int_nullspace(shifted)
             if sl:
-                slices.append(sl)
+                slices.append(to_int_matrix(sl)[1])
     slices.sort(key=len)
-    slices.append([
-        [Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(3)
-    ])
-    found: list[Irrep] = []
-    seen_dims_spans: set = set()
+    slices.append([[rng.randint(-3, 3) for _ in range(k)] for _ in range(3)])
+    found: list[tuple[list, Irrep]] = []
+    span = IntEchelon(k)  # the irreducibles found so far
     for sl in slices:
         for _ in range(3):
-            coeffs = [Fraction(rng.randint(-3, 3)) for _ in sl]
-            v = [
-                sum(c * row[idx] for c, row in zip(coeffs, sl))
-                for idx in range(k)
-            ]
+            coeffs = [rng.randint(-3, 3) for _ in sl]
+            v = [sum(c * row[idx] for c, row in zip(coeffs, sl)) for idx in range(k)]
             if not any(v):
                 continue
-            sub = _spin_up(v, restricted)
-            signature = (len(sub), tuple(sorted(tuple(r) for r in sub)))
-            if signature in seen_dims_spans:
-                break
-            seen_dims_spans.add(signature)
-            subdim, subgens = _restrict(restricted, sub)
-            if _is_irreducible_split(subgens, subdim):
-                found.append(Irrep(("piece",), subdim, q0, subgens))
+            if not span.contains(v):
+                sub = _spin_up(v, scaled)
+                subdim, subgens = _restrict(scaled, sub)
+                if _is_irreducible_split(subgens, subdim):
+                    found.append((sub, Irrep(("piece",), subdim, q0, subgens)))
+                    for b in sub:
+                        span.insert(b)
             break
     if not found:
         raise _RetrySplit("no irreducible slice found")
     return found
 
 
-def _spin_up(v, mats) -> list[list[Fraction]]:
+def _spin_up(v, scaled) -> list[list[Fraction]]:
     """Smallest submodule containing v, as an explicit basis: v, then each
     image of a basis vector under a generator that enlarges the span, found
     by linalg.closure on v as a column.
 
     The vector is kept as integers over its denominator dv, and the
-    generators are scaled once by theirs, D, so the image under a word of
-    length l is one integer column over dv D^l."""
-    d, gens = _scaled_generators(mats)
+    generators come scaled by theirs, scaled = (D, [D g]), so the image under
+    a word of length l is one integer column over dv D^l."""
+    d, gens = scaled
     dv, (ints,) = to_int_matrix([v])
     found = closure([(0, [[x] for x in ints])], _one_domain(gens), len(v))
     return [[Fraction(x, dv * d ** len(w)) for (x,) in col] for w, _, _, col in found]
@@ -615,4 +666,7 @@ def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitC
     if not lefts:
         triv = Irrep("trivial", 1, q0, ())
         return [SplitComponent(triv, 1)]
-    return split_regular_module(lefts, rights, q0, seed=seed)
+    try:
+        return split_regular_module(lefts, rights, q0, seed=seed)
+    except SplittingBudgetExceeded as exc:
+        raise SplittingBudgetExceeded(f"H_q({wt.name()}) at q0 = {q0}: {exc}") from None

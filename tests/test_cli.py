@@ -411,3 +411,44 @@ def test_oracle_at_a_non_semisimple_q0_is_a_usage_error(argv, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_oracle_that_runs_out_of_random_elements_is_declined(monkeypatch, capsys):
+    # every random element fails to split: exit 2 with one line naming the
+    # type and the number of elements tried, not a traceback
+    from superhecke import cli, weylreps
+
+    def always_retry(*args):
+        raise weylreps._RetrySplit("no irreducible slice found")
+
+    monkeypatch.setattr(weylreps, "_split_once", always_retry)
+    assert cli.main(["irreps", "--type", "A", "--n", "3", "--oracle", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: H_q(S_3) at q0 = 2: the splitting oracle gave up after 8 random "
+        "elements (the last: no irreducible slice found)\n"
+    )
+
+
+A11 = ["--family", "A", "--m", "1", "--n", "1"]
+
+
+def test_reps_verify_writes_text_by_default():
+    proc = run_cli("reps", *A11)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("PASS  rank ")
+    assert proc.stderr == ""
+
+
+def test_reps_build_writes_json_by_default():
+    proc = run_cli("reps", *A11, "--mode", "build")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["summands"]
+
+
+def test_reps_build_refuses_text_format():
+    proc = run_cli("reps", *A11, "--mode", "build", "--format", "text")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: reps --mode build writes JSON only; --format text is not available\n"

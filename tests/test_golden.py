@@ -93,3 +93,24 @@ def test_irreps_output_matches_pinned_checksum(tmp_path, argv, digest):
     out = tmp_path / "out.json"
     assert cli.main(["irreps", *argv, "--format", "json", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# The oracle's output over a sweep of types, q0 and seeds, as one digest of
+# the concatenated JSON documents, in the order of the loops below; recorded
+# while the oracle still tested every repeated irreducible of a piece and
+# split its pieces on Fraction matrices.
+SWEEP_TYPES = [("A", 2), ("A", 3), ("B", 2), ("D", 2), ("D", 3)]
+SWEEP_Q0 = ["2", "1/3", "-2"]
+SWEEP_DIGEST = "2bf3b7952ca3ed1e767d7d7e71c62f18cd0fab4b24e9189560bfcc34fa048bf7"
+
+
+def test_oracle_sweep_matches_pinned_checksum(tmp_path):
+    out = tmp_path / "out.json"
+    digest = hashlib.sha256()
+    for kind, n in SWEEP_TYPES:
+        for q0 in SWEEP_Q0:
+            for seed in range(4):
+                argv = ["--type", kind, "--n", str(n), "--q", q0, "--seed", str(seed), "--oracle"]
+                assert cli.main(["irreps", *argv, "--format", "json", "--output", str(out)]) == 0
+                digest.update(out.read_bytes())
+    assert digest.hexdigest() == SWEEP_DIGEST

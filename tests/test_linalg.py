@@ -1,7 +1,7 @@
-"""The one elimination kernel: rref, nullspace and solve_coords on IntEchelon;
-the Fraction matrix helpers that compute on integers against schoolbook
-references; the span closure against the brute-force rank of all word
-products."""
+"""The one elimination kernel: rref, nullspace, int_coordinates and
+solve_coords on IntEchelon; the matrix helpers that compute on integers
+against schoolbook references; the span closure against the brute-force rank
+of all word products."""
 
 import math
 from fractions import Fraction
@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from superhecke.linalg import (
     IntEchelon,
     closure,
+    int_coordinates,
+    int_local_minimal_polynomial,
+    int_mat_apply_poly,
     int_mat_mul,
-    local_minimal_polynomial,
-    mat_apply_poly,
+    int_nullspace,
     mat_mul,
     mat_vec,
     nullspace,
@@ -88,6 +90,38 @@ def test_solve_coords_reconstructs_or_rejects(mat, data):
         recon = [sum((c * r[j] for c, r in zip(coords, mat)), Fraction(0)) for j in range(len(vec))]
         assert recon == vec
         assert rank_exact(mat + [vec]) == rank_exact(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_int_coordinates_reconstruct_or_reject(mat, data):
+    # integer rows, possibly dependent; several vectors share one denominator
+    basis = [[x.numerator for x in row] for row in mat]
+    vecs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        vec = _vector_for(basis, data)
+        scale = math.lcm(*(x.denominator for x in vec))
+        vecs.append([int(x * scale) for x in vec])
+    den, coords = int_coordinates(basis, vecs)
+    assert den > 0 and len(coords) == len(vecs)
+    for vec, x in zip(vecs, coords):
+        if x is None:
+            assert rank_exact(basis + [vec]) == rank_exact(basis) + 1
+        else:
+            assert len(x) == len(basis)
+            assert [sum(c * r[j] for c, r in zip(x, basis)) for j in range(len(vec))] == [den * v for v in vec]
+
+
+def test_int_coordinates_of_an_empty_or_zero_basis():
+    assert int_coordinates([], [[], []]) == (1, [[], []])
+    assert int_coordinates([[0, 0]], [[0, 0], [0, 1]]) == (1, [[0], None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(1, 30))
+def test_int_nullspace_is_the_nullspace_of_the_scaled_matrix(mat, scale):
+    lcm = math.lcm(scale, *(x.denominator for row in mat for x in row))
+    assert int_nullspace([[int(x * lcm) for x in row] for row in mat]) == nullspace(mat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,27 +201,35 @@ def test_mat_vec_of_zero_vector_is_fraction_zeros():
     assert _all_fractions([out])
 
 
+sparse_integers = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
+
+
+def _int_matrix(rows, cols):
+    return st.lists(st.lists(sparse_integers, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 3), st.lists(sparse_rationals, max_size=4), st.data())
-def test_mat_apply_poly_is_schoolbook(n, coeffs, data):
-    a = data.draw(_matrix(n, n))
+@given(st.integers(0, 3), st.lists(sparse_integers, max_size=4), st.data())
+def test_int_mat_apply_poly_is_schoolbook(n, coeffs, data):
+    a = data.draw(_int_matrix(n, n))
     expect = [[Fraction(0)] * n for _ in range(n)]
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for c in coeffs:
         expect = [[e + c * p for e, p in zip(er, pr)] for er, pr in zip(expect, power)]
         power = schoolbook_mul(power, a)
-    out = mat_apply_poly(a, coeffs)
+    out = int_mat_apply_poly(a, coeffs)
     assert out == expect
-    assert _all_fractions(out)
+    assert all(type(x) is int for row in out for x in row)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.data())
-def test_local_minimal_polynomial_annihilates_and_is_minimal(n, data):
-    a = data.draw(_matrix(n, n))
-    vec = data.draw(st.lists(sparse_rationals, min_size=n, max_size=n))
-    poly = local_minimal_polynomial(a, vec)
-    assert poly[-1] == 1
+def test_int_local_minimal_polynomial_annihilates_and_is_minimal(n, data):
+    a = data.draw(_int_matrix(n, n))
+    vec = data.draw(st.lists(sparse_integers, min_size=n, max_size=n))
+    poly = int_local_minimal_polynomial(a, vec)
+    # the primitive integer multiple of the monic polynomial
+    assert poly[-1] > 0 and math.gcd(*poly) == 1
     krylov = [vec]
     for _ in range(len(poly) - 1):
         krylov.append(mat_vec(a, krylov[-1]))

@@ -16,6 +16,7 @@ from superhecke.linalg import (
     int_mat_mul,
     mat_mul,
     mat_vec,
+    nullspace,
     rank_exact,
     scale_to_int,
 )
@@ -240,6 +241,80 @@ def test_oracle_logs_each_retry(caplog, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("kind, n", [("A", 4), ("D", 3)])
+def test_oracle_finds_each_piece_irreducibles_as_a_direct_sum(monkeypatch, kind, n):
+    # a vector in the span of the irreducibles found so far in a piece is
+    # passed over, so no irreducible subspace is found twice
+    calls = []
+    inner = weylreps._extract_irreducibles
+
+    def recorded(*args):
+        found = inner(*args)
+        calls.append([sub for sub, _ in found])
+        return found
+
+    monkeypatch.setattr(weylreps, "_extract_irreducibles", recorded)
+    split_regular_weyl(WeylType(kind, n), Fraction(2), seed=0)
+    assert calls
+    for subs in calls:
+        assert rank_exact([b for sub in subs for b in sub]) == sum(len(sub) for sub in subs)
+
+
+def test_oracle_burnside_tests_on_s4(monkeypatch):
+    # S_4 at seed 0 keeps 5 classes: one Burnside test per irreducible found
+    # in each piece, not one per random vector
+    calls = []
+    inner = weylreps._is_irreducible_split
+
+    def counted(gens, dim):
+        calls.append(dim)
+        return inner(gens, dim)
+
+    monkeypatch.setattr(weylreps, "_is_irreducible_split", counted)
+    comps = split_regular_weyl(WeylType("A", 4), Fraction(2), seed=0)
+    assert len(comps) == 5
+    assert len(calls) <= 25
+
+
+def _s3_lines():
+    """The trivial and the sign line of the right regular module of H_q(S_3)
+    at q0 = 2: the common eigenvectors of the generators for q0 and -1."""
+    rights = S3_RIGHT[Fraction(2)]
+    lines = []
+    for ev in (Fraction(2), Fraction(-1)):
+        rows = [[x - ev * (i == j) for j, x in enumerate(row)] for g in rights for i, row in enumerate(g)]
+        lines += nullspace(rows)
+    return lines
+
+
+def test_restrict_writes_each_image_in_the_basis():
+    # g B^T = B^T R for every generator g and its restriction R, on a basis
+    # from nullspaces and on one from a spin-up
+    rights = S3_RIGHT[Fraction(2)]
+    scaled = weylreps._scaled_generators(rights)
+    spun = weylreps._spin_up([Fraction(1), Fraction(-2), 0, Fraction(1, 3), 0, 0], scaled)
+    for basis in (_s3_lines(), spun):
+        k, restricted = weylreps._restrict(scaled, basis)
+        assert k == len(basis) and len(restricted) == len(rights)
+        cols = [list(c) for c in zip(*basis)]
+        for g, r in zip(rights, restricted):
+            assert mat_mul(g, cols) == mat_mul(cols, r)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)], ids=str)
+def test_restrict_refuses_a_subspace_that_is_not_invariant(delta):
+    # one entry of the trivial + sign basis perturbed: the only invariant
+    # plane through the sign line is this one, so the span is no longer a
+    # submodule, and the exact check must say so
+    scaled = weylreps._scaled_generators(S3_RIGHT[Fraction(2)])
+    for j in range(2):
+        for c in range(6):
+            basis = [list(b) for b in _s3_lines()]
+            basis[j][c] += delta
+            with pytest.raises(RuntimeError, match="subspace is not invariant"):
+                weylreps._restrict(scaled, basis)
+
+
 def _per_word_traces(rep, words):
     out = []
     for w in words:
@@ -340,7 +415,7 @@ def test_spin_up_is_the_submodule_generated_by_v(data):
     n = len(mats[0])
     entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
     v = data.draw(st.lists(entry, min_size=n, max_size=n).filter(any))
-    basis = weylreps._spin_up(v, mats)
+    basis = weylreps._spin_up(v, weylreps._scaled_generators(mats))
     assert basis[0] == v
     assert rank_exact(basis) == len(basis)
     # every generator maps the span into itself ...
