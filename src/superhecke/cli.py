@@ -70,9 +70,14 @@ def _capped_groupoid(args, fam: Family) -> CoxeterGroupoid:
 
 @contextmanager
 def _writer(args):
-    """The write function of --output, or of stdout."""
+    """The write function of --output, or of stdout.  An --output that
+    cannot be opened is a usage error."""
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+        try:
+            fh = open(args.output, "w")
+        except OSError as exc:
+            raise SystemExit2(f"cannot write --output {args.output}: {exc.strerror}") from None
+        with fh:
             yield fh.write
     else:
         yield sys.stdout.write
@@ -404,6 +409,12 @@ def cmd_reps(args) -> int:
     return 0 if report.passed else 1
 
 
+# verify-all checks braid connectivity and the Z[q] structure constants only
+# for groupoids with at most this many elements
+_BRAID_CAP = 200
+_STRUCTCONST_CAP = 200
+
+
 def cmd_verify_all(args) -> int:
     fam = _parse_family(args)
     q0 = args.q
@@ -426,11 +437,11 @@ def cmd_verify_all(args) -> int:
     pres = hecke_poly(fam).verify_presentation()
     report("presentation relations", pres.passed, f"{pres.checked} instances")
     report("length theory", _length_theory(G))
-    if count <= args.braid_cap:
+    if count <= _BRAID_CAP:
         braid_ok = all(G.braid_connected(w) for w in G.elements())
         report("braid connectivity", braid_ok, f"{count} elements")
     else:
-        lines.append(f"SKIP  braid connectivity  ({count} > cap {args.braid_cap})")
+        lines.append(f"SKIP  braid connectivity  ({count} > cap {_BRAID_CAP})")
     try:
         iso = verify_isomorphism(fam, q0)
         report(
@@ -440,7 +451,7 @@ def cmd_verify_all(args) -> int:
         )
     except ValueError as exc:
         report("isomorphism", False, str(exc))
-    if count <= args.structconst_cap:
+    if count <= _STRUCTCONST_CAP:
         alg = hecke_poly(fam)
         table = alg.structure_constants()
         integral = all(
@@ -448,7 +459,7 @@ def cmd_verify_all(args) -> int:
         )
         report("Z[q] structure constants", integral, f"{len(table)} products")
     else:
-        lines.append(f"SKIP  Z[q] structure constants  ({count} > cap {args.structconst_cap})")
+        lines.append(f"SKIP  Z[q] structure constants  ({count} > cap {_STRUCTCONST_CAP})")
     _emit(args, "\n".join(lines) + ("\nOK\n" if ok else "\nFAILED\n"))
     return 0 if ok else 1
 
@@ -573,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="full verification suite for one family")
     add_family_opts(p, (), "--q", "--max-elements")
-    p.add_argument("--braid-cap", dest="braid_cap", type=int, default=200)
-    p.add_argument("--structconst-cap", dest="structconst_cap", type=int, default=200)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

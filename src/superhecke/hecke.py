@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Union
 
 from .domains import Domain, Family, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
+from .roots import root_system
 from .scalars import LaurentPoly, laurent_to_json, rational_to_string
 
 HeckeScalar = Union[LaurentPoly, Fraction]
@@ -105,6 +106,71 @@ class PresentationReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def _braid_instance(name: str, i: int, j: int, a: Domain, m: int) -> RelationInstance:
+    # side ending (rightmost) in i, and the swapped side ending in j
+    side_i = tuple((i if t % 2 == 0 else j) for t in range(m))[::-1]
+    side_j = tuple((j if t % 2 == 0 else i) for t in range(m))[::-1]
+    return RelationInstance(name, a, side_i, side_j)
+
+
+def family_braid_instances(fam: Family) -> list[RelationInstance]:
+    """The family presentation lists, written as word pairs: they need only
+    the family and its domains, not the algebra."""
+    rs = root_system(fam)
+    l = fam.rank
+    out: list[RelationInstance] = []
+    if fam.kind == "A":
+        for a in rs.domains:
+            for i in range(1, l + 1):
+                for j in range(i + 1, l + 1):
+                    if j == i + 1:
+                        out.append(_braid_instance("HArel9", i, j, a, 3))
+                    else:
+                        out.append(_braid_instance("HArel10", i, j, a, 2))
+        return out
+    if fam.kind == "B":
+        for a in rs.domains:
+            if l >= 2:
+                out.append(_braid_instance("HBrel9", l - 1, l, a, 4))
+            for i in range(1, l - 1):
+                out.append(_braid_instance("HBrel10", i, i + 1, a, 3))
+            for i in range(1, l + 1):
+                for j in range(i + 2, l + 1):
+                    if (i, j) != (l - 1, l):
+                        out.append(_braid_instance("HBrel11", i, j, a, 2))
+        return out
+    for a in rs.domains:
+        p, tag = a.parities, a.tag
+        covered: set[tuple[int, int]] = set()
+
+        def add(name, i, j, m):
+            covered.add((i, j))
+            out.append(_braid_instance(name, i, j, a, m))
+
+        if l >= 2:
+            if tag in ("C+", "C-") and p[l - 2] == p[l - 1]:
+                add("HCDrel9", l - 1, l, 4)
+            elif tag == "D" and p[l - 2] == p[l - 1]:
+                add("HCDrel10", l - 1, l, 2)
+            else:
+                add("HCDrel11", l - 1, l, 3)
+        for i in range(1, l - 2):
+            add("HCDrel12", i, i + 1, 3)
+        if l >= 3:
+            if tag == "C+":
+                add("HCDrel13", l - 2, l - 1, 3)
+            if tag == "C-":
+                add("HCDrel14", l - 2, l, 3)
+            if tag == "D":
+                add("HCDrel15", l - 2, l - 1, 3)
+                add("HCDrel15", l - 2, l, 3)
+        for i in range(1, l + 1):
+            for j in range(i + 1, l + 1):
+                if (i, j) not in covered:
+                    add("HCDrel16", i, j, 2)
+    return out
 
 
 class HeckeAlgebra:
@@ -302,71 +368,7 @@ class HeckeAlgebra:
             for i in range(1, self.family.rank + 1):
                 for j in range(i + 1, self.family.rank + 1):
                     m = rs.coxeter_entry(i, j, a)
-                    out.append(self._braid_instance("coxeter", i, j, a, m))
-        return out
-
-    @staticmethod
-    def _braid_instance(name: str, i: int, j: int, a: Domain, m: int) -> RelationInstance:
-        # side ending (rightmost) in i, and the swapped side ending in j
-        side_i = tuple((i if t % 2 == 0 else j) for t in range(m))[::-1]
-        side_j = tuple((j if t % 2 == 0 else i) for t in range(m))[::-1]
-        return RelationInstance(name, a, side_i, side_j)
-
-    def family_braid_instances(self) -> list[RelationInstance]:
-        """The family presentation lists, written as word pairs."""
-        fam = self.family
-        rs = self.groupoid.roots
-        l = fam.rank
-        out: list[RelationInstance] = []
-        if fam.kind == "A":
-            for a in rs.domains:
-                for i in range(1, l + 1):
-                    for j in range(i + 1, l + 1):
-                        if j == i + 1:
-                            out.append(self._braid_instance("HArel9", i, j, a, 3))
-                        else:
-                            out.append(self._braid_instance("HArel10", i, j, a, 2))
-            return out
-        if fam.kind == "B":
-            for a in rs.domains:
-                if l >= 2:
-                    out.append(self._braid_instance("HBrel9", l - 1, l, a, 4))
-                for i in range(1, l - 1):
-                    out.append(self._braid_instance("HBrel10", i, i + 1, a, 3))
-                for i in range(1, l + 1):
-                    for j in range(i + 2, l + 1):
-                        if (i, j) != (l - 1, l):
-                            out.append(self._braid_instance("HBrel11", i, j, a, 2))
-            return out
-        for a in rs.domains:
-            p, tag = a.parities, a.tag
-            covered: set[tuple[int, int]] = set()
-
-            def add(name, i, j, m):
-                covered.add((i, j))
-                out.append(self._braid_instance(name, i, j, a, m))
-
-            if l >= 2:
-                if tag in ("C+", "C-") and p[l - 2] == p[l - 1]:
-                    add("HCDrel9", l - 1, l, 4)
-                elif tag == "D" and p[l - 2] == p[l - 1]:
-                    add("HCDrel10", l - 1, l, 2)
-                else:
-                    add("HCDrel11", l - 1, l, 3)
-            for i in range(1, l - 2):
-                add("HCDrel12", i, i + 1, 3)
-            if l >= 3:
-                if tag == "C+":
-                    add("HCDrel13", l - 2, l - 1, 3)
-                if tag == "C-":
-                    add("HCDrel14", l - 2, l, 3)
-                if tag == "D":
-                    add("HCDrel15", l - 2, l - 1, 3)
-                    add("HCDrel15", l - 2, l, 3)
-            for i in range(1, l + 1):
-                for j in range(i + 1, l + 1):
-                    if (i, j) not in covered:
-                        add("HCDrel16", i, j, 2)
+                    out.append(_braid_instance("coxeter", i, j, a, m))
         return out
 
     def verify_presentation(self) -> PresentationReport:
@@ -424,7 +426,7 @@ class HeckeAlgebra:
                         f"isotropic relation T_(i,i>a) T_(i,a) != E_a at i={i}, a={a}",
                     )
         # braid relations: family lists, and agreement with the coxeter-derived set
-        fam_list = self.family_braid_instances()
+        fam_list = family_braid_instances(fam)
         cox_list = self.braid_instances_from_coxeter()
 
         def key(inst: RelationInstance):

@@ -1,5 +1,6 @@
 """Exact linear algebra over Q: dense matrix helpers, fraction-free rank,
-incremental echelon forms, nullspaces, coordinates and minimal polynomials.
+incremental echelon forms, nullspaces, coordinates and local minimal
+polynomials.
 
 Matrices are lists of lists of Fraction, except where the caller has scaled
 them to integers over a common denominator (IntMatrix: scale_to_int makes
@@ -11,7 +12,7 @@ entry they return is a Fraction.  There is one elimination kernel,
 IntEchelon: it scales rows to integers and eliminates fraction-free, keeping
 each row gcd-reduced so intermediate growth stays bounded (the
 integer-preserving scheme of Bareiss, 1968).  Integer rows go in without
-scaling.  Rank, rref, nullspaces and coordinates all run through it, and
+scaling.  Rank, nullspaces and coordinates all run through it, and
 _reduced clears each pivot from the other rows on integers; everything is
 exact.
 
@@ -96,10 +97,6 @@ def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The Kronecker product: entry (i rb + k, j cb + l) is a[i][j] b[k][l]."""
     return [[x * y for x in arow for y in brow] for arow in a for brow in b]
-
-
-def flatten(a: Matrix) -> list[Fraction]:
-    return [x for row in a for x in row]
 
 
 def _scale_to_int(vec: Sequence[Fraction]) -> list[int]:
@@ -252,26 +249,6 @@ def _reduced(ech: IntEchelon) -> tuple[IntMatrix, list[int]]:
     return rows, pivots
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot columns).
-
-    The rows go through IntEchelon and are reduced there on integers; each
-    row is divided by its leading entry once, at the end, and zero rows pad
-    the result to the input's row count.
-    """
-    if not mat:
-        return [], []
-    cols = len(mat[0])
-    ech = IntEchelon(cols)
-    for row in mat:
-        ech.insert(row)
-    rows, pivots = _reduced(ech)
-    order = sorted(range(len(rows)), key=pivots.__getitem__)
-    red = [[Fraction(x, rows[k][pivots[k]]) for x in rows[k]] for k in order]
-    red += [[Fraction(0)] * cols for _ in range(len(mat) - len(red))]
-    return red, [pivots[k] for k in order]
-
-
 def nullspace(mat: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel {x : mat @ x = 0}."""
     if not mat:
@@ -365,55 +342,6 @@ def int_mat_apply_poly(mat: IntMatrix, coeffs: Sequence[int]) -> IntMatrix:
         if k < len(coeffs) - 1:
             power = int_mat_mul(power, mat)
     return out
-
-
-def commutant(mats: list[Matrix], dim: int) -> list[Matrix]:
-    """Basis of the algebra {X : Xg = gX for every g in mats}."""
-    if not mats:
-        basis = []
-        for i in range(dim):
-            for j in range(dim):
-                m = mat_zeros(dim, dim)
-                m[i][j] = Fraction(1)
-                basis.append(m)
-        return basis
-    rows: Matrix = []
-    for g in mats:
-        for i in range(dim):
-            for j in range(dim):
-                row = [Fraction(0)] * (dim * dim)
-                for k in range(dim):
-                    row[k * dim + j] += g[i][k]
-                    row[i * dim + k] -= g[k][j]
-                rows.append(row)
-    basis_vecs = nullspace(rows)
-    out = []
-    for vec in basis_vecs:
-        out.append([[vec[i * dim + j] for j in range(dim)] for i in range(dim)])
-    return out
-
-
-def minimal_polynomial(mat: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial of mat, ascending coefficients."""
-    n = len(mat)
-    powers: list[list[Fraction]] = [flatten(mat_identity(n))]
-    cur = mat_identity(n)
-    ech = IntEchelon(n * n)
-    ech.insert(powers[0])
-    while True:
-        cur = mat_mul(cur, mat)
-        flat = flatten(cur)
-        if ech.contains(flat):
-            powers.append(flat)
-            break
-        ech.insert(flat)
-        powers.append(flat)
-    # highest power is dependent on the previous ones: solve for coefficients
-    k = len(powers) - 1
-    coords = solve_coords(powers[:k], powers[k])
-    assert coords is not None
-    coeffs = [-c for c in coords] + [Fraction(1)]
-    return coeffs
 
 
 def mat_vec(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:

@@ -57,7 +57,7 @@ from .domains import (
     tau_plus,
 )
 from .groupoid import CoxeterGroupoid, dimension_formula, groupoid_for
-from .hecke import HeckeAlgebra, hecke_poly
+from .hecke import family_braid_instances
 from .linalg import IntEchelon, IntMatrix, closure, int_identity, int_mat_mul, kron, scale_to_int
 from .weylgroups import WeylType, generators, is_semisimple
 from .weylreps import Irrep, irreps
@@ -247,7 +247,7 @@ def _word_block(rep: BlockRep, base: Domain, letters: tuple[int, ...]) -> tuple[
     return dom, out
 
 
-def verify_block_rep(rep: BlockRep, H: HeckeAlgebra) -> list[str]:
+def verify_block_rep(rep: BlockRep) -> list[str]:
     """Every defining relation instance of the presentation, on d x d blocks.
 
     The idempotent and E T E relations hold exactly when the block data is
@@ -287,7 +287,7 @@ def verify_block_rep(rep: BlockRep, H: HeckeAlgebra) -> list[str]:
                 fails.append(f"isotropic relation fails at i={i}, a={a}")
     if not well_formed:
         return fails
-    for inst in H.family_braid_instances():
+    for inst in family_braid_instances(fam):
         lhs_target, lhs = _word_block(rep, inst.base, inst.left)
         rhs_target, rhs = _word_block(rep, inst.base, inst.right)
         if len(inst.left) != len(inst.right):  # each side carries D^(its length)
@@ -383,11 +383,10 @@ def verify_isomorphism(family: Family, q0: Fraction) -> IsoReport:
     q0 = Fraction(q0)
     bm = big_map(family, q0)
     G = groupoid_for(family)
-    H = hecke_poly(family)
     relation_failures: list[str] = []
     for s in bm.summands:
         relation_failures.extend(
-            f"({s.left.label} x {s.right.label}): {msg}" for msg in verify_block_rep(s, H)
+            f"({s.left.label} x {s.right.label}): {msg}" for msg in verify_block_rep(s)
         )
     closure = [_closure_rank(s) for s in bm.summands]
     surjective = [r == s.total_dim ** 2 for r, s in zip(closure, bm.summands)]

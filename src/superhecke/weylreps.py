@@ -4,7 +4,8 @@ H_q(S_n), H_q(W(B_n)), H_q(W(D_n)) with exact rational matrices.
 Type B is built in seminormal form on standard bitableaux, and type A as
 type B on (lam, ()) without its special generator; type D restricts the
 two-parameter type-B construction at its first parameter set to 1 and splits
-the symmetric labels on an invariant subspace.  An independent
+each symmetric label (lam, lam) into the two eigenspaces of the swap
+(S, T) -> (T, S) of its bitableaux.  An independent
 oracle, split_regular_module, decomposes the right regular module by minimal
 polynomial kernels of random left multiplications, with the minimal
 polynomial factored over Q by factor.factor_list; the two routes are
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .factor import factor_list
@@ -41,7 +42,6 @@ from .linalg import (
     IntMatrix,
     Matrix,
     closure,
-    commutant,
     from_int_matrix,
     int_coordinates,
     int_identity,
@@ -51,8 +51,6 @@ from .linalg import (
     int_nullspace,
     mat_identity,
     mat_mul,
-    minimal_polynomial,
-    nullspace,
     scale_to_int,
     solve_coords,
     to_int_matrix,
@@ -234,53 +232,40 @@ def _type_d_irreps(n: int, q0: Fraction) -> list[Irrep]:
         if (mu, lam) in seen_pairs:
             continue
         seen_pairs.add(pair)
+        dim, gens = _type_d_gens(pair, q0)
         if lam != mu:
-            dim, gens = _type_d_gens(pair, q0)
             out.append(Irrep((pair, ""), dim, q0, gens))
         else:
-            dim, gens = _type_d_gens(pair, q0)
-            for tag, (subdim, subgens) in zip("+-", _split_in_two(gens, dim, q0)):
+            for tag, (subdim, subgens) in zip("+-", _split_in_two(pair, gens)):
                 out.append(Irrep((pair, tag), subdim, q0, subgens))
     return out
 
 
-def _split_in_two(gens: Sequence[Matrix], dim: int, q0: Fraction):
-    """Split a module with two-dimensional endomorphism ring into its halves."""
-    comm = commutant(list(gens), dim)
-    if len(comm) != 2:
-        raise RuntimeError(f"expected a 2-dimensional commutant, got {len(comm)}")
-    def non_scalar(c):
-        off = any(c[i][j] for i in range(dim) for j in range(dim) if i != j)
-        return off or len({c[i][i] for i in range(dim)}) > 1
+def _split_in_two(pair, gens: Sequence[Matrix]):
+    """The two halves of the (lam, lam) module: the eigenspaces of the swap
+    J: (S, T) -> (T, S) of the two tableaux, for -1 and then +1.
 
-    phi = next(c for c in comm if non_scalar(c))
-    mp = minimal_polynomial(phi)
-    if len(mp) != 3:
-        raise RuntimeError("splitting endomorphism is scalar")
-    # rational roots: x^2 + bx + c with the two halves non-equivalent
-    b, c = mp[1], mp[0]
-    disc = b * b - 4 * c
-    root = _fraction_sqrt(disc)
-    if root is None:
-        raise RuntimeError("splitting eigenvalues are irrational")
-    r1 = (-b + root) / 2
-    r2 = (-b - root) / 2
+    At Q = 1 the swap negates every content, and the type-B coefficients of
+    u_1 ... u_{n-1} depend only on content ratios, while J u_0 J = -u_0; so J
+    commutes with every W(D_n) generator, and with I it spans the commutant
+    (Hoefsmit 1974), so the halves are irreducible and inequivalent.  No
+    bitableau is fixed by J, so each half has half the dimension.  Each
+    generator is checked to commute with J; the restriction checks that each
+    half is invariant."""
+    tabs = standard_bitableaux(pair)
+    index = {t: k for k, t in enumerate(tabs)}
+    swap = [index[t[1], t[0]] for t in tabs]
+    for g in gens:
+        if any(g[swap[r]][swap[c]] != x for r, row in enumerate(g) for c, x in enumerate(row)):
+            raise RuntimeError(f"the tableau swap does not commute with a generator of {pair}")
     scaled = _scaled_generators(gens)
+    d = len(tabs)
     halves = []
-    for r in sorted((r1, r2)):
-        shifted = [[phi[i][j] - (r if i == j else 0) for j in range(dim)] for i in range(dim)]
-        basis = nullspace(shifted)
-        halves.append(_restrict(scaled, basis))
+    for s in (-1, 1):
+        # J - s I: 1 at column J r of row r, and -s at column r
+        rows = [[int(c == swap[r]) - s * int(c == r) for c in range(d)] for r in range(d)]
+        halves.append(_restrict(scaled, int_nullspace(rows)))
     return halves
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _restrict(scaled: tuple[int, list[IntMatrix]], basis: list[list[Fraction]]):

@@ -247,14 +247,34 @@ def test_bad_q_and_max_elements_are_usage_errors(command, option, value, message
     assert err.splitlines()[-1] == f"superhecke {command}: error: argument {option}: {message}"
 
 
-@pytest.mark.parametrize("argv", [["verify-all", "--format", "json"], ["dim", "--q", "1/0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", "--format", "json"],
+        ["dim", "--q", "1/0"],
+        ["verify-all", "--braid-cap", "500"],
+        ["verify-all", "--structconst-cap", "500"],
+    ],
+)
 def test_option_the_command_does_not_read_exits_2(argv):
-    # argparse refuses it before any work: verify-all prints only text, and
-    # dim never evaluates q
+    # argparse refuses it before any work: verify-all prints only text and
+    # its caps are fixed, and dim never evaluates q
     proc = run_cli(*argv[:1], "--family", "A", "--m", "1", "--n", "1", *argv[1:])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["dim", "structconst"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_output_that_cannot_be_opened_exits_2(tmp_path, command, target):
+    # a usage error with one line naming the path, not a traceback and exit 1
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    proc = run_cli(command, "--family", "A", "--m", "1", "--n", "1", "--output", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith(f"error: cannot write --output {path}: ")
 
 
 # the family subcommands' options that each one never reads

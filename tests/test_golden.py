@@ -85,6 +85,8 @@ IRREPS_GOLDEN = [
     (["--type", "D", "--n", "4"], "3a8ce82b7ac068351814a90e9ef969b0d30e92f1b4c0a3357367d25d612bcc73"),
     (["--type", "B", "--n", "4"], "9496e2944a10e844bc491a4967332dd8e70a0e851915b7d8af105aefcb587807"),
     (["--type", "A", "--n", "4", "--q", "1/3"], "af686652a30c27a749da7bfd211e17d783fa2a60f57f46cbf799c7832850ad73"),
+    # recorded while the halves of (lam, lam) were split by a commutant search
+    (["--type", "D", "--n", "6"], "f7464ca872700179be5cf536f7608641d9399b7b530723fc18984e7281d290e2"),
 ]
 
 

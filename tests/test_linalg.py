@@ -1,4 +1,4 @@
-"""The one elimination kernel: rref, nullspace, int_coordinates and
+"""The one elimination kernel: nullspace, int_coordinates and
 solve_coords on IntEchelon; the matrix helpers that compute on integers
 against schoolbook references; the span closure against the brute-force rank
 of all word products."""
@@ -21,7 +21,6 @@ from superhecke.linalg import (
     mat_vec,
     nullspace,
     rank_exact,
-    rref,
     solve_coords,
 )
 
@@ -47,23 +46,6 @@ def _vector_for(mat, data):
         coeffs = [data.draw(rationals) for _ in mat]
         return [sum((c * r[j] for c, r in zip(coeffs, mat)), Fraction(0)) for j in range(len(mat[0]))]
     return data.draw(st.lists(rationals, min_size=len(mat[0]), max_size=len(mat[0])))
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.randoms(use_true_random=False))
-def test_rref_idempotent_and_row_order_free(mat, rnd):
-    red, piv = rref(mat)
-    assert len(red) == len(mat)
-    assert rref(red) == (red, piv)
-    shuffled = list(mat)
-    rnd.shuffle(shuffled)
-    assert rref(shuffled) == (red, piv)
-    # reduced form: unit pivots, zero elsewhere in pivot columns, zero rows last
-    for r, p in enumerate(piv):
-        assert all(red[i][p] == (1 if i == r else 0) for i in range(len(red)))
-        assert all(x == 0 for x in red[r][:p])
-    assert all(not any(row) for row in red[len(piv):])
-    assert piv == sorted(piv)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 
 from superhecke.domains import Family
 from superhecke.groupoid import CoxeterGroupoid, Word, groupoid_for
-from superhecke.hecke import hecke_poly
+from superhecke.hecke import family_braid_instances, hecke_poly
 from superhecke.roots import root_system
 from superhecke.superreps import big_map, verify_isomorphism
 from superhecke.weylgroups import WeylType, sorted_elements
@@ -129,7 +129,7 @@ def _every_record():
         WeylType("A", 3),
         G.canonical_reduced_word(G.elements()[-1]),
         G.tables(),
-        alg.family_braid_instances()[0],
+        family_braid_instances(fam)[0],
         alg.verify_presentation(),
         mutated.failures[0],
         mutated,

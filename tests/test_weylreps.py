@@ -152,6 +152,41 @@ def test_d_restriction_dims():
     assert sorted(r.dim for r in reps3) == [1, 1, 2, 3, 3]
 
 
+@pytest.mark.parametrize("pair", [((2,), (2,)), ((1, 1), (1, 1))], ids=str)
+def test_split_refuses_generators_that_do_not_commute_with_the_swap(pair):
+    # one diagonal entry of one W(D_4) generator moved: the swap check, not
+    # the invariance check of _restrict, must refuse it
+    _, gens = weylreps._type_d_gens(pair, Fraction(2))
+    for t in range(len(gens)):
+        broken = [[list(row) for row in g] for g in gens]
+        broken[t][0][0] += 1
+        with pytest.raises(RuntimeError, match="the tableau swap does not commute"):
+            weylreps._split_in_two(pair, broken)
+
+
+@pytest.mark.parametrize(
+    "n, q0", [(4, Fraction(2)), (4, Fraction(5, 7)), (6, Fraction(2))], ids=str
+)
+def test_swap_halves_are_irreducible_and_inequivalent(n, q0):
+    # what the swap split takes from the theory and does not check at run
+    # time: each half has half the dimension and passes the Burnside test, and
+    # the two halves of a pair differ in their traces; W(D_6)'s 40-dimensional
+    # halves are left out for the cost of their Burnside test
+    halves: dict = {}
+    for rep in irreps(WeylType("D", n), q0):
+        if rep.label[1] and rep.dim <= 10:
+            halves.setdefault(rep.label[0], []).append(rep)
+    assert len(halves) == 2
+    words = words_up_to(n, 3)
+    for pair, (plus, minus) in halves.items():
+        full = len(standard_bitableaux(pair))
+        assert (plus.label[1], minus.label[1]) == ("+", "-")
+        for half in (plus, minus):
+            assert half.dim == full // 2
+            assert weylreps._is_irreducible_split(half.gens, half.dim)
+        assert trace_vector(plus, words) != trace_vector(minus, words)
+
+
 def test_irreps_requires_semisimple():
     with pytest.raises(ValueError):
         irreps(WeylType("A", 3), Fraction(-1))
