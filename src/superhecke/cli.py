@@ -5,7 +5,9 @@ dynkin, enumerate, dim, words, verify, structconst, poincare, irreps, reps,
 verify-all.  Output is deterministic for fixed flags and seed.  Exit codes:
 0 success, 1 verification failure, 2 invalid arguments, or a run the
 program declines (element cap, oracle budget), 141 (128 + SIGPIPE) when the
-reader closes the output pipe early.
+reader closes the output pipe early.  Past argparse, exit 2 has one path: a
+UsageError, printed as one "error:" line.  Any other exception is a fault
+of the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -17,10 +19,17 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .domains import Family, domain_from_json, domain_str, domain_to_json, enumerate_domains
+from .domains import (
+    Family,
+    UsageError,
+    domain_from_json,
+    domain_str,
+    domain_to_json,
+    enumerate_domains,
+)
 from .groupoid import (
+    MAX_ELEMENTS,
     CoxeterGroupoid,
-    SizeCapExceeded,
     Word,
     dimension_formula,
     element_to_json,
@@ -32,7 +41,7 @@ from .roots import dynkin_dot, dynkin_json, root_system
 from .scalars import laurent_to_json, rational_from_string, rational_to_string
 from .superreps import iso_report_json, require_semisimple, verify_isomorphism
 from .weylgroups import WeylType, is_semisimple, poincare
-from .weylreps import SplittingBudgetExceeded, irreps, split_regular_weyl
+from .weylreps import irreps, split_regular_weyl
 
 
 def _parse_family(args) -> Family:
@@ -42,22 +51,15 @@ def _parse_family(args) -> Family:
     if kind == "C":
         # C(n) = osp(2|2(n-1)) is the CD family at m = 1
         if n is None or n < 2:
-            raise SystemExit2("--family C needs --n >= 2 (C(n) with n >= 2)")
+            raise UsageError("--family C needs --n >= 2 (C(n) with n >= 2)")
         family = Family("CD", 1, n - 1)
     else:
         if m is None or n is None:
-            raise SystemExit2("--m and --n are required")
-        try:
-            family = Family(kind, m, n)
-        except ValueError as exc:
-            raise SystemExit2(str(exc))
+            raise UsageError("--m and --n are required")
+        family = Family(kind, m, n)
     if getattr(args, "scalar", "poly") == "eval" and args.q == 0:
-        raise SystemExit2("eval mode needs q0 != 0")
+        raise UsageError("eval mode needs q0 != 0")
     return family
-
-
-class SystemExit2(Exception):
-    pass
 
 
 def _capped_groupoid(args, fam: Family) -> CoxeterGroupoid:
@@ -76,7 +78,7 @@ def _writer(args):
         try:
             fh = open(args.output, "w")
         except OSError as exc:
-            raise SystemExit2(f"cannot write --output {args.output}: {exc.strerror}") from None
+            raise UsageError(f"cannot write --output {args.output}: {exc.strerror}") from None
         with fh:
             yield fh.write
     else:
@@ -195,17 +197,17 @@ def _parse_word(fam: Family, args) -> Word:
     """--base and --letters, checked against the family's domains and rank."""
     try:
         base = domain_from_json(fam, json.loads(args.base))
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError, OverflowError):
         base = None
     if base not in enumerate_domains(fam):
-        raise SystemExit2(f"--base {args.base} is not a domain of {fam.name()}")
+        raise UsageError(f"--base {args.base} is not a domain of {fam.name()}")
     try:
         letters = tuple(int(x) for x in args.letters.split(",") if x)
     except ValueError:
-        raise SystemExit2(f"--letters {args.letters!r} is not a comma-separated list of integers")
+        raise UsageError(f"--letters {args.letters!r} is not a comma-separated list of integers")
     for x in letters:
         if not 1 <= x <= fam.rank:
-            raise SystemExit2(f"--letters: generator {x} is outside 1..{fam.rank} for {fam.name()}")
+            raise UsageError(f"--letters: generator {x} is outside 1..{fam.rank} for {fam.name()}")
     return Word(base, letters)
 
 
@@ -372,7 +374,7 @@ def _label_json(label):
 def cmd_reps(args) -> int:
     # build mode writes JSON only; verify mode defaults to text
     if args.mode == "build" and args.format == "text":
-        raise SystemExit2("reps --mode build writes JSON only; --format text is not available")
+        raise UsageError("reps --mode build writes JSON only; --format text is not available")
     fam = _parse_family(args)
     q0 = args.q
     _capped_groupoid(args, fam)
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "--q" in reads:
             p.add_argument("--q", type=_rational, default="2")
         if "--max-elements" in reads:
-            p.add_argument("--max-elements", dest="max_elements", type=_positive_int, default=500_000)
+            p.add_argument("--max-elements", dest="max_elements", type=_positive_int, default=MAX_ELEMENTS)
 
     text_json = ("json", "text")
 
@@ -601,13 +603,7 @@ def main(argv=None) -> int:
         # so the flush at exit cannot raise again, and exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SizeCapExceeded, SplittingBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

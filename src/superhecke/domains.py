@@ -25,6 +25,12 @@ class CDDomain(NamedTuple):
 Domain = Union[tuple, CDDomain]
 
 
+class UsageError(ValueError):
+    """Input the program declines: a bad argument, a q0 outside the
+    semisimple range, or a run past a size or time budget.  The CLI turns
+    it, and nothing else, into one "error:" line and exit 2."""
+
+
 class Family(namedtuple("Family", "kind m n")):
     """One of the three families, with its integer parameters.
 
@@ -37,15 +43,15 @@ class Family(namedtuple("Family", "kind m n")):
     def __new__(cls, kind: str, m: int, n: int):
         if kind == "A":
             if m < 0 or n < 0:
-                raise ValueError(f"family A needs m, n >= 0, got ({m}, {n})")
+                raise UsageError(f"family A needs m, n >= 0, got ({m}, {n})")
         elif kind == "B":
             if m < 0 or n < 1:
-                raise ValueError(f"family B needs m >= 0, n >= 1, got ({m}, {n})")
+                raise UsageError(f"family B needs m >= 0, n >= 1, got ({m}, {n})")
         elif kind == "CD":
             if m < 1 or n < 1:
-                raise ValueError(f"family CD needs m, n >= 1, got ({m}, {n})")
+                raise UsageError(f"family CD needs m, n >= 1, got ({m}, {n})")
         else:
-            raise ValueError(f"unknown family kind {kind!r}")
+            raise UsageError(f"unknown family kind {kind!r}")
         return super().__new__(cls, kind, m, n)
 
     @property
@@ -149,11 +155,6 @@ def act(family: Family, i: int, a: Domain) -> Domain:
     return a
 
 
-def moves(family: Family, i: int, a: Domain) -> bool:
-    """True iff generator i changes the domain, i.e. the node is isotropic."""
-    return act(family, i, a) != a
-
-
 def _blocks(family: Family) -> tuple[int, int]:
     if family.kind == "A":
         return family.m + 1, family.n + 1
@@ -199,14 +200,6 @@ def invert_perm(t: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(t):
         inv[v] = i
     return tuple(inv)
-
-
-def perm_one_based(t: tuple[int, ...]) -> list[int]:
-    return [v + 1 for v in t]
-
-
-def inversions(t: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(t)) for j in range(i + 1, len(t)) if t[i] > t[j])
 
 
 def domain_to_json(a: Domain):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .domains import Domain, Family, act, domain_sort_key
+from .domains import Domain, Family, UsageError, act, domain_sort_key
 from .roots import (
     RootSystem,
     SignedPerm,
@@ -58,8 +58,12 @@ class Word(NamedTuple):
     letters: tuple[int, ...]
 
 
-class SizeCapExceeded(RuntimeError):
-    pass
+class SizeCapExceeded(UsageError):
+    """More elements, or reduced words, than a cap allows."""
+
+
+# the default cap on enumeration, and the CLI's --max-elements default
+MAX_ELEMENTS = 500_000
 
 
 class Tables(NamedTuple):
@@ -94,10 +98,9 @@ class Tables(NamedTuple):
 
 
 class CoxeterGroupoid:
-    def __init__(self, family: Family, max_elements: int = 500_000):
+    def __init__(self, family: Family):
         self.family = family
         self.roots: RootSystem = root_system(family)
-        self.max_elements = max_elements
         self._elements: tuple[Element, ...] | None = None
         self._tables: Tables | None = None
         self._reduced_words: dict[Element, tuple[tuple[int, ...], ...]] = {}
@@ -131,9 +134,6 @@ class CoxeterGroupoid:
                 count += 1
         return count
 
-    def sign(self, w: Element) -> int:
-        return -1 if self.length(w) % 2 else 1
-
     # ---- descents ----
 
     def right_descent(self, w: Element, j: int) -> bool:
@@ -147,21 +147,20 @@ class CoxeterGroupoid:
 
     # ---- enumeration ----
 
-    def elements(self, max_elements: int | None = None) -> tuple[Element, ...]:
+    def elements(self, max_elements: int = MAX_ELEMENTS) -> tuple[Element, ...]:
         """All nonzero elements, closed under generator multiplication.
 
         Ordered by (length, source, target, map) so output is reproducible.
-        Raises SizeCapExceeded past max_elements (default: the constructor's
-        cap), whether or not an earlier call already enumerated the groupoid.
+        Raises SizeCapExceeded past max_elements, whether or not an earlier
+        call already enumerated the groupoid.
         """
-        cap = self.max_elements if max_elements is None else max_elements
         if self._elements is None:
-            self._enumerate(cap)
-        elif len(self._elements) > cap:
-            raise SizeCapExceeded(f"more than {cap} elements")
+            self._enumerate(max_elements)
+        elif len(self._elements) > max_elements:
+            raise SizeCapExceeded(f"more than {max_elements} elements")
         return self._elements
 
-    def tables(self, max_elements: int | None = None) -> Tables:
+    def tables(self, max_elements: int = MAX_ELEMENTS) -> Tables:
         """The integer tables over `elements()`, enumerating first if needed."""
         self.elements(max_elements)
         return self._tables
@@ -223,7 +222,7 @@ class CoxeterGroupoid:
         )
         self._elements = ordered
 
-    def order(self, max_elements: int | None = None) -> int:
+    def order(self, max_elements: int = MAX_ELEMENTS) -> int:
         """|W \\ {0}|."""
         return len(self.elements(max_elements))
 
@@ -338,33 +337,6 @@ class CoxeterGroupoid:
                     seen.add(ls)
                     stack.append(ls)
         return seen == words
-
-    def braid_reaches_repeat(self, word: Word, cap: int = 200_000) -> bool:
-        """Whether some braid-move sequence yields adjacent equal letters.
-
-        This is the computational content of the statement that a non-reduced
-        word is braid-equivalent to one with a repeated adjacent letter.
-        """
-        def has_repeat(ls):
-            return any(ls[k] == ls[k + 1] for k in range(len(ls) - 1))
-
-        if has_repeat(word.letters):
-            return True
-        seen = {word.letters}
-        stack = [word.letters]
-        while stack:
-            cur = stack.pop()
-            for moved in self.braid_moves(Word(word.base, cur)):
-                ls = moved.letters
-                if ls in seen:
-                    continue
-                if has_repeat(ls):
-                    return True
-                if len(seen) >= cap:
-                    raise SizeCapExceeded("braid closure exceeded the cap")
-                seen.add(ls)
-                stack.append(ls)
-        return False
 
 
 @lru_cache(maxsize=None)

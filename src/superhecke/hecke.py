@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
-from .domains import Domain, Family, act, domain_to_json
+from .domains import Domain, Family, UsageError, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
 from .roots import root_system
 from .scalars import LaurentPoly, laurent_to_json, rational_to_string
@@ -185,7 +185,7 @@ class HeckeAlgebra:
         else:
             self.q = Fraction(self.q)
             if self.q == 0:
-                raise ValueError("eval mode needs q0 != 0")
+                raise UsageError("eval mode needs q0 != 0")
             self.mode = "eval"
             self.one = Fraction(1)
         self._qm1 = self.q - 1
@@ -195,10 +195,6 @@ class HeckeAlgebra:
         self.index: dict[Element, int] = self.tables.index
         self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
         self._table: dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]] | None = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
     # ---- basis elements ----
 
@@ -219,16 +215,9 @@ class HeckeAlgebra:
 
     # ---- left multiplication by generators ----
 
-    def lmul_e(self, a: Domain, x: HeckeElement) -> HeckeElement:
-        return HeckeElement._raw(self._project(self._domain[a], x._terms))
-
     def _project(self, a: int, terms: dict) -> dict:
         tgt = self.tables.tgt
         return {k: c for k, c in terms.items() if tgt[k] == a}
-
-    def lmul_t(self, i: int, a: Domain, x: HeckeElement) -> HeckeElement:
-        """T_{i,a} x, extended linearly from the basis rules."""
-        return HeckeElement._raw(self._lmul(i, self._domain[a], x._terms.items()))
 
     def _lmul(self, i: int, a: int, terms) -> dict:
         """T_{i,a} applied to the (index, scalar) pairs of terms."""

@@ -4,26 +4,23 @@ polynomials.
 
 Matrices are lists of lists of Fraction, except where the caller has scaled
 them to integers over a common denominator (IntMatrix: scale_to_int makes
-them, int_mat_mul multiplies and kron tensors them).  The Fraction helpers
-compute on integers too: mat_mul scales each factor to integers over one
-common denominator, multiplies with int_mat_mul and divides once per nonzero
-entry of the result; mat_vec skips zero entries of either factor.  Every
-entry they return is a Fraction.  There is one elimination kernel,
-IntEchelon: it scales rows to integers and eliminates fraction-free, keeping
-each row gcd-reduced so intermediate growth stays bounded (the
-integer-preserving scheme of Bareiss, 1968).  Integer rows go in without
-scaling.  Rank, nullspaces and coordinates all run through it, and
-_reduced clears each pivot from the other rows on integers; everything is
-exact.
+them, int_mat_mul multiplies and kron tensors them).  mat_mul computes on
+integers too: it scales each factor to integers over one common
+denominator, multiplies with int_mat_mul and divides once per nonzero entry
+of the result, which it returns as Fractions.  There is one elimination
+kernel, IntEchelon: it scales rows to integers and eliminates
+fraction-free, keeping each row gcd-reduced so intermediate growth stays
+bounded (the integer-preserving scheme of Bareiss, 1968).  Integer rows go
+in without scaling.  Rank, nullspaces and coordinates all run through it,
+and _reduced clears each pivot from the other rows on integers; everything
+is exact.
 
-The splitting oracle's per-piece algebra runs on integers:
-int_local_minimal_polynomial, int_mat_apply_poly and int_nullspace replaced
-the Fraction local_minimal_polynomial, mat_apply_poly and nullspace of a
-matrix polynomial, and int_coordinates replaced solve_coords_multi.  Only
-the entries of a result become Fractions.  There is one span closure,
-closure: breadth first over words in block generators, one IntEchelon per
-(target, source) pair of domains, keeping the products that enlarge their
-pair's span.
+The splitting oracle's per-piece algebra runs on integers
+(int_local_minimal_polynomial, int_mat_apply_poly, int_nullspace and
+int_coordinates); only the entries of a result become Fractions.  There is
+one span closure, closure: breadth first over words in block generators,
+one IntEchelon per (target, source) pair of domains, keeping the products
+that enlarge their pair's span.
 """
 
 from __future__ import annotations
@@ -341,20 +338,6 @@ def int_mat_apply_poly(mat: IntMatrix, coeffs: Sequence[int]) -> IntMatrix:
             out = [[u + c * y for u, y in zip(ou, pu)] for ou, pu in zip(out, power)]
         if k < len(coeffs) - 1:
             power = int_mat_mul(power, mat)
-    return out
-
-
-def mat_vec(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
-    """mat vec; a zero entry of either factor costs nothing."""
-    support = [(c, x) for c, x in enumerate(vec) if x]
-    out = []
-    for row in mat:
-        acc = _ZERO
-        for c, x in support:
-            y = row[c]
-            if y:
-                acc += y * x
-        out.append(acc)
     return out
 
 

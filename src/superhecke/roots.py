@@ -81,6 +81,23 @@ def reflection_for_root(alpha: Root, r: int) -> SignedPerm:
     return tuple(imgs)
 
 
+def _ratio(v: Root, alpha: Root) -> Fraction | None:
+    """The rational r with v = r alpha, or None if there is none; alpha is
+    nonzero."""
+    ratio = None
+    for x, a in zip(v, alpha):
+        if a == 0:
+            if x:
+                return None
+            continue
+        r = Fraction(x, a)
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    return ratio
+
+
 def _unit(r: int, i: int, c: int = 1) -> Root:
     v = [0] * r
     v[i - 1] = c
@@ -96,9 +113,6 @@ class AxiomReport(NamedTuple):
     family: Family
     passed: bool
     failures: list[AxiomFailure]
-
-    def failed_axioms(self) -> set[int]:
-        return {f.axiom for f in self.failures}
 
 
 class RootSystem:
@@ -198,10 +212,6 @@ class RootSystem:
     def positive_roots(self, a: Domain) -> frozenset[Root]:
         return self._positive[a]
 
-    def is_root(self, v: Root, a: Domain) -> bool:
-        pos = self._positive[a]
-        return v in pos or tuple(-c for c in v) in pos
-
     def coxeter_entry(self, i: int, j: int, a: Domain) -> int:
         """|(N0 alpha_i + N0 alpha_j) cap R_a|, counted over the finite set R_a."""
         if i == j:
@@ -288,7 +298,7 @@ class RootSystem:
             # (4) R alpha cap R_a = {alpha, -alpha}
             for i, alpha in enumerate(pi, start=1):
                 for beta in pos:
-                    if self._is_rational_multiple(beta, alpha) and beta not in (
+                    if _ratio(beta, alpha) is not None and beta not in (
                         alpha,
                         tuple(-c for c in alpha),
                     ):
@@ -317,7 +327,8 @@ class RootSystem:
                     diff = tuple(
                         x - y for x, y in zip(img, self._simple[(j, b)])
                     )
-                    if not self._is_nonneg_multiple(diff, alpha_ib):
+                    r = _ratio(diff, alpha_ib)
+                    if r is None or r.denominator != 1 or r < 0:
                         fail(
                             5,
                             f"sigma_{i}(alpha_{j}) not in alpha_{j} + N0 alpha_{i} "
@@ -346,55 +357,6 @@ class RootSystem:
         if coeffs is None:
             return False
         return all(c.denominator == 1 and c >= 0 for c in coeffs)
-
-    @staticmethod
-    def _is_rational_multiple(beta: Root, alpha: Root) -> bool:
-        ratio = None
-        for b, a in zip(beta, alpha):
-            if a == 0 and b == 0:
-                continue
-            if a == 0:
-                return False
-            r = Fraction(b, a)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return ratio is not None
-
-    @staticmethod
-    def _is_nonneg_multiple(diff: Root, alpha: Root) -> bool:
-        if all(c == 0 for c in diff):
-            return True
-        ratio = None
-        for d, a in zip(diff, alpha):
-            if a == 0 and d == 0:
-                continue
-            if a == 0:
-                return False
-            r = Fraction(d, a)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return ratio is not None and ratio.denominator == 1 and ratio > 0
-
-    def mutated_negated_alpha(self, i: int, a: Domain) -> "RootSystem":
-        """Copy with alpha_{i,a} negated; used to exercise the axiom checker."""
-        other = RootSystem.__new__(RootSystem)
-        other.family = self.family
-        other.domains = self.domains
-        other.rank = self.rank
-        other.dim = self.dim
-        other._simple = dict(self._simple)
-        other._reflection = dict(self._reflection)
-        other._positive = dict(self._positive)
-        other._coxeter = {}
-        alpha = self._simple[(i, a)]
-        neg = tuple(-c for c in alpha)
-        other._simple[(i, a)] = neg
-        other._reflection[(i, a)] = reflection_for_root(neg, self.dim)
-        return other
 
     # ---- Dynkin diagrams ----
 

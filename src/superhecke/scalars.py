@@ -59,20 +59,12 @@ class LaurentPoly:
         return cls._raw(tuple(sorted((e, c) for e, c in d.items() if c)))
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls(((0, 1),))
 
     @classmethod
     def q(cls) -> "LaurentPoly":
         return cls(((1, 1),))
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(((exp, coeff),))
 
     @classmethod
     def from_int(cls, k: int) -> "LaurentPoly":
@@ -90,12 +82,6 @@ class LaurentPoly:
         if not self._c:
             raise ValueError("zero polynomial has no exponents")
         return self._c[0][0]
-
-    @property
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return self._c[-1][0]
 
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
@@ -206,7 +192,3 @@ class LaurentPoly:
 def laurent_to_json(p: LaurentPoly) -> list[list]:
     """Encode as [[exponent, coefficient-string], ...], exponents ascending."""
     return [[e, str(c)] for e, c in p.items()]
-
-
-def laurent_from_json(data) -> LaurentPoly:
-    return LaurentPoly(tuple((int(e), int(c)) for e, c in data))

@@ -50,6 +50,7 @@ from .domains import (
     CDDomain,
     Domain,
     Family,
+    UsageError,
     act,
     enumerate_domains,
     invert_perm,
@@ -185,11 +186,11 @@ class BigMap(NamedTuple):
 
 
 def require_semisimple(family: Family, q0: Fraction) -> None:
-    """Raise ValueError unless q0 P_left(q0) P_right(q0) != 0, the condition
+    """Raise UsageError unless q0 P_left(q0) P_right(q0) != 0, the condition
     under which the box tensors are built and the isomorphism can hold."""
     lt, rt = factor_types(family)
     if q0 == 0 or not is_semisimple(lt, q0) or not is_semisimple(rt, q0):
-        raise ValueError(
+        raise UsageError(
             f"q0 = {q0} violates q P_left(q) P_right(q) != 0 for {family.name()}"
         )
 

@@ -1,4 +1,4 @@
-"""Partitions, standard Young tableaux, and standard bitableaux.
+"""Partitions and standard bitableaux.
 
 Tableaux are tuples of row tuples filled with 1..n; bitableaux are pairs of
 tableaux sharing the entries 1..n between them.  Everything is generated by
@@ -47,23 +47,6 @@ def _corners(shape: Partition) -> list[int]:
         for r in range(len(shape))
         if r + 1 == len(shape) or shape[r] > shape[r + 1]
     ]
-
-
-@lru_cache(maxsize=None)
-def standard_tableaux(shape: Partition) -> tuple[Tableau, ...]:
-    n = sum(shape)
-    if n == 0:
-        return ((),)
-    out: list[Tableau] = []
-    for r in _corners(shape):
-        sub = _remove_corner(shape, r)
-        for t in standard_tableaux(sub):
-            rows = [list(row) for row in t]
-            while len(rows) <= r:
-                rows.append([])
-            rows[r].append(n)
-            out.append(tuple(tuple(row) for row in rows))
-    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .domains import UsageError
 from .linalg import Matrix
 from .roots import SignedPerm, sp_compose, sp_identity
 from .scalars import LaurentPoly
@@ -26,11 +27,11 @@ class WeylType(namedtuple("WeylType", "kind n")):
 
     def __new__(cls, kind: str, n: int):
         if kind not in ("A", "B", "D"):
-            raise ValueError(f"unknown Weyl type {kind!r}")
+            raise UsageError(f"unknown Weyl type {kind!r}")
         if kind == "A" and n < 1:
-            raise ValueError("S_n needs n >= 1")
+            raise UsageError("S_n needs n >= 1")
         if kind in ("B", "D") and n < 0:
-            raise ValueError("W(B_n)/W(D_n) need n >= 0")
+            raise UsageError("W(B_n)/W(D_n) need n >= 0")
         return super().__new__(cls, kind, n)
 
     def name(self) -> str:
@@ -129,20 +130,10 @@ def poincare_closed(wt: WeylType) -> LaurentPoly:
     return out
 
 
-def poincare_enum(wt: WeylType) -> LaurentPoly:
-    """Sum of q^length over the group, by direct enumeration."""
-    counts: dict[int, int] = {}
-    for _, l in elements_with_length(wt).items():
-        counts[l] = counts.get(l, 0) + 1
-    return LaurentPoly(tuple(sorted(counts.items())))
-
-
 def poincare(wt: WeylType, q=None):
-    """The Poincare polynomial, or its exact value at the given scalar q."""
+    """The Poincare polynomial, or its exact value at the rational q."""
     p = poincare_closed(wt)
-    if q is None or isinstance(q, LaurentPoly):
-        return p if q is None else LaurentPoly(p.items())
-    return p.evaluate(Fraction(q))
+    return p if q is None else p.evaluate(Fraction(q))
 
 
 def is_semisimple(wt: WeylType, q0) -> bool:

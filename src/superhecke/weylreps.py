@@ -36,6 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
+from .domains import UsageError
 from .factor import factor_list
 from .linalg import (
     IntEchelon,
@@ -187,7 +188,7 @@ def _special_last_order(gens_special_first: Sequence[Matrix]) -> tuple[Matrix, .
 
 def _require_semisimple(wt: WeylType, q0: Fraction) -> None:
     if not is_semisimple(wt, q0):
-        raise ValueError(f"H_q({wt.name()}) is not semisimple at q0 = {q0}")
+        raise UsageError(f"H_q({wt.name()}) is not semisimple at q0 = {q0}")
 
 
 def irreps(wt: WeylType, q0: Fraction) -> list[Irrep]:
@@ -443,7 +444,7 @@ def split_regular_module(
     )
 
 
-class SplittingBudgetExceeded(RuntimeError):
+class SplittingBudgetExceeded(UsageError):
     """No random element split the module within the oracle's budget."""
 
 
@@ -643,7 +644,7 @@ def _spin_up(v, scaled) -> list[list[Fraction]]:
 
 def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitComponent]:
     """The oracle applied to a classical Hecke algebra's regular module, which
-    splits only where H_q(W) is semisimple: elsewhere a ValueError, as from
+    splits only where H_q(W) is semisimple: elsewhere a UsageError, as from
     irreps, before any splitting."""
     q0 = Fraction(q0)
     _require_semisimple(wt, q0)

@@ -1,0 +1,97 @@
+"""Independent references and fixtures shared by the tests.
+
+The program never calls these.  Each recomputes something the program
+builds another way (a Poincare polynomial by enumeration, a braid-move
+closure, standard tableaux by their own recursion) or makes a deliberately
+broken input for a checker.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Word
+from superhecke.roots import RootSystem, reflection_for_root
+from superhecke.scalars import LaurentPoly
+from superhecke.weylgroups import WeylType, elements_with_length
+
+
+def perm_one_based(t: tuple[int, ...]) -> list[int]:
+    return [v + 1 for v in t]
+
+
+def inversions(t: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(t)) for j in range(i + 1, len(t)) if t[i] > t[j])
+
+
+def laurent_from_json(data) -> LaurentPoly:
+    """The inverse of scalars.laurent_to_json."""
+    return LaurentPoly(tuple((int(e), int(c)) for e, c in data))
+
+
+def poincare_enum(wt: WeylType) -> LaurentPoly:
+    """Sum of q^length over the group, by direct enumeration."""
+    counts: dict[int, int] = {}
+    for length in elements_with_length(wt).values():
+        counts[length] = counts.get(length, 0) + 1
+    return LaurentPoly(tuple(sorted(counts.items())))
+
+
+def standard_tableaux(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The standard Young tableaux of a partition, by where the largest
+    entry sits: in a corner of the shape."""
+    n = sum(shape)
+    if n == 0:
+        return [()]
+    out = []
+    for r, part in enumerate(shape):
+        if r + 1 < len(shape) and shape[r + 1] == part:
+            continue  # not a corner
+        sub = tuple(p - (k == r) for k, p in enumerate(shape) if p - (k == r))
+        for t in standard_tableaux(sub):
+            rows = [list(row) for row in t] + [[]]
+            rows[r].append(n)
+            out.append(tuple(tuple(row) for row in rows if row))
+    return sorted(out)
+
+
+def braid_reaches_repeat(G: CoxeterGroupoid, word: Word, cap: int = 200_000) -> bool:
+    """Whether some braid-move sequence yields adjacent equal letters.
+
+    This is the computational content of the statement that a non-reduced
+    word is braid-equivalent to one with a repeated adjacent letter.
+    """
+
+    def has_repeat(ls):
+        return any(ls[k] == ls[k + 1] for k in range(len(ls) - 1))
+
+    if has_repeat(word.letters):
+        return True
+    seen = {word.letters}
+    stack = [word.letters]
+    while stack:
+        cur = stack.pop()
+        for moved in G.braid_moves(Word(word.base, cur)):
+            ls = moved.letters
+            if ls in seen:
+                continue
+            if has_repeat(ls):
+                return True
+            if len(seen) >= cap:
+                raise SizeCapExceeded("braid closure exceeded the cap")
+            seen.add(ls)
+            stack.append(ls)
+    return False
+
+
+def mutated_negated_alpha(rs: RootSystem, i: int, a) -> RootSystem:
+    """A copy of rs with alpha_{i,a} and its reflection negated, for the
+    axiom checker to reject."""
+    other = copy.copy(rs)
+    other._simple = dict(rs._simple)
+    other._reflection = dict(rs._reflection)
+    other._coxeter = {}
+    neg = tuple(-c for c in rs._simple[(i, a)])
+    other._simple[(i, a)] = neg
+    other._reflection[(i, a)] = reflection_for_root(neg, rs.dim)
+    return other

@@ -175,6 +175,7 @@ def test_output_deterministic():
         (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "1,x"),
         (["CD", "--m", "1", "--n", "1"], '{"p": [0, 1], "tag": "E"}', "1"),  # unknown tag
         (["CD", "--m", "1", "--n", "1"], "[0,1]", "1"),
+        (["A", "--m", "1", "--n", "1"], "[1e400,0,1,1]", "1"),  # int() of infinity overflows
     ],
 )
 def test_words_bad_input_exit_2(family, base, letters):
@@ -472,3 +473,36 @@ def test_reps_build_refuses_text_format():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: reps --mode build writes JSON only; --format text is not available\n"
+
+
+def test_an_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only a UsageError means exit 2: a ValueError from inside the program is
+    # a fault, and leaves cli.main with its traceback
+    from superhecke import cli, superreps
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(superreps, "big_map", boom)
+    with pytest.raises(ValueError, match="boom") as exc:
+        cli.main(["reps", *A11])
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["irreps", "--type", "A", "--n", "0"], "S_n needs n >= 1"),
+        (["poincare", "--type", "A", "--n", "0"], "S_n needs n >= 1"),
+        (["reps", *A11, "--q", "-1"], "q0 = -1 violates q P_left(q) P_right(q) != 0 for A(1,1)"),
+        (["verify-all", *A11, "--q", "0"], "q0 = 0 violates q P_left(q) P_right(q) != 0 for A(1,1)"),
+        (["enumerate", "--family", "A", "--m", "2", "--n", "1", "--max-elements", "10"],
+         "more than 10 elements"),
+        (["structconst", *A11, "--scalar", "eval", "--q", "0"], "eval mode needs q0 != 0"),
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    from superhecke import cli
+
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

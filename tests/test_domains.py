@@ -13,11 +13,11 @@ from superhecke.domains import (
     domain_from_json,
     domain_to_json,
     enumerate_domains,
-    inversions,
-    perm_one_based,
     tau_minus,
     tau_plus,
 )
+
+from helpers import inversions, perm_one_based
 
 DESK = [
     Family("A", 1, 1),

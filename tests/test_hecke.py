@@ -31,12 +31,12 @@ def test_lmul_rules():
     q = H.q
     a = (0, 0, 1, 1)
     # T e_a = t(i, a)
-    assert H.lmul_t(1, a, H.e(a)) == H.t(1, a)
+    assert H.product(H.t(1, a), H.e(a)) == H.t(1, a)
     # isotropic: T_{i, i>a} T_{i, a} = E_a
     b = act(H.family, 2, a)
-    assert H.lmul_t(2, b, H.t(2, a)) == H.e(a)
+    assert H.product(H.t(2, b), H.t(2, a)) == H.e(a)
     # quadratic: T^2 = (q-1) T + q E when the node is even
-    lhs = H.lmul_t(1, a, H.t(1, a))
+    lhs = H.product(H.t(1, a), H.t(1, a))
     rhs = H.t(1, a).scaled(q - 1) + H.e(a).scaled(q)
     assert lhs == rhs
 
@@ -52,9 +52,9 @@ def test_quadratic_operator_identity_on_basis():
                     continue
                 for w in H.basis:
                     x = H.f(w)
-                    tx = H.lmul_t(i, a, x)
-                    ttx = H.lmul_t(i, a, tx)
-                    rhs = tx.scaled(q - 1) + H.lmul_e(a, x).scaled(q)
+                    tx = H.product(H.t(i, a), x)
+                    ttx = H.product(H.t(i, a), tx)
+                    rhs = tx.scaled(q - 1) + H.product(H.e(a), x).scaled(q)
                     assert ttx == rhs
 
 
@@ -110,7 +110,7 @@ def test_structure_constants_integral_with_degree_bound():
             u = H.basis[ui]
             for wi, c in row:
                 assert c.min_exp >= 0
-                assert c.max_exp <= G.length(u)
+                assert c.items()[-1][0] <= G.length(u)
 
 
 def test_structure_constants_q1_degeneration():
@@ -192,8 +192,8 @@ def _triple_products(table, ui, vi, wi, zero):
 def test_associativity_exhaustive_b11():
     H = hecke_poly(Family("B", 1, 1))
     table = H.structure_constants()
-    dim = H.dimension
-    zero = LaurentPoly.zero()
+    dim = len(H.basis)
+    zero = LaurentPoly()
     for ui in range(dim):
         for vi in range(dim):
             for wi in range(dim):
@@ -211,7 +211,7 @@ def test_associativity_random_triples_a21():
         by_target.setdefault(a, []).append(k)
     keys = list(table)
     rng = random.Random(21)
-    zero = LaurentPoly.zero()
+    zero = LaurentPoly()
     for _ in range(300):
         ui, vi = keys[rng.randrange(len(keys))]
         wi = rng.choice(by_target[T.src[vi]])
@@ -259,7 +259,7 @@ def test_product_bilinear_random():
     H = hecke_eval(Family("CD", 1, 1), Fraction(2))
     rng = random.Random(5)
     for _ in range(30):
-        u, v, w = (H.basis[rng.randrange(H.dimension)] for _ in range(3))
+        u, v, w = (H.basis[rng.randrange(len(H.basis))] for _ in range(3))
         x = H.f(u) + H.f(v).scaled(Fraction(3))
         assert H.product(x, H.f(w)) == H.product(H.f(u), H.f(w)) + H.product(
             H.f(v), H.f(w)

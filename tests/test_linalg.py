@@ -18,7 +18,6 @@ from superhecke.linalg import (
     int_mat_mul,
     int_nullspace,
     mat_mul,
-    mat_vec,
     nullspace,
     rank_exact,
     solve_coords,
@@ -164,25 +163,6 @@ def test_mat_mul_is_schoolbook(n, k, m, data):
     assert _all_fractions(out)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.data())
-def test_mat_vec_is_schoolbook(n, k, data):
-    a = data.draw(_matrix(n, k))
-    vec = data.draw(st.one_of(
-        st.just([Fraction(0)] * k),
-        st.lists(sparse_rationals, min_size=k, max_size=k),
-    ))
-    out = mat_vec(a, vec)
-    assert out == [sum((row[c] * vec[c] for c in range(k)), Fraction(0)) for row in a]
-    assert _all_fractions([out])
-
-
-def test_mat_vec_of_zero_vector_is_fraction_zeros():
-    out = mat_vec([[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-1)]], [Fraction(0), Fraction(0)])
-    assert out == [0, 0]
-    assert _all_fractions([out])
-
-
 sparse_integers = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
 
 
@@ -214,7 +194,7 @@ def test_int_local_minimal_polynomial_annihilates_and_is_minimal(n, data):
     assert poly[-1] > 0 and math.gcd(*poly) == 1
     krylov = [vec]
     for _ in range(len(poly) - 1):
-        krylov.append(mat_vec(a, krylov[-1]))
+        krylov.append([sum(x * y for x, y in zip(row, krylov[-1])) for row in a])
     # p(A) vec = 0, and the Krylov vectors below its degree are independent
     assert all(sum(c * v[i] for c, v in zip(poly, krylov)) == 0 for i in range(n))
     assert rank_exact(krylov[:-1]) == len(poly) - 1

@@ -17,6 +17,8 @@ from superhecke.superreps import big_map, verify_isomorphism
 from superhecke.weylgroups import WeylType, sorted_elements
 from superhecke.weylreps import irreps, split_regular_weyl
 
+from helpers import mutated_negated_alpha
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -88,7 +90,7 @@ def test_reprs_are_unchanged():
     assert repr(Family("CD", 2, 1)) == "Family(kind='CD', m=2, n=1)"
     assert repr(WeylType("B", 2)) == "WeylType(kind='B', n=2)"
     assert repr(Word((0, 1), (1, 2))) == "Word(base=(0, 1), letters=(1, 2))"
-    report = root_system(Family("A", 1, 1)).mutated_negated_alpha(1, (0, 1, 0, 1)).check_axioms()
+    report = mutated_negated_alpha(root_system(Family("A", 1, 1)), 1, (0, 1, 0, 1)).check_axioms()
     assert repr(report.failures[0]).startswith("AxiomFailure(axiom=")
 
 
@@ -122,7 +124,7 @@ def _every_record():
     rs = root_system(fam)
     alg = hecke_poly(fam)
     bm = big_map(fam, Fraction(2))
-    mutated = rs.mutated_negated_alpha(1, rs.domains[0]).check_axioms()
+    mutated = mutated_negated_alpha(rs, 1, rs.domains[0]).check_axioms()
     diagram = rs.dynkin(rs.domains[0])
     return [
         fam,

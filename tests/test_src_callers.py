@@ -1,0 +1,46 @@
+"""src/ holds only what the program runs: every function, class and method
+defined in src/superhecke has a caller there, outside its own definition,
+or in perfbench/traced.py, which wraps some of them by name.  Code that only
+the tests use lives in tests/helpers.py."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "superhecke").glob("*.py"))
+CALLERS = SRC + [ROOT / "perfbench" / "traced.py"]
+
+# verification helpers that `irreps --verify` is to call (ROADMAP item 8,
+# stage 1); until then only the tests do
+AWAITING_CALLER = {"verify_irrep_relations", "pairwise_distinct_traces", "character_on_group"}
+
+
+def _references(tree):
+    """(line, name) of every name a module reads: plain and attribute names,
+    imported names and string constants, as a wrapper or __all__ uses them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, node.value
+
+
+def test_every_src_definition_has_a_caller():
+    refs = [(path, ref) for path in CALLERS for ref in _references(ast.parse(path.read_text()))]
+    uncalled = set()
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and not (p == path and line in own) for p, (line, n) in refs):
+                uncalled.add(name)
+    # fails, too, once an allowlisted name gains a caller: drop it from the list
+    assert uncalled == AWAITING_CALLER
