@@ -16,6 +16,7 @@ these tables instead of recomputing roots.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf
 from typing import NamedTuple
 
 from .domains import Domain, Family, UsageError, act, domain_sort_key
@@ -62,8 +63,8 @@ class SizeCapExceeded(UsageError):
     """More elements, or reduced words, than a cap allows."""
 
 
-# the default cap on enumeration, and the CLI's --max-elements default
-MAX_ELEMENTS = 500_000
+# the most reduced words all_reduced_words lists for one element
+_REDUCED_WORDS_CAP = 1_000_000
 
 
 class Tables(NamedTuple):
@@ -147,12 +148,13 @@ class CoxeterGroupoid:
 
     # ---- enumeration ----
 
-    def elements(self, max_elements: int = MAX_ELEMENTS) -> tuple[Element, ...]:
+    def elements(self, max_elements: float = inf) -> tuple[Element, ...]:
         """All nonzero elements, closed under generator multiplication.
 
         Ordered by (length, source, target, map) so output is reproducible.
         Raises SizeCapExceeded past max_elements, whether or not an earlier
-        call already enumerated the groupoid.
+        call already enumerated the groupoid; with no max_elements there is
+        no cap.
         """
         if self._elements is None:
             self._enumerate(max_elements)
@@ -160,14 +162,18 @@ class CoxeterGroupoid:
             raise SizeCapExceeded(f"more than {max_elements} elements")
         return self._elements
 
-    def tables(self, max_elements: int = MAX_ELEMENTS) -> Tables:
+    def tables(self) -> Tables:
         """The integer tables over `elements()`, enumerating first if needed."""
-        self.elements(max_elements)
+        self.elements()
         return self._tables
 
-    def _enumerate(self, cap: int):
+    def _enumerate(self, cap: float):
         """Breadth-first search from the identities, recording each element's
-        depth and its left neighbours s_i·w, then sorting into the tables."""
+        depth and its left neighbours s_i·w, then sorting into the tables.
+        Each domain's identity is an element, so more domains than the cap
+        are refused before anything is built."""
+        if len(self.roots.domains) > cap:
+            raise SizeCapExceeded(f"more than {cap} elements")
         rank = self.family.rank
         gens = {(i, a): self.generator(i, a) for i in range(1, rank + 1) for a in self.roots.domains}
         depth: dict[Element, int] = {}
@@ -222,9 +228,9 @@ class CoxeterGroupoid:
         )
         self._elements = ordered
 
-    def order(self, max_elements: int = MAX_ELEMENTS) -> int:
+    def order(self) -> int:
         """|W \\ {0}|."""
-        return len(self.elements(max_elements))
+        return len(self.elements())
 
     # ---- words ----
 
@@ -257,12 +263,12 @@ class CoxeterGroupoid:
                 raise AssertionError("no left descent on a positive-length element")
         return Word(w.source, tuple(letters))
 
-    def all_reduced_words(self, w: Element, cap: int = 1_000_000) -> tuple[Word, ...]:
+    def all_reduced_words(self, w: Element) -> tuple[Word, ...]:
         """Every reduced word for w, by descent recursion; sorted."""
-        letters = self._all_reduced_letters(w, cap)
+        letters = self._all_reduced_letters(w)
         return tuple(Word(w.source, ls) for ls in letters)
 
-    def _all_reduced_letters(self, w: Element, cap: int) -> tuple[tuple[int, ...], ...]:
+    def _all_reduced_letters(self, w: Element) -> tuple[tuple[int, ...], ...]:
         cached = self._reduced_words.get(w)
         if cached is not None:
             return cached
@@ -273,9 +279,9 @@ class CoxeterGroupoid:
             for i in range(1, self.family.rank + 1):
                 if self.left_descent(w, i):
                     rest = self.multiply(self.generator(i, w.target), w)
-                    for tail in self._all_reduced_letters(rest, cap):
+                    for tail in self._all_reduced_letters(rest):
                         acc.append((i,) + tail)
-                        if len(acc) > cap:
+                        if len(acc) > _REDUCED_WORDS_CAP:
                             raise SizeCapExceeded("too many reduced words")
             out = tuple(sorted(acc))
         self._reduced_words[w] = out

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .domains import Domain, Family, UsageError, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
@@ -28,26 +28,13 @@ HeckeScalar = Union[LaurentPoly, Fraction]
 
 class HeckeElement:
     """Finite scalar combination of basis elements f(w), keyed by basis
-    index; immutable."""
+    index; immutable.  It takes ownership of terms, a dict from basis index
+    to nonzero scalar."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[int, HeckeScalar]] = ()):
-        acc: dict[int, HeckeScalar] = {}
-        for w, c in terms:
-            if w in acc:
-                c = acc[w] + c
-            if c:
-                acc[w] = c
-            elif w in acc:
-                del acc[w]
-        self._terms = acc
-
-    @classmethod
-    def _raw(cls, d: dict) -> "HeckeElement":
-        out = cls.__new__(cls)
-        out._terms = d
-        return out
+    def __init__(self, terms: dict[int, HeckeScalar]):
+        self._terms = terms
 
     def items(self):
         return self._terms.items()
@@ -67,15 +54,15 @@ class HeckeElement:
                     del d[w]
             else:
                 d[w] = c
-        return HeckeElement._raw(d)
+        return HeckeElement(d)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "HeckeElement":
         if not c:
-            return HeckeElement._raw({})
-        return HeckeElement._raw({w: x * c for w, x in self._terms.items()})
+            return HeckeElement({})
+        return HeckeElement({w: x * c for w, x in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
@@ -199,7 +186,7 @@ class HeckeAlgebra:
     # ---- basis elements ----
 
     def f(self, w: Element) -> HeckeElement:
-        return HeckeElement._raw({self.index[w]: self.one})
+        return HeckeElement({self.index[w]: self.one})
 
     def e(self, a: Domain) -> HeckeElement:
         return self.f(self.groupoid.identity(a))
@@ -209,7 +196,7 @@ class HeckeAlgebra:
 
     def unit(self) -> HeckeElement:
         """Sum of all idempotents E_a: the unit of the algebra."""
-        return HeckeElement._raw(
+        return HeckeElement(
             {self.index[self.groupoid.identity(a)]: self.one for a in self.groupoid.roots.domains}
         )
 
@@ -267,7 +254,7 @@ class HeckeAlgebra:
             terms = self._lmul(word.letters[k], self._domain[doms[k]], terms.items())
             if not terms:
                 break
-        return HeckeElement._raw(terms)
+        return HeckeElement(terms)
 
     def element_of_word(self, word: Word) -> HeckeElement:
         """The algebra element T_{i1} ... T_{im, base} itself."""
@@ -278,11 +265,11 @@ class HeckeAlgebra:
     def product(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
         """Bilinear product; the left factor is decomposed by canonical words."""
         src = self.tables.src
-        total = HeckeElement._raw({})
+        total = HeckeElement({})
         for u, cu in x.items():
             z = self._project(src[u], y._terms)
             if z:
-                total = total + HeckeElement._raw(self._lmul_basis(u, z)).scaled(cu)
+                total = total + HeckeElement(self._lmul_basis(u, z)).scaled(cu)
         return total
 
     # ---- structure constants ----

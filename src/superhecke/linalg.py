@@ -1,26 +1,21 @@
-"""Exact linear algebra over Q: dense matrix helpers, fraction-free rank,
-incremental echelon forms, nullspaces, coordinates and local minimal
-polynomials.
+"""Exact linear algebra over Q, on integer matrices.
 
-Matrices are lists of lists of Fraction, except where the caller has scaled
-them to integers over a common denominator (IntMatrix: scale_to_int makes
-them, int_mat_mul multiplies and kron tensors them).  mat_mul computes on
-integers too: it scales each factor to integers over one common
-denominator, multiplies with int_mat_mul and divides once per nonzero entry
-of the result, which it returns as Fractions.  There is one elimination
-kernel, IntEchelon: it scales rows to integers and eliminates
-fraction-free, keeping each row gcd-reduced so intermediate growth stays
-bounded (the integer-preserving scheme of Bareiss, 1968).  Integer rows go
-in without scaling.  Rank, nullspaces and coordinates all run through it,
-and _reduced clears each pivot from the other rows on integers; everything
-is exact.
+Every routine here takes and returns integer matrices (IntMatrix); a result
+over Q comes as integers over one common denominator, (L, rows).  Fractions
+cross at three functions only: to_int_matrix and scale_to_int bring a
+Fraction matrix in as integers over a common denominator, and
+from_int_matrix takes integers over a denominator back out.  rank_exact and
+nullspace accept Fraction matrices too, each as one call of the integer
+kernel between those edges.
 
-The splitting oracle's per-piece algebra runs on integers
-(int_local_minimal_polynomial, int_mat_apply_poly, int_nullspace and
-int_coordinates); only the entries of a result become Fractions.  There is
-one span closure, closure: breadth first over words in block generators,
-one IntEchelon per (target, source) pair of domains, keeping the products
-that enlarge their pair's span.
+There is one elimination kernel, IntEchelon: it eliminates fraction-free,
+keeping each row gcd-reduced so intermediate growth stays bounded (the
+integer-preserving scheme of Bareiss, 1968).  Rank, nullspaces, coordinates
+and local minimal polynomials all run through it, and _reduced clears each
+pivot from the other rows on integers; everything is exact.  There is one
+span closure, closure: breadth first over words in block generators, one
+IntEchelon per (target, source) pair of domains, keeping the products that
+enlarge their pair's span.
 """
 
 from __future__ import annotations
@@ -31,25 +26,6 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
-
-_ZERO = Fraction(0)
-
-
-def mat_zeros(r: int, c: int) -> Matrix:
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def mat_identity(n: int) -> Matrix:
-    out = mat_zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    da, ia = to_int_matrix(a)
-    db, ib = to_int_matrix(b)
-    return from_int_matrix(int_mat_mul(ia, ib), da * db)
 
 
 def to_int_matrix(a: Matrix) -> tuple[int, IntMatrix]:
@@ -70,7 +46,8 @@ def scale_to_int(a: Matrix, d: int) -> IntMatrix:
 
 def from_int_matrix(a: IntMatrix, d: int) -> Matrix:
     """The Fraction matrix a / d."""
-    return [[Fraction(x, d) if x else _ZERO for x in row] for row in a]
+    zero = Fraction(0)
+    return [[Fraction(x, d) if x else zero for x in row] for row in a]
 
 
 def int_identity(n: int) -> IntMatrix:
@@ -94,14 +71,6 @@ def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """The Kronecker product: entry (i rb + k, j cb + l) is a[i][j] b[k][l]."""
     return [[x * y for x in arow for y in brow] for arow in a for brow in b]
-
-
-def _scale_to_int(vec: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for x in vec:
-        d = x.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return _primitive([x.numerator * (lcm // x.denominator) for x in vec])
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -138,9 +107,6 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[int]:
-        return self._reduce(_scale_to_int(vec))
-
     def _reduce(self, v: list[int]) -> list[int]:
         """v reduced by every row in insertion order, in place; the result
         is zero exactly when v is in the span."""
@@ -159,14 +125,8 @@ class IntEchelon:
                     v = _primitive(v)
         return v
 
-    def insert(self, vec: Sequence[Fraction]) -> bool:
-        return self._insert(self.reduce(vec))
-
-    def insert_int(self, vec: Sequence[int]) -> bool:
-        """insert() for an integer vector, which needs no scaling."""
-        return self._insert(self._reduce(list(vec)))
-
-    def _insert(self, v: list[int]) -> bool:
+    def insert(self, vec: Sequence[int]) -> bool:
+        v = self._reduce(list(vec))
         for p, x in enumerate(v):
             if x:
                 v = _primitive(v)
@@ -178,8 +138,8 @@ class IntEchelon:
                 return True
         return False
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+    def contains(self, vec: Sequence[int]) -> bool:
+        return not any(self._reduce(list(vec)))
 
 
 def closure(
@@ -201,7 +161,7 @@ def closure(
     echs: dict[tuple[Hashable, Hashable], IntEchelon] = {}
 
     def enlarges(target, source, m: IntMatrix) -> bool:
-        return echs[target, source].insert_int([x for row in m for x in row])
+        return echs[target, source].insert([x for row in m for x in row])
 
     def open_pair(target, source) -> bool:
         return echs.setdefault((target, source), IntEchelon(width)).rank < width
@@ -224,13 +184,17 @@ def closure(
         frontier = nxt
 
 
-def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    ech = IntEchelon(len(rows[0]))
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
+def _echelon(mat: IntMatrix) -> IntEchelon:
+    """One IntEchelon holding every row of an integer matrix."""
+    ech = IntEchelon(len(mat[0]) if mat else 0)
+    for row in mat:
+        ech.insert(row)
+    return ech
+
+
+def rank_exact(rows: Matrix) -> int:
+    """The rank of a Fraction (or integer) matrix."""
+    return _echelon(to_int_matrix(rows)[1]).rank
 
 
 def _reduced(ech: IntEchelon) -> tuple[IntMatrix, list[int]]:
@@ -247,34 +211,32 @@ def _reduced(ech: IntEchelon) -> tuple[IntMatrix, list[int]]:
 
 
 def nullspace(mat: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : mat @ x = 0}."""
-    if not mat:
-        return []
-    return int_nullspace(to_int_matrix(mat)[1])
+    """Basis of the right kernel {x : mat @ x = 0} of a nonempty Fraction
+    matrix: the basis of int_nullspace."""
+    den, rows = int_nullspace(to_int_matrix(mat)[1])
+    return from_int_matrix(rows, den)
 
 
-def int_nullspace(mat: IntMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel of an integer matrix, one vector per free
-    column c: 1 at c, 0 at the other free columns, and -row[c] / row[p] at
-    each pivot p of the reduced integer rows.  Only these entries become
-    Fractions."""
+def int_nullspace(mat: IntMatrix) -> tuple[int, IntMatrix]:
+    """Basis of the right kernel of a nonempty integer matrix, as integer
+    rows over one denominator L, the lcm of the reduced rows' pivot entries:
+    one vector per free column c, L at c, 0 at the other free columns, and
+    -row[c] L / row[p] at each pivot p."""
     cols = len(mat[0])
-    ech = IntEchelon(cols)
-    for row in mat:
-        ech.insert_int(row)
-    rows, pivots = _reduced(ech)
+    rows, pivots = _reduced(_echelon(mat))
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
     pivot_set = set(pivots)
     basis = []
     for fc in range(cols):
         if fc in pivot_set:
             continue
-        vec = [_ZERO] * cols
-        vec[fc] = Fraction(1)
+        vec = [0] * cols
+        vec[fc] = den
         for row, pc in zip(rows, pivots):
             if row[fc]:
-                vec[pc] = Fraction(-row[fc], row[pc])
+                vec[pc] = -row[fc] * (den // row[pc])
         basis.append(vec)
-    return basis
+    return den, basis
 
 
 def int_coordinates(
@@ -297,7 +259,7 @@ def int_coordinates(
     n = len(basis[0]) if k else 0
     ech = IntEchelon(n + k)
     for j, row in enumerate(basis):
-        ech.insert_int([*row, *(int(i == j) for i in range(k))])
+        ech.insert([*row, *(int(i == j) for i in range(k))])
     rows, pivots = _reduced(ech)
     kept = [(row, p) for row, p in zip(rows, pivots) if p < n]
     if not kept:
@@ -315,16 +277,6 @@ def int_coordinates(
         inside = all(x == den * v[c] for x, c in zip(comb, free))
         out.append(comb[len(free):] if inside else None)
     return den, out
-
-
-def solve_coords(basis_rows: Matrix, vec: list[Fraction]) -> list[Fraction] | None:
-    """Coordinates of vec in the row span of basis_rows, or None."""
-    db, basis = to_int_matrix(basis_rows)
-    dv, (v,) = to_int_matrix([vec])
-    den, (coords,) = int_coordinates(basis, [v])
-    if coords is None:
-        return None
-    return [Fraction(x * db, den * dv) for x in coords]
 
 
 def int_mat_apply_poly(mat: IntMatrix, coeffs: Sequence[int]) -> IntMatrix:
@@ -354,7 +306,7 @@ def int_local_minimal_polynomial(mat: IntMatrix, vec: Sequence[int]) -> list[int
     ech = IntEchelon(2 * n + 1)
     cur = list(vec)
     for k in range(n + 1):
-        ech.insert_int(cur + [int(i == k) for i in range(n + 1)])
+        ech.insert(cur + [int(i == k) for i in range(n + 1)])
         if ech.pivots[-1] >= n:
             break  # at the latest at k = n: n + 1 vectors in dimension n
         cur = [sum(x * y for x, y in zip(row, cur) if y) for row in mat]

@@ -24,7 +24,7 @@ from .domains import (
     domain_str,
     enumerate_domains,
 )
-from .linalg import rank_exact, solve_coords
+from .linalg import int_coordinates, rank_exact
 
 Root = tuple[int, ...]
 SignedPerm = tuple[int, ...]  # smap[j] = +-(k+1): epsilon_j -> sign * epsilon_k (0-based j, k)
@@ -123,15 +123,11 @@ class RootSystem:
         self.domains = enumerate_domains(family)
         self.rank = family.rank
         self.dim = family.space_dim
+        # the root data is built on first use, so a run the element cap
+        # declines builds none of it
         self._simple: dict[tuple[int, Domain], Root] = {}
         self._reflection: dict[tuple[int, Domain], SignedPerm] = {}
-        self._positive: dict[Domain, frozenset[Root]] = {}
-        for a in self.domains:
-            self._positive[a] = frozenset(self._build_positive(a))
-            for i in range(1, self.rank + 1):
-                alpha = self._build_simple(i, a)
-                self._simple[(i, a)] = alpha
-                self._reflection[(i, a)] = reflection_for_root(alpha, self.dim)
+        self._positive: dict[Domain | None, frozenset[Root]] = {}
         self._coxeter: dict[tuple[int, int, Domain], int] = {}
 
     # ---- construction ----
@@ -204,13 +200,24 @@ class RootSystem:
     # ---- queries ----
 
     def simple_root(self, i: int, a: Domain) -> Root:
-        return self._simple[(i, a)]
+        alpha = self._simple.get((i, a))
+        if alpha is None:
+            alpha = self._simple[i, a] = self._build_simple(i, a)
+        return alpha
 
     def reflection(self, i: int, a: Domain) -> SignedPerm:
-        return self._reflection[(i, a)]
+        sig = self._reflection.get((i, a))
+        if sig is None:
+            sig = self._reflection[i, a] = reflection_for_root(self.simple_root(i, a), self.dim)
+        return sig
 
     def positive_roots(self, a: Domain) -> frozenset[Root]:
-        return self._positive[a]
+        # in families A and B every domain has the same positive roots
+        key = a if self.family.kind == "CD" else None
+        pos = self._positive.get(key)
+        if pos is None:
+            pos = self._positive[key] = frozenset(self._build_positive(a))
+        return pos
 
     def coxeter_entry(self, i: int, j: int, a: Domain) -> int:
         """|(N0 alpha_i + N0 alpha_j) cap R_a|, counted over the finite set R_a."""
@@ -220,7 +227,7 @@ class RootSystem:
         cached = self._coxeter.get(key)
         if cached is not None:
             return cached
-        ai, aj = self._simple[(i, a)], self._simple[(j, a)]
+        ai, aj = self.simple_root(i, a), self.simple_root(j, a)
         # coordinates in (alpha_i, alpha_j) by Cramer's rule on a nonzero 2 x 2
         # minor (simple roots are independent), then checked on every entry
         r, s = next(
@@ -231,7 +238,7 @@ class RootSystem:
         )
         det = ai[r] * aj[s] - ai[s] * aj[r]
         count = 0
-        for pos in self._positive[a]:
+        for pos in self.positive_roots(a):
             for beta in (pos, tuple(-c for c in pos)):
                 c1, x = divmod(beta[r] * aj[s] - beta[s] * aj[r], det)
                 c2, y = divmod(ai[r] * beta[s] - ai[s] * beta[r], det)
@@ -281,15 +288,14 @@ class RootSystem:
             fail(1, "action is not transitive on the domain set")
 
         for a in self.domains:
-            pos = self._positive[a]
-            pi = [self._simple[(i, a)] for i in range(1, self.rank + 1)]
+            pos = self.positive_roots(a)
+            pi = [self.simple_root(i, a) for i in range(1, self.rank + 1)]
             # (2) simple roots lie in R+_a and form a basis of V0
             for i, alpha in enumerate(pi, start=1):
                 if alpha not in pos and tuple(-c for c in alpha) not in pos:
                     fail(2, f"alpha_{i} not in R_a at a={domain_str(a)}")
-            rows = [[Fraction(c) for c in alpha] for alpha in pi]
             expected_rank = self.rank if fam.kind != "A" else self.dim - 1
-            if rank_exact(rows) != expected_rank:
+            if rank_exact(pi) != expected_rank:
                 fail(2, f"simple roots not independent at a={domain_str(a)}")
             # (3) every positive root is a nonnegative integer combination of pi
             for beta in pos:
@@ -305,16 +311,16 @@ class RootSystem:
                         fail(4, f"extra multiple {beta} of alpha_{i} at a={domain_str(a)}")
             for i in range(1, self.rank + 1):
                 b = act(fam, i, a)
-                sig = self._reflection[(i, a)]
+                sig = self.reflection(i, a)
                 # (5) sigma maps R_a onto R_b, negates alpha_i, shifts the others
                 image = {sp_apply(sig, beta) for beta in pos}
-                target = set(self._positive[b]) | {
-                    tuple(-c for c in beta) for beta in self._positive[b]
+                target = set(self.positive_roots(b)) | {
+                    tuple(-c for c in beta) for beta in self.positive_roots(b)
                 }
                 if not image <= target or len(image) != len(pos):
                     fail(5, f"sigma_{i} does not map R_a to R_b at a={domain_str(a)}")
-                alpha_ia = self._simple[(i, a)]
-                alpha_ib = self._simple[(i, b)]
+                alpha_ia = self.simple_root(i, a)
+                alpha_ib = self.simple_root(i, b)
                 if sp_apply(sig, alpha_ia) != tuple(-c for c in alpha_ib):
                     fail(
                         5,
@@ -323,9 +329,9 @@ class RootSystem:
                 for j in range(1, self.rank + 1):
                     if j == i:
                         continue
-                    img = sp_apply(sig, self._simple[(j, a)])
+                    img = sp_apply(sig, self.simple_root(j, a))
                     diff = tuple(
-                        x - y for x, y in zip(img, self._simple[(j, b)])
+                        x - y for x, y in zip(img, self.simple_root(j, b))
                     )
                     r = _ratio(diff, alpha_ib)
                     if r is None or r.denominator != 1 or r < 0:
@@ -335,7 +341,7 @@ class RootSystem:
                             f"at a={domain_str(a)}",
                         )
                 # (6) sigma_{i, i>a} sigma_{i, a} = id
-                sig_back = self._reflection[(i, b)]
+                sig_back = self.reflection(i, b)
                 if sp_compose(sig_back, sig) != sp_identity(self.dim):
                     fail(6, f"sigma_{i} not involutive across a={domain_str(a)}")
                 # (7) theta divides the coxeter entry
@@ -353,10 +359,11 @@ class RootSystem:
         return AxiomReport(fam, not failures, failures)
 
     def _in_nonneg_cone(self, beta: Root, pi: list[Root]) -> bool:
-        coeffs = solve_coords(pi, beta)
-        if coeffs is None:
-            return False
-        return all(c.denominator == 1 and c >= 0 for c in coeffs)
+        """Whether beta = sum c_j pi_j with integers c_j >= 0: its
+        coordinates over their denominator L must be multiples of L, and
+        nonnegative."""
+        den, (coeffs,) = int_coordinates(pi, [beta])
+        return coeffs is not None and all(c >= 0 and c % den == 0 for c in coeffs)
 
     # ---- Dynkin diagrams ----
 

@@ -1,12 +1,13 @@
 """Exact scalar arithmetic: rationals and Laurent polynomials in q.
 
-Two scalar modes run through the whole package.  "poly" mode computes over the
-Laurent polynomial ring Z[q, q^-1]; it is used wherever no division occurs
-(groupoid data, Hecke structure constants).  "eval" mode computes over Q at a
-fixed rational q0 (default 2); it is used for representation matrices and rank
-computations, which need a field.  Nothing computes in the fraction field
-Q(q): specializing q can only lower a rank, so full rank at one q0 already
-proves full rank over Q(q).
+Two scalar modes run through the Hecke algebra.  "poly" mode computes over
+the Laurent polynomial ring Z[q, q^-1]; it is used wherever no division
+occurs (groupoid data, Hecke structure constants).  "eval" mode computes
+over Q at a fixed rational q0 (default 2); it serves only `verify` and
+`structconst` with `--scalar eval`.  The representations work at a rational
+q0 of their own, on integer matrices (see linalg).  Nothing computes in the
+fraction field Q(q): specializing q can only lower a rank, so full rank at
+one q0 already proves full rank over Q(q).
 
 All values are immutable after construction and safe to share between threads.
 Division by zero raises ZeroDivisionError.

@@ -189,7 +189,7 @@ def require_semisimple(family: Family, q0: Fraction) -> None:
     """Raise UsageError unless q0 P_left(q0) P_right(q0) != 0, the condition
     under which the box tensors are built and the isomorphism can hold."""
     lt, rt = factor_types(family)
-    if q0 == 0 or not is_semisimple(lt, q0) or not is_semisimple(rt, q0):
+    if not is_semisimple(lt, q0) or not is_semisimple(rt, q0):
         raise UsageError(
             f"q0 = {q0} violates q P_left(q) P_right(q) != 0 for {family.name()}"
         )
@@ -333,7 +333,7 @@ def _basis_rank(bm: BigMap, G: CoxeterGroupoid) -> int:
         cur[k] = images
         ech = groups.setdefault((T.tgt[k], T.src[k]), IntEchelon(width))
         if ech.rank < width:
-            ech.insert_int([x for m in images for row in m for x in row])
+            ech.insert([x for m in images for row in m for x in row])
     return sum(ech.rank for ech in groups.values())
 
 

@@ -11,14 +11,19 @@ polynomial kernels of random left multiplications, with the minimal
 polynomial factored over Q by factor.factor_list; the two routes are
 compared up to equivalence in the test-suite.
 
-Products of generator words, in the oracle and in trace vectors, are taken on
-integer matrices: each generator is scaled once by the common denominator D of
-its family, so a word of length l gives D^l times its true product, and only
-the result, a trace or an entry of a restricted matrix, is divided back.  The
-oracle's word basis, its Burnside test and its spin-up are one span closure,
-linalg.closure, over the products of generator words.  The random element,
-its local minimal polynomial, the factors applied to it, their kernels and
-every restriction to a subspace are integer computations in linalg.
+Products of generator words, in the oracle, in trace vectors, in the type-D
+generator and in the relation checks, are taken on integer matrices: each
+generator is scaled once by the common denominator D of its family, so a
+word of length l gives D^l times its true product, and only the result, a
+trace or an entry of a generator or of a restricted matrix, is divided back.
+The oracle's word basis, its Burnside test and its spin-up are one span
+closure, linalg.closure, over the products of generator words.  The random
+element, its local minimal polynomial, the factors applied to it, their
+kernels, every subspace basis and restriction to it, and the multiplicities
+are integer computations in linalg.  A subspace basis is kept as integer
+rows, each vector times one factor common to the whole basis: that factor
+changes no restricted matrix and no spun-up span, where a factor per vector
+would conjugate the matrices.
 
 Inside a piece the oracle handles each irreducible once: a random vector in
 the span of the irreducibles already found there is passed over, without a
@@ -50,10 +55,7 @@ from .linalg import (
     int_mat_apply_poly,
     int_mat_mul,
     int_nullspace,
-    mat_identity,
-    mat_mul,
     scale_to_int,
-    solve_coords,
     to_int_matrix,
 )
 from .tableaux import (
@@ -216,8 +218,9 @@ def _type_d_gens(pair, q0: Fraction) -> tuple[int, tuple[Matrix, ...]]:
     n = sum(pair[0]) + sum(pair[1])
     dim, special_first = _type_b_seminormal(pair, Fraction(1), q0)
     b = _special_last_order(special_first)  # B_n generators T_1..T_n at Q = 1
-    u = b[n - 1]
-    dn = mat_mul(mat_mul(u, b[n - 2]), u)
+    # the last generator u b_(n-1) u, on the scaled generators d u and d b_(n-1)
+    d, (u, v) = _scaled_generators([b[n - 1], b[n - 2]])
+    dn = from_int_matrix(int_mat_mul(int_mat_mul(u, v), u), d**3)
     return dim, tuple(list(b[: n - 1]) + [dn])
 
 
@@ -265,26 +268,25 @@ def _split_in_two(pair, gens: Sequence[Matrix]):
     for s in (-1, 1):
         # J - s I: 1 at column J r of row r, and -s at column r
         rows = [[int(c == swap[r]) - s * int(c == r) for c in range(d)] for r in range(d)]
-        halves.append(_restrict(scaled, int_nullspace(rows)))
+        halves.append(_restrict(scaled, int_nullspace(rows)[1]))
     return halves
 
 
-def _restrict(scaled: tuple[int, list[IntMatrix]], basis: list[list[Fraction]]):
+def _restrict(scaled: tuple[int, list[IntMatrix]], rows: IntMatrix):
     """Restrict operators to the column span of the given basis vectors,
     written in that basis: column j of a generator's matrix holds the
     coordinates of its image of b_j.
 
     The operators g come as _scaled_generators gives them, (D, [G = D g]),
-    and the basis goes to integers too, as the rows B of the basis times
-    their common denominator.  The columns of G B^T are then the images
-    D g b_j in the scale of B, and linalg.int_coordinates reads their
-    coordinates in the rows of B over one denominator L, so each entry is an
-    integer over L D.  The same call checks exactly, on integers, that every
-    image lies in the span; a span that is not invariant raises
-    RuntimeError."""
-    k = len(basis)
+    and the basis as integer rows B, the basis vectors times one common
+    positive factor, which changes no coordinate.  The columns of G B^T are
+    then the images D g b_j in the scale of B, and linalg.int_coordinates
+    reads their coordinates in the rows of B over one denominator L, so each
+    entry is an integer over L D.  The same call checks exactly, on
+    integers, that every image lies in the span; a span that is not
+    invariant raises RuntimeError."""
+    k = len(rows)
     d, ints = scaled
-    _, rows = to_int_matrix(basis)
     cols = [list(col) for col in zip(*rows)]
     images = [list(col) for g in ints for col in zip(*int_mat_mul(g, cols))]
     den, coords = int_coordinates(rows, images)
@@ -301,28 +303,25 @@ def _restrict(scaled: tuple[int, list[IntMatrix]], basis: list[list[Fraction]]):
 
 
 def verify_irrep_relations(wt: WeylType, rep: Irrep) -> bool:
-    """Quadratic plus braid relations, matrix-exactly."""
-    q0 = rep.q0
-    n = rep.dim
-    ident = mat_identity(n)
-    for g in rep.gens:
-        lhs = mat_mul(g, g)
+    """Quadratic plus braid relations, matrix-exactly, on the integer
+    generators t = D g of _scaled_generators.  With q0 = a / b the quadratic
+    relation reads b t^2 = (a - b) D t + a D^2 I; both sides of a braid
+    relation carry D^m."""
+    a, b = rep.q0.numerator, rep.q0.denominator
+    d, ts = _scaled_generators(rep.gens)
+    for t in ts:
         rhs = [
-            [
-                (q0 - 1) * g[i][j] + (q0 if i == j else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
+            [(a - b) * d * x + (a * d * d if r == c else 0) for c, x in enumerate(row)]
+            for r, row in enumerate(t)
         ]
-        if lhs != rhs:
+        if [[b * x for x in row] for row in int_mat_mul(t, t)] != rhs:
             return False
-    cm = coxeter_matrix(wt)
-    for (i, j), m in cm.items():
-        a, b = rep.gens[i - 1], rep.gens[j - 1]
-        x, y = ident, ident
-        for t in range(m):
-            x = mat_mul(x, a if t % 2 == 0 else b)
-            y = mat_mul(y, b if t % 2 == 0 else a)
+    for (i, j), m in coxeter_matrix(wt).items():
+        ti, tj = ts[i - 1], ts[j - 1]
+        x = y = int_identity(rep.dim)
+        for k in range(m):
+            x = int_mat_mul(x, ti if k % 2 == 0 else tj)
+            y = int_mat_mul(y, tj if k % 2 == 0 else ti)
         if x != y:
             return False
     return True
@@ -402,7 +401,6 @@ def split_regular_module(
     right_mults: Sequence[Matrix],
     q0: Fraction,
     seed: int = 0,
-    max_retries: int = 8,
 ) -> list[SplitComponent]:
     """Decompose the right regular module into irreducibles.
 
@@ -416,7 +414,7 @@ def split_regular_module(
     not depend on the random element: they are computed once per call and
     shared by every attempt, and so are the generators scaled to integers.
     Each retry's reason is logged at DEBUG on the "superhecke" logger.
-    Raises SplittingBudgetExceeded when max_retries random elements all
+    Raises SplittingBudgetExceeded when _MAX_RETRIES random elements all
     fail.
     """
     q0 = Fraction(q0)
@@ -432,14 +430,14 @@ def split_regular_module(
     left, right = _scaled_generators(left_mults), _scaled_generators(right_mults)
     rng = random.Random(seed)
     last_error: Exception | None = None
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, _MAX_RETRIES + 1):
         try:
             return _split_once(left, right, q0, rng, dim, words, reg_trace)
         except _RetrySplit as exc:
             log.debug("splitting oracle: attempt %d retries: %s", attempt, exc)
             last_error = exc
     raise SplittingBudgetExceeded(
-        f"the splitting oracle gave up after {max_retries} random elements "
+        f"the splitting oracle gave up after {_MAX_RETRIES} random elements "
         f"(the last: {last_error})"
     )
 
@@ -452,6 +450,7 @@ class _RetrySplit(RuntimeError):
     pass
 
 
+_MAX_RETRIES = 8  # random elements the oracle tries before it gives up
 _MAX_WORD = 3  # the longest word in a random left element
 
 
@@ -520,14 +519,14 @@ def _split_once(left, right, q0, rng, dim, words, reg_trace) -> list[SplitCompon
     m, den = _random_left_element(left, rng, dim)
     probe = [rng.randint(-9, 9) for _ in range(dim)]
     rel = int_local_minimal_polynomial(m, probe)
-    pieces: list[list[list[Fraction]]] = []
+    pieces: list[IntMatrix] = []
     for h, mult in factor_list([c * den**k for k, c in enumerate(rel)]):
         deg = len(h) - 1
         g = int_mat_apply_poly(m, [c * den ** (deg - k) for k, c in enumerate(h)])
         power = g
         for _ in range(mult - 1):
             power = int_mat_mul(power, g)
-        kernel = int_nullspace(power)
+        _, kernel = int_nullspace(power)
         if kernel:
             pieces.append(kernel)
     if sum(len(p) for p in pieces) != dim:
@@ -544,13 +543,14 @@ def _split_once(left, right, q0, rng, dim, words, reg_trace) -> list[SplitCompon
             "extracted classes are incomplete "
             f"(sum of squares {sum(r.dim ** 2 for r in classes.values())} != {dim})"
         )
-    # multiplicities from the exact character system against the regular trace
+    # multiplicities from the exact character system against the regular
+    # trace, all over one denominator
     keys = sorted(classes)
-    char_rows = [list(key[1]) for key in keys]
-    mults = solve_coords(char_rows, reg_trace)
-    if mults is None or any(c.denominator != 1 or c <= 0 for c in mults):
+    _, (*chars, reg) = to_int_matrix([list(key[1]) for key in keys] + [reg_trace])
+    den, (mults,) = int_coordinates(chars, [reg])
+    if mults is None or any(c % den or c <= 0 for c in mults):
         raise _RetrySplit("character system has no positive integer solution")
-    comps = [SplitComponent(classes[key], int(mult)) for key, mult in zip(keys, mults)]
+    comps = [SplitComponent(classes[key], mult // den) for key, mult in zip(keys, mults)]
     if sum(c.irrep.dim * c.multiplicity for c in comps) != dim:
         raise _RetrySplit("component dimensions do not add up")
     comps.sort(key=lambda c: (c.irrep.dim, c.multiplicity))
@@ -589,7 +589,7 @@ def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
         if not k:
             return []
         # with no generators, any line is an irreducible submodule
-        return [([[Fraction(int(i == 0)) for i in range(k)]], Irrep(("piece",), 1, q0, ()))]
+        return [([[int(i == 0) for i in range(k)]], Irrep(("piece",), 1, q0, ()))]
     d, gens = scaled = _scaled_generators(restricted)
     # each slice's basis, and so each random vector, is taken on integers,
     # times one constant per slice: the spin-up's span and the matrices
@@ -602,9 +602,9 @@ def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
                 [ev.denominator * x - (d * ev.numerator if i == j else 0) for j, x in enumerate(row)]
                 for i, row in enumerate(g)
             ]
-            sl = int_nullspace(shifted)
+            _, sl = int_nullspace(shifted)
             if sl:
-                slices.append(to_int_matrix(sl)[1])
+                slices.append(sl)
     slices.sort(key=len)
     slices.append([[rng.randint(-3, 3) for _ in range(k)] for _ in range(3)])
     found: list[tuple[list, Irrep]] = []
@@ -616,7 +616,7 @@ def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
             if not any(v):
                 continue
             if not span.contains(v):
-                sub = _spin_up(v, scaled)
+                _, sub = _spin_up(v, scaled)
                 subdim, subgens = _restrict(scaled, sub)
                 if _is_irreducible_split(subgens, subdim):
                     found.append((sub, Irrep(("piece",), subdim, q0, subgens)))
@@ -628,18 +628,19 @@ def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
     return found
 
 
-def _spin_up(v, scaled) -> list[list[Fraction]]:
-    """Smallest submodule containing v, as an explicit basis: v, then each
-    image of a basis vector under a generator that enlarges the span, found
-    by linalg.closure on v as a column.
+def _spin_up(v: Sequence[int], scaled) -> tuple[int, IntMatrix]:
+    """Smallest submodule containing the integer vector v, as an explicit
+    basis: v, then each image of a basis vector under a generator that
+    enlarges the span, found by linalg.closure on v as a column.
 
-    The vector is kept as integers over its denominator dv, and the
-    generators come scaled by theirs, scaled = (D, [D g]), so the image under
-    a word of length l is one integer column over dv D^l."""
+    The generators come scaled by their denominator, scaled = (D, [D g]), so
+    the image under a word of length l is one integer column over D^l.  The
+    basis is returned as integer rows over one denominator, D^l for the
+    longest word: every row is its vector times that same factor."""
     d, gens = scaled
-    dv, (ints,) = to_int_matrix([v])
-    found = closure([(0, [[x] for x in ints])], _one_domain(gens), len(v))
-    return [[Fraction(x, dv * d ** len(w)) for (x,) in col] for w, _, _, col in found]
+    found = list(closure([(0, [[x] for x in v])], _one_domain(gens), len(v)))
+    top = len(found[-1][0])
+    return d**top, [[x * d ** (top - len(w)) for (x,) in col] for w, _, _, col in found]
 
 
 def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitComponent]:

@@ -2,13 +2,14 @@
 
 The program never calls these.  Each recomputes something the program
 builds another way (a Poincare polynomial by enumeration, a braid-move
-closure, standard tableaux by their own recursion) or makes a deliberately
-broken input for a checker.
+closure, standard tableaux by their own recursion, a matrix product over
+Fraction) or makes a deliberately broken input for a checker.
 """
 
 from __future__ import annotations
 
 import copy
+from fractions import Fraction
 
 from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Word
 from superhecke.roots import RootSystem, reflection_for_root
@@ -22,6 +23,16 @@ def perm_one_based(t: tuple[int, ...]) -> list[int]:
 
 def inversions(t: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(t)) for j in range(i + 1, len(t)) if t[i] > t[j])
+
+
+def mat_mul(a, b):
+    """The schoolbook product of two matrices of integers or Fractions, as
+    Fractions."""
+    m = len(b[0]) if b else 0
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(m)]
+        for i in range(len(a))
+    ]
 
 
 def laurent_from_json(data) -> LaurentPoly:
@@ -84,14 +95,18 @@ def braid_reaches_repeat(G: CoxeterGroupoid, word: Word, cap: int = 200_000) -> 
     return False
 
 
-def mutated_negated_alpha(rs: RootSystem, i: int, a) -> RootSystem:
-    """A copy of rs with alpha_{i,a} and its reflection negated, for the
-    axiom checker to reject."""
+def mutated_alpha(rs: RootSystem, i: int, a, root) -> RootSystem:
+    """A copy of rs with alpha_{i,a} replaced by root and its reflection by
+    root's, for the axiom checker to reject."""
     other = copy.copy(rs)
     other._simple = dict(rs._simple)
     other._reflection = dict(rs._reflection)
     other._coxeter = {}
-    neg = tuple(-c for c in rs._simple[(i, a)])
-    other._simple[(i, a)] = neg
-    other._reflection[(i, a)] = reflection_for_root(neg, rs.dim)
+    other._simple[(i, a)] = root
+    other._reflection[(i, a)] = reflection_for_root(root, rs.dim)
     return other
+
+
+def mutated_negated_alpha(rs: RootSystem, i: int, a) -> RootSystem:
+    """A copy of rs with alpha_{i,a} and its reflection negated."""
+    return mutated_alpha(rs, i, a, tuple(-c for c in rs.simple_root(i, a)))

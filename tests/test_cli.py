@@ -209,6 +209,40 @@ def test_max_elements_caps_every_family_command(command):
     assert proc.stderr == "error: more than 10 elements\n"
 
 
+def test_max_elements_above_the_default_lifts_the_cap(monkeypatch, uncached, capsys):
+    # the default cap lowered to 100 in this process, below A(1,1)'s 144
+    # elements, together with any cap the groupoid applies by default: a
+    # --max-elements of 200 must hold for the whole run, and without the
+    # option the lowered default still refuses the family
+    from superhecke import cli, groupoid
+
+    monkeypatch.setattr(cli, "MAX_ELEMENTS", 100)
+    for name in ("elements", "tables", "order"):
+        fn = getattr(groupoid.CoxeterGroupoid, name)
+        if fn.__defaults__ and isinstance(fn.__defaults__[-1], int):
+            monkeypatch.setattr(fn, "__defaults__", (100,))
+    fam = ["--family", "A", "--m", "1", "--n", "1"]
+    for command in ("verify", "structconst", "reps", "verify-all"):
+        assert cli.main([command, *fam, "--max-elements", "200"]) == 0, command
+    capsys.readouterr()
+    assert cli.main(["verify", *fam]) == 2
+    assert capsys.readouterr() == ("", "error: more than 100 elements\n")
+
+
+def test_more_domains_than_the_cap_are_declined_before_any_root(monkeypatch, capsys):
+    # A(7,7) has 12 870 domains, each with its identity element: past a cap
+    # of 10 it is refused before any simple or positive root is built
+    from superhecke import cli
+    from superhecke.roots import RootSystem
+
+    built = []
+    for name in ("_build_positive", "_build_simple"):
+        monkeypatch.setattr(RootSystem, name, lambda *args, name=name: built.append(name))
+    assert cli.main(["dim", "--family", "A", "--m", "7", "--n", "7", "--max-elements", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: more than 10 elements\n")
+    assert built == []
+
+
 FAMILY = ["--family", "A", "--m", "1", "--n", "1"]
 # the subcommands that read --q or --max-elements, with their required options
 READERS = {
@@ -487,6 +521,19 @@ def test_an_internal_value_error_is_not_a_usage_error(monkeypatch):
     with pytest.raises(ValueError, match="boom") as exc:
         cli.main(["reps", *A11])
     assert type(exc.value) is ValueError
+
+
+def test_verify_all_lets_an_internal_fault_through(monkeypatch):
+    # a ValueError from the isomorphism check is a fault of the program, not
+    # a FAIL line: it leaves cli.main with its traceback
+    from superhecke import cli
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "verify_isomorphism", boom)
+    with pytest.raises(ValueError, match="boom"):
+        cli.main(["verify-all", *A11])
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
-"""The one elimination kernel: nullspace, int_coordinates and
-solve_coords on IntEchelon; the matrix helpers that compute on integers
-against schoolbook references; the span closure against the brute-force rank
-of all word products."""
+"""The one elimination kernel: nullspace and int_coordinates on
+IntEchelon; the integer matrix helpers against schoolbook references; the
+span closure against the brute-force rank of all word products."""
 
 import math
 from fractions import Fraction
@@ -12,16 +11,18 @@ from hypothesis import strategies as st
 from superhecke.linalg import (
     IntEchelon,
     closure,
+    from_int_matrix,
     int_coordinates,
     int_local_minimal_polynomial,
     int_mat_apply_poly,
     int_mat_mul,
     int_nullspace,
-    mat_mul,
     nullspace,
     rank_exact,
-    solve_coords,
+    to_int_matrix,
 )
+
+from helpers import mat_mul
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
@@ -61,20 +62,6 @@ def test_nullspace_annihilated_and_rank_nullity(mat):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
-def test_solve_coords_reconstructs_or_rejects(mat, data):
-    vec = _vector_for(mat, data)
-    coords = solve_coords(mat, vec)
-    if coords is None:
-        assert rank_exact(mat + [vec]) == rank_exact(mat) + 1
-    else:
-        assert len(coords) == len(mat)
-        recon = [sum((c * r[j] for c, r in zip(coords, mat)), Fraction(0)) for j in range(len(vec))]
-        assert recon == vec
-        assert rank_exact(mat + [vec]) == rank_exact(mat)
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
 def test_int_coordinates_reconstruct_or_reject(mat, data):
     # integer rows, possibly dependent; several vectors share one denominator
     basis = [[x.numerator for x in row] for row in mat]
@@ -102,19 +89,21 @@ def test_int_coordinates_of_an_empty_or_zero_basis():
 @given(matrices(), st.integers(1, 30))
 def test_int_nullspace_is_the_nullspace_of_the_scaled_matrix(mat, scale):
     lcm = math.lcm(scale, *(x.denominator for row in mat for x in row))
-    assert int_nullspace([[int(x * lcm) for x in row] for row in mat]) == nullspace(mat)
+    den, rows = int_nullspace([[int(x * lcm) for x in row] for row in mat])
+    assert from_int_matrix(rows, den) == nullspace(mat)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.integers(1, 30))
 def test_integer_rows_span_like_their_fractions(mat, scale):
-    # insert_int on integer multiples of the rows gives the same echelon
-    # decisions, rank and membership as insert on the rows themselves
+    # insert on integer multiples of the rows, all by one factor, gives the
+    # same echelon decisions, rank and membership as insert on each row over
+    # its own denominator
     lcm = math.lcm(scale, *(x.denominator for row in mat for x in row))
     exact, ints = IntEchelon(len(mat[0])), IntEchelon(len(mat[0]))
     for row in mat:
         as_ints = [int(x * lcm) for x in row]
-        assert ints.insert_int(as_ints) == exact.insert(row)
+        assert ints.insert(as_ints) == exact.insert(to_int_matrix([row])[1][0])
         assert as_ints == [int(x * lcm) for x in row]  # the input is not modified
     assert ints.rank == exact.rank == rank_exact(mat)
     assert ints.rows == exact.rows
@@ -132,37 +121,6 @@ def test_int_mat_mul_is_mat_mul(mat, data):
     assert int_mat_mul(ints, other) == expect
 
 
-# entries with many zeros and mixed denominators
-sparse_rationals = st.one_of(st.just(Fraction(0)), rationals, st.builds(Fraction, st.integers(-50, 50), st.integers(1, 36)))
-
-
-def _matrix(rows, cols):
-    return st.lists(st.lists(sparse_rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
-
-
-def schoolbook_mul(a, b):
-    m = len(b[0]) if b else 0
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(m)]
-        for i in range(len(a))
-    ]
-
-
-def _all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
-def test_mat_mul_is_schoolbook(n, k, m, data):
-    # rectangular and empty shapes; b has k rows, so a k = 0 product is n x 0
-    a = data.draw(_matrix(n, k))
-    b = data.draw(_matrix(k, m))
-    out = mat_mul(a, b)
-    assert out == schoolbook_mul(a, b)
-    assert _all_fractions(out)
-
-
 sparse_integers = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**6, 10**6))
 
 
@@ -178,7 +136,7 @@ def test_int_mat_apply_poly_is_schoolbook(n, coeffs, data):
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for c in coeffs:
         expect = [[e + c * p for e, p in zip(er, pr)] for er, pr in zip(expect, power)]
-        power = schoolbook_mul(power, a)
+        power = mat_mul(power, a)
     out = int_mat_apply_poly(a, coeffs)
     assert out == expect
     assert all(type(x) is int for row in out for x in row)
@@ -216,10 +174,6 @@ def _schoolbook_rank(vectors) -> int:
     return rank
 
 
-def _schoolbook_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 @st.composite
 def block_generators(draw):
     """One or two domains, d x d integer blocks with d <= 2, one or two
@@ -248,7 +202,7 @@ def test_closure_counts_the_rank_of_all_word_products(case):
         dom, m = source, seed_of[source]
         for i in word:
             dom, t = gens[i][dom]
-            m = _schoolbook_mul(t, m)
+            m = mat_mul(t, m)
         assert (target, prod) == (dom, m)
     # brute force: all words up to the length by which every source's span
     # (of dimension <= |domains| d^2) must have stopped growing, with equal
@@ -260,7 +214,7 @@ def test_closure_counts_the_rank_of_all_word_products(case):
             for b, m in layer:
                 products.setdefault((b, a), []).append([x for row in m for x in row])
             layer = {
-                (gens[i][b][0], tuple(map(tuple, _schoolbook_mul(gens[i][b][1], m))))
+                (gens[i][b][0], tuple(map(tuple, mat_mul(gens[i][b][1], m))))
                 for b, m in layer
                 for i in gens
             }

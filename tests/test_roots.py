@@ -1,6 +1,8 @@
 """Root systems: simple roots, Coxeter entries, theta, axioms, diagrams."""
 
-from superhecke.domains import CDDomain, Family, act
+import hashlib
+
+from superhecke.domains import CDDomain, Family, act, domain_str
 from superhecke.roots import (
     dynkin_dot,
     dynkin_json,
@@ -9,7 +11,7 @@ from superhecke.roots import (
     sp_identity,
 )
 
-from helpers import mutated_negated_alpha
+from helpers import mutated_alpha, mutated_negated_alpha
 
 DESK = [
     Family("A", 1, 1),
@@ -174,3 +176,38 @@ def test_dot_and_json_serialization():
     data = dynkin_json(Family("CD", 1, 1))
     assert data["schema_version"] == 1
     assert len(data["diagrams"]) == 3
+
+
+def _mutated_systems(fam):
+    """Broken copies of the family's root system, each with a name: every
+    simple root negated, or scaled by 2, -1 or 3, one at a time, and, at
+    rank 3 and more, the third simple root made the sum of the first two at
+    the first domain, so that the simple roots are dependent.  (Two equal
+    simple roots would be dependent too, but the Coxeter entry of axiom (7)
+    cannot count over a pair of equal roots.)"""
+    rs = root_system(fam)
+    for a in rs.domains:
+        for i in range(1, fam.rank + 1):
+            where = f"i={i} a={domain_str(a)}"
+            yield f"negated {where}", mutated_negated_alpha(rs, i, a)
+            for c in (2, -1, 3):
+                scaled = tuple(c * x for x in rs.simple_root(i, a))
+                yield f"scaled by {c} {where}", mutated_alpha(rs, i, a, scaled)
+    if fam.rank >= 3:
+        a = rs.domains[0]
+        total = tuple(x + y for x, y in zip(rs.simple_root(1, a), rs.simple_root(2, a)))
+        yield "alpha_3 = alpha_1 + alpha_2", mutated_alpha(rs, 3, a, total)
+
+
+def test_axiom_failure_descriptions_are_pinned():
+    # every failure line of every broken system, in the order the checker
+    # reports it, recorded while axioms (2) and (3) still solved over Fraction
+    lines = []
+    for fam in [Family("A", 1, 1), Family("B", 1, 1), Family("CD", 1, 1), Family("CD", 2, 1)]:
+        for name, rs in _mutated_systems(fam):
+            report = rs.check_axioms()
+            assert not report.passed, (fam, name)
+            lines += [f"{fam.name()} {name}: ({f.axiom}) {f.description}" for f in report.failures]
+    assert any(line.endswith("simple roots not independent at a=(0,0,1,1)") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "88d47620c16e24799a7f655658277b01bee1817ef1640be1c6c79d209de2f3e9"

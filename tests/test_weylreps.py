@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from superhecke import weylreps
 from superhecke.linalg import (
     IntEchelon,
+    from_int_matrix,
     int_identity,
     int_mat_mul,
-    mat_mul,
-    nullspace,
+    int_nullspace,
     rank_exact,
     scale_to_int,
+    to_int_matrix,
 )
 from superhecke.scalars import LaurentPoly
 from superhecke.tableaux import (
@@ -44,7 +45,7 @@ from superhecke.weylreps import (
     words_up_to,
 )
 
-from helpers import poincare_enum, standard_tableaux
+from helpers import mat_mul, poincare_enum, standard_tableaux
 
 Q = LaurentPoly.q()
 
@@ -312,12 +313,13 @@ def test_oracle_burnside_tests_on_s4(monkeypatch):
 
 def _s3_lines():
     """The trivial and the sign line of the right regular module of H_q(S_3)
-    at q0 = 2: the common eigenvectors of the generators for q0 and -1."""
+    at q0 = 2, as integer rows: the common eigenvectors of the generators
+    for q0 and -1."""
     rights = S3_RIGHT[Fraction(2)]
     lines = []
     for ev in (Fraction(2), Fraction(-1)):
         rows = [[x - ev * (i == j) for j, x in enumerate(row)] for g in rights for i, row in enumerate(g)]
-        lines += nullspace(rows)
+        lines += int_nullspace(to_int_matrix(rows)[1])[1]
     return lines
 
 
@@ -326,7 +328,7 @@ def test_restrict_writes_each_image_in_the_basis():
     # from nullspaces and on one from a spin-up
     rights = S3_RIGHT[Fraction(2)]
     scaled = weylreps._scaled_generators(rights)
-    spun = weylreps._spin_up([Fraction(1), Fraction(-2), 0, Fraction(1, 3), 0, 0], scaled)
+    _, spun = weylreps._spin_up([3, -6, 0, 1, 0, 0], scaled)
     for basis in (_s3_lines(), spun):
         k, restricted = weylreps._restrict(scaled, basis)
         assert k == len(basis) and len(restricted) == len(rights)
@@ -337,14 +339,15 @@ def test_restrict_writes_each_image_in_the_basis():
 
 @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)], ids=str)
 def test_restrict_refuses_a_subspace_that_is_not_invariant(delta):
-    # one entry of the trivial + sign basis perturbed: the only invariant
-    # plane through the sign line is this one, so the span is no longer a
-    # submodule, and the exact check must say so
+    # one entry of the trivial + sign basis perturbed by delta, on the basis
+    # times delta's denominator: the only invariant plane through the sign
+    # line is this one, so the span is no longer a submodule, and the exact
+    # check must say so
     scaled = weylreps._scaled_generators(S3_RIGHT[Fraction(2)])
     for j in range(2):
         for c in range(6):
-            basis = [list(b) for b in _s3_lines()]
-            basis[j][c] += delta
+            basis = [[delta.denominator * x for x in b] for b in _s3_lines()]
+            basis[j][c] += delta.numerator
             with pytest.raises(RuntimeError, match="subspace is not invariant"):
                 weylreps._restrict(scaled, basis)
 
@@ -394,7 +397,7 @@ def _right_bfs_word_basis(mats, dim):
     while candidates:
         kept = []
         for w, m in candidates:
-            if ech.insert_int([x for row in m for x in row]):
+            if ech.insert([x for row in m for x in row]):
                 words.append(w)
                 traces.append(Fraction(sum(m[k][k] for k in range(dim)), d ** len(w)))
                 kept.append((w, m))
@@ -447,9 +450,9 @@ def test_spin_up_is_the_submodule_generated_by_v(data):
         n = data.draw(st.integers(1, 4))
         mats = data.draw(_rational_matrices(n, data.draw(st.integers(1, 2))))
     n = len(mats[0])
-    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
-    v = data.draw(st.lists(entry, min_size=n, max_size=n).filter(any))
-    basis = weylreps._spin_up(v, weylreps._scaled_generators(mats))
+    v = data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n).filter(any))
+    den, rows = weylreps._spin_up(v, weylreps._scaled_generators(mats))
+    basis = from_int_matrix(rows, den)
     assert basis[0] == v
     assert rank_exact(basis) == len(basis)
     def mat_vec(g, u):
