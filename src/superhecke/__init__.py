@@ -3,7 +3,7 @@ superalgebra families A(m,n), B(m,n), C(n), D(m,n)."""
 
 from .domains import CDDomain, Family, act, enumerate_domains, tau_minus, tau_plus
 from .groupoid import ZERO, CoxeterGroupoid, Element, Word, dimension_formula, groupoid_for
-from .hecke import HeckeAlgebra, HeckeElement, hecke_eval, hecke_poly
+from .hecke import HeckeAlgebra, HeckeElement, hecke_poly
 from .roots import RootSystem, root_system
 from .scalars import LaurentPoly
 from .weylgroups import WeylType, is_semisimple, poincare
@@ -26,7 +26,6 @@ __all__ = [
     "dimension_formula",
     "enumerate_domains",
     "groupoid_for",
-    "hecke_eval",
     "hecke_poly",
     "irreps",
     "is_semisimple",

@@ -35,9 +35,9 @@ from .groupoid import (
     groupoid_for,
     word_to_json,
 )
-from .hecke import HeckeAlgebra, hecke_eval, hecke_poly
+from .hecke import HeckeAlgebra, hecke_poly
 from .roots import dynkin_dot, dynkin_json, root_system
-from .scalars import laurent_to_json, rational_from_string, rational_to_string
+from .scalars import laurent_to_json, rational_to_string
 from .superreps import iso_report_json, require_semisimple, verify_isomorphism
 from .weylgroups import WeylType, is_semisimple, poincare
 from .weylreps import irreps, split_regular_weyl
@@ -217,9 +217,10 @@ def _parse_word(fam: Family, args) -> Word:
 def cmd_verify(args) -> int:
     fam = _parse_family(args)
     _capped_groupoid(args, fam)
-    alg = _algebra(args, fam)
     axioms = root_system(fam).check_axioms()
-    pres = alg.verify_presentation()
+    # the relations hold over Z[q, q^-1], so at every q0 != 0 as well: the
+    # proof is the same for --scalar eval
+    pres = hecke_poly(fam).verify_presentation()
     data = {
         "schema_version": 1,
         "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
@@ -237,18 +238,11 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _algebra(args, fam: Family) -> HeckeAlgebra:
-    if args.scalar == "poly":
-        return hecke_poly(fam)
-    return hecke_eval(fam, args.q)
-
-
 def cmd_structconst(args) -> int:
     fam = _parse_family(args)
     _capped_groupoid(args, fam)
-    alg = _algebra(args, fam)
     with _writer(args) as write:
-        _write_structconst(alg, write)
+        _write_structconst(hecke_poly(fam), write, args.q if args.scalar == "eval" else None)
     return 0
 
 
@@ -260,24 +254,31 @@ _ENTRY_TAIL = "\n      ]\n    }"
 _TERM_INDENT = "\n" + " " * 10
 
 
-def _write_structconst(alg: HeckeAlgebra, write) -> None:
+def _write_structconst(alg: HeckeAlgebra, write, q0: Fraction | None = None) -> None:
     """The structure-constant document, byte for byte as _json_dump of
     alg.structure_constants_json(), written about a megabyte at a time as it
     is encoded.  Each distinct coefficient is encoded once.  The table is
-    never empty: it holds the identity rows."""
-    head = _json_dump({**alg.structconst_header(), "entries": []})
+    never empty: it holds the identity rows.  With q0, mode "eval", it is
+    specialised at q0, without the terms that vanish there (at q0 = 1)."""
+    mode = {"mode": "eval"} if q0 is not None else {}
+    head = _json_dump({**alg.structconst_header(), **mode, "entries": []})
     write(head[: -len("[]\n}\n")] + "[\n")
-    encoded: dict = {}
+    encoded: dict = {}  # coefficient -> its JSON text, or None if it vanishes at q0
     chunk: list[str] = []
     size = 0
     sep = ""
     for (u, v), row in alg.structure_constants().items():
         terms = []
         for w, c in row:
-            text = encoded.get(c)
-            if text is None:
-                text = encoded[c] = json.dumps(alg.encode(c), indent=2).replace("\n", _TERM_INDENT)
-            terms.append(_TERM % (w, text))
+            if c in encoded:
+                text = encoded[c]
+            elif q0 is None:
+                text = encoded[c] = json.dumps(laurent_to_json(c), indent=2).replace("\n", _TERM_INDENT)
+            else:
+                x = c.evaluate(q0)
+                text = encoded[c] = json.dumps(rational_to_string(x)) if x else None
+            if text is not None:
+                terms.append(_TERM % (w, text))
         entry = sep + _ENTRY_HEAD % (u, v) + ",\n".join(terms) + _ENTRY_TAIL
         chunk.append(entry)
         size += len(entry)
@@ -484,7 +485,7 @@ def _length_theory(G: CoxeterGroupoid) -> bool:
 def _rational(text: str) -> Fraction:
     """The argparse type of --q: "num/den" or "num"."""
     try:
-        return rational_from_string(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
@@ -518,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default=format_default)
         p.add_argument("--output")
         if "--scalar" in reads:
-            p.add_argument("--scalar", choices=["poly", "eval"], default="poly")
+            p.add_argument("--scalar", choices=["poly", "eval"], default="poly",
+                           help="eval: structconst writes the Z[q, q^-1] table at q = --q; "
+                           "verify's proof over Z[q, q^-1] holds at every q0 != 0")
         if "--q" in reads:
             p.add_argument("--q", type=_rational, default="2")
         if "--max-elements" in reads:

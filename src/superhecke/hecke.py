@@ -2,9 +2,11 @@
 
 The algebra is realized concretely through left-multiplication operators on
 the basis indexed by nonzero groupoid elements; associativity is not assumed
-but verified exhaustively at desk scale by the test-suite.  Products work in
-either scalar mode: "poly" (Laurent polynomials in q, no division ever
-happens) or "eval" (exact rationals at a fixed q0).
+but verified exhaustively at desk scale by the test-suite.  Products work over
+Z[q, q^-1] (Laurent polynomials in q, no division ever happens), the ring the
+algebra is defined over.  A table at a rational q0 is this one specialised
+at q0 (see `cli`), and a relation proved over Z[q, q^-1] holds at every
+q0 != 0.
 
 Inside the algebra a basis element is its position in the groupoid's
 `elements()`, and left multiplication by a generator reads the groupoid's
@@ -14,16 +16,13 @@ API takes or returns them (`f`, `e`, `t`, JSON).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
-from .domains import Domain, Family, UsageError, act, domain_to_json
+from .domains import Domain, Family, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
 from .roots import root_system
-from .scalars import LaurentPoly, laurent_to_json, rational_to_string
-
-HeckeScalar = Union[LaurentPoly, Fraction]
+from .scalars import LaurentPoly, laurent_to_json
 
 
 class HeckeElement:
@@ -33,7 +32,7 @@ class HeckeElement:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, HeckeScalar]):
+    def __init__(self, terms: dict[int, LaurentPoly]):
         self._terms = terms
 
     def items(self):
@@ -161,27 +160,22 @@ def family_braid_instances(fam: Family) -> list[RelationInstance]:
 
 
 class HeckeAlgebra:
-    """H_q(W) for one family, in poly mode (q = LaurentPoly.q()) or eval mode."""
+    """H_q(W) for one family, over Z[q, q^-1]."""
 
-    def __init__(self, family: Family, q: HeckeScalar | None = None):
+    # the scalar mode of the table, named in the benchmark's spans
+    mode = "poly"
+
+    def __init__(self, family: Family):
         self.family = family
-        self.q = LaurentPoly.q() if q is None else q
-        if isinstance(self.q, LaurentPoly):
-            self.mode = "poly"
-            self.one: HeckeScalar = LaurentPoly.one()
-        else:
-            self.q = Fraction(self.q)
-            if self.q == 0:
-                raise UsageError("eval mode needs q0 != 0")
-            self.mode = "eval"
-            self.one = Fraction(1)
+        self.q = LaurentPoly.q()
+        self.one = LaurentPoly.one()
         self._qm1 = self.q - 1
         self.groupoid: CoxeterGroupoid = groupoid_for(family)
         self.basis: tuple[Element, ...] = self.groupoid.elements()
         self.tables: Tables = self.groupoid.tables()
         self.index: dict[Element, int] = self.tables.index
         self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
-        self._table: dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]] | None = None
+        self._table: dict[tuple[int, int], tuple[tuple[int, LaurentPoly], ...]] | None = None
 
     # ---- basis elements ----
 
@@ -211,10 +205,10 @@ class HeckeAlgebra:
         T = self.tables
         tgt, length, gen = T.tgt, T.length, T.lgen[i]
         q, qm1 = self.q, self._qm1
-        out: dict[int, HeckeScalar] = {}
+        out: dict[int, LaurentPoly] = {}
 
         def put(k, c):
-            # no stored zeros: c * (q0 - 1) vanishes at q0 = 1
+            # no stored zeros: terms can cancel
             if k in out:
                 c = out[k] + c
             if c:
@@ -274,7 +268,7 @@ class HeckeAlgebra:
 
     # ---- structure constants ----
 
-    def structure_constants(self) -> dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]]:
+    def structure_constants(self) -> dict[tuple[int, int], tuple[tuple[int, LaurentPoly], ...]]:
         """Complete table c^w_{u,v}, keyed by basis indices, sparse rows, in
         (u, v) order.
 
@@ -288,7 +282,7 @@ class HeckeAlgebra:
         by_target: list[list[int]] = [[] for _ in self._domain]
         for v, a in enumerate(T.tgt):
             by_target[a].append(v)
-        table: dict[tuple[int, int], tuple[tuple[int, HeckeScalar], ...]] = {}
+        table: dict[tuple[int, int], tuple[tuple[int, LaurentPoly], ...]] = {}
         one = self.one
         shared: dict = {}  # one object per distinct coefficient: most repeat
         for u, a in enumerate(T.src):
@@ -305,10 +299,6 @@ class HeckeAlgebra:
                     table[(u, v)] = tuple(sorted((w, shared.setdefault(c, c)) for w, c in z.items()))
         self._table = table
         return table
-
-    def encode(self, c: HeckeScalar):
-        """The JSON value of one coefficient."""
-        return laurent_to_json(c) if self.mode == "poly" else rational_to_string(c)
 
     def structconst_header(self) -> dict:
         """The structure-constant document without its entries."""
@@ -328,7 +318,7 @@ class HeckeAlgebra:
             {
                 "u": u,
                 "v": v,
-                "terms": [{"w": w, "poly": self.encode(c)} for w, c in row],
+                "terms": [{"w": w, "poly": laurent_to_json(c)} for w, c in row],
             }
             for (u, v), row in self.structure_constants().items()
         ]
@@ -428,8 +418,4 @@ class HeckeAlgebra:
 
 @lru_cache(maxsize=None)
 def hecke_poly(family: Family) -> HeckeAlgebra:
-    return HeckeAlgebra(family, LaurentPoly.q())
-
-
-def hecke_eval(family: Family, q0: Fraction) -> HeckeAlgebra:
-    return HeckeAlgebra(family, Fraction(q0))
+    return HeckeAlgebra(family)

@@ -98,6 +98,12 @@ def _ratio(v: Root, alpha: Root) -> Fraction | None:
     return ratio
 
 
+def _nonzero_minor(u: Root, v: Root) -> tuple[int, int] | None:
+    """Columns r < s with u[r] v[s] != u[s] v[r]; None if u, v are dependent."""
+    pairs = ((r, s) for r in range(len(u)) for s in range(r + 1, len(u)))
+    return next(((r, s) for r, s in pairs if u[r] * v[s] != u[s] * v[r]), None)
+
+
 def _unit(r: int, i: int, c: int = 1) -> Root:
     v = [0] * r
     v[i - 1] = c
@@ -229,13 +235,11 @@ class RootSystem:
             return cached
         ai, aj = self.simple_root(i, a), self.simple_root(j, a)
         # coordinates in (alpha_i, alpha_j) by Cramer's rule on a nonzero 2 x 2
-        # minor (simple roots are independent), then checked on every entry
-        r, s = next(
-            (r, s)
-            for r in range(len(ai))
-            for s in range(r + 1, len(ai))
-            if ai[r] * aj[s] != ai[s] * aj[r]
-        )
+        # minor, then checked on every entry
+        minor = _nonzero_minor(ai, aj)
+        if minor is None:
+            raise ValueError(f"alpha_{i} and alpha_{j} are dependent at a={domain_str(a)}")
+        r, s = minor
         det = ai[r] * aj[s] - ai[s] * aj[r]
         count = 0
         for pos in self.positive_roots(a):
@@ -347,6 +351,9 @@ class RootSystem:
                 # (7) theta divides the coxeter entry
                 for j in range(1, self.rank + 1):
                     if j <= i:
+                        continue
+                    if _nonzero_minor(alpha_ia, self.simple_root(j, a)) is None:
+                        fail(7, f"alpha_{i} and alpha_{j} are dependent at a={domain_str(a)}")
                         continue
                     d = self.coxeter_entry(i, j, a)
                     th = self.theta(i, j, a)

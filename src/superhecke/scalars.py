@@ -1,13 +1,12 @@
 """Exact scalar arithmetic: rationals and Laurent polynomials in q.
 
-Two scalar modes run through the Hecke algebra.  "poly" mode computes over
-the Laurent polynomial ring Z[q, q^-1]; it is used wherever no division
-occurs (groupoid data, Hecke structure constants).  "eval" mode computes
-over Q at a fixed rational q0 (default 2); it serves only `verify` and
-`structconst` with `--scalar eval`.  The representations work at a rational
-q0 of their own, on integer matrices (see linalg).  Nothing computes in the
-fraction field Q(q): specializing q can only lower a rank, so full rank at
-one q0 already proves full rank over Q(q).
+The Hecke algebra computes over the Laurent polynomial ring Z[q, q^-1]
+only; no division occurs there.  `structconst --scalar eval` specialises
+that table at a rational q0 with `LaurentPoly.evaluate`, one distinct
+coefficient at a time.  The representations work at a rational q0 of their
+own, on integer matrices (see linalg).  Nothing computes in the fraction
+field Q(q): specializing q can only lower a rank, so full rank at one q0
+already proves full rank over Q(q).
 
 All values are immutable after construction and safe to share between threads.
 Division by zero raises ZeroDivisionError.
@@ -17,11 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-
-def rational_from_string(s: str) -> Fraction:
-    """Parse "num/den" or "num" into a rational."""
-    return Fraction(s)
 
 
 def rational_to_string(x: Fraction) -> str:

@@ -3,7 +3,8 @@
 The program never calls these.  Each recomputes something the program
 builds another way (a Poincare polynomial by enumeration, a braid-move
 closure, standard tableaux by their own recursion, a matrix product over
-Fraction) or makes a deliberately broken input for a checker.
+Fraction, the Hecke structure constants over Q at q0) or makes a
+deliberately broken input for a checker.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 
-from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Word
+from superhecke.domains import Family
+from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Word, groupoid_for
 from superhecke.roots import RootSystem, reflection_for_root
 from superhecke.scalars import LaurentPoly
 from superhecke.weylgroups import WeylType, elements_with_length
@@ -110,3 +112,39 @@ def mutated_alpha(rs: RootSystem, i: int, a, root) -> RootSystem:
 def mutated_negated_alpha(rs: RootSystem, i: int, a) -> RootSystem:
     """A copy of rs with alpha_{i,a} and its reflection negated."""
     return mutated_alpha(rs, i, a, tuple(-c for c in rs.simple_root(i, a)))
+
+
+def structure_constants_at(fam: Family, q0) -> dict:
+    """The Hecke structure constants c^w_{u,v} at q = q0 != 0, computed over
+    Q: the length-layer recursion f(u) f(v) = T_i (f(u') f(v)), with
+    i = first[u] and u' = lgen[i][u], on Fraction scalars.  Rows are keyed by
+    basis indices (u, v) and hold the nonzero (w, value) pairs, w ascending,
+    as `structconst --scalar eval` writes them."""
+    q0 = Fraction(q0)
+    T = groupoid_for(fam).tables()
+
+    def lmul(i, a, row):
+        # T_{i,a} f(k) = f(s_i k) if that is longer or i moves a, else
+        # (q0 - 1) f(k) + q0 f(s_i k)
+        out: dict[int, Fraction] = {}
+        for k, c in row:
+            sk = T.lgen[i][k]
+            if T.length[sk] > T.length[k] or T.tgt[sk] != a:
+                out[sk] = out.get(sk, 0) + c
+            else:
+                out[k] = out.get(k, 0) + c * (q0 - 1)
+                out[sk] = out.get(sk, 0) + c * q0
+        return tuple(sorted((w, c) for w, c in out.items() if c))
+
+    table = {}
+    for u, a in enumerate(T.src):
+        for v, b in enumerate(T.tgt):
+            if b != a:
+                continue
+            if T.length[u] == 0:
+                table[(u, v)] = ((v, Fraction(1)),)
+            else:
+                i = T.first[u]
+                r = T.lgen[i][u]
+                table[(u, v)] = lmul(i, T.tgt[r], table[(r, v)])
+    return table

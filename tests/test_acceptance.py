@@ -13,7 +13,7 @@ from pathlib import Path
 
 from superhecke.domains import CDDomain, Family, act, tau_minus, tau_plus
 from superhecke.groupoid import Word, dimension_formula, groupoid_for
-from superhecke.hecke import hecke_eval, hecke_poly
+from superhecke.hecke import hecke_poly
 from superhecke.roots import dynkin_dot, root_system
 from superhecke.scalars import LaurentPoly
 from superhecke.superreps import verify_isomorphism
@@ -26,7 +26,13 @@ from superhecke.weylreps import (
     verify_irrep_relations,
 )
 
-from helpers import braid_reaches_repeat, mutated_negated_alpha, perm_one_based, poincare_enum
+from helpers import (
+    braid_reaches_repeat,
+    mutated_negated_alpha,
+    perm_one_based,
+    poincare_enum,
+    structure_constants_at,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -297,10 +303,8 @@ def test_criterion_09_integral_structure_constants():
     ok = True
     details = []
     for fam in [Family("A", 1, 1), Family("B", 1, 1)]:
-        Hp = hecke_poly(fam)
-        He = hecke_eval(fam, Fraction(2))
-        tp = Hp.structure_constants()
-        te = He.structure_constants()
+        tp = hecke_poly(fam).structure_constants()
+        te = structure_constants_at(fam, 2)
         for key, row in tp.items():
             for wi, c in row:
                 if c.min_exp < 0:

@@ -138,6 +138,20 @@ def test_verify_command():
     assert proc.stdout.startswith("PASS")
 
 
+@pytest.mark.parametrize("fam", [["A", "1", "1"], ["B", "1", "2"]])
+def test_verify_eval_prints_the_poly_bytes(fam, capsys):
+    # the relations are proved once, over Z[q, q^-1]; that proof holds at
+    # every q0 != 0, so --scalar eval changes nothing in the output
+    from superhecke import cli
+
+    argv = ["verify", "--family", fam[0], "--m", fam[1], "--n", fam[2], "--format", "json"]
+    assert cli.main(argv) == 0
+    poly = capsys.readouterr()
+    for q0 in ("1", "1/3", "-2"):
+        assert cli.main(argv + ["--scalar", "eval", f"--q={q0}"]) == 0
+        assert capsys.readouterr() == poly
+
+
 def test_verify_all_small():
     proc = run_cli("verify-all", "--family", "B", "--m", "1", "--n", "1")
     assert proc.returncode == 0
@@ -408,20 +422,32 @@ def test_verify_all_fails_on_a_corrupted_table_entry(uncached, monkeypatch, caps
 
 @pytest.mark.parametrize("scalar", [[], ["--scalar", "eval", "--q=-2/3"]])
 def test_streamed_structconst_is_the_json_dump(tmp_path, scalar):
-    # the streamed writer against json.dumps of the whole document
+    # the streamed writer against json.dumps of the whole document; at q0,
+    # of the document built from the Fraction reference of the table
     from fractions import Fraction
 
     from superhecke import cli
     from superhecke.domains import Family
-    from superhecke.hecke import hecke_eval, hecke_poly
+    from superhecke.hecke import hecke_poly
+    from superhecke.scalars import rational_to_string
+
+    from helpers import structure_constants_at
 
     fam = Family("CD", 2, 1)
     out = tmp_path / "table.json"
     argv = ["structconst", "--family", "CD", "--m", "2", "--n", "1", *scalar, "--output", str(out)]
     assert cli.main(argv) == 0
-    alg = hecke_eval(fam, Fraction(-2, 3)) if scalar else hecke_poly(fam)
+    alg = hecke_poly(fam)
+    if scalar:
+        entries = [
+            {"u": u, "v": v, "terms": [{"w": w, "poly": rational_to_string(c)} for w, c in row]}
+            for (u, v), row in structure_constants_at(fam, Fraction(-2, 3)).items()
+        ]
+        doc = {**alg.structconst_header(), "mode": "eval", "entries": entries}
+    else:
+        doc = alg.structure_constants_json()
     text = out.read_text()
-    expected = json.dumps(alg.structure_constants_json(), indent=2) + "\n"
+    expected = json.dumps(doc, indent=2) + "\n"
     # a bool, not the strings: a diff of two megabyte documents takes minutes
     same = text == expected
     assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"
@@ -546,6 +572,7 @@ def test_verify_all_lets_an_internal_fault_through(monkeypatch):
         (["enumerate", "--family", "A", "--m", "2", "--n", "1", "--max-elements", "10"],
          "more than 10 elements"),
         (["structconst", *A11, "--scalar", "eval", "--q", "0"], "eval mode needs q0 != 0"),
+        (["verify", *A11, "--scalar", "eval", "--q", "0"], "eval mode needs q0 != 0"),
     ],
 )
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):

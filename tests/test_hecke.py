@@ -1,16 +1,22 @@
 """The Hecke algebra on the f(w) basis: generator rules, products, relations,
-structure constants in both scalar modes."""
+structure constants over Z[q, q^-1] and their specialisation at q0."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from superhecke import cli
 from superhecke.domains import Family, act
-from superhecke.hecke import HeckeAlgebra, family_braid_instances, hecke_eval, hecke_poly
-from superhecke.scalars import LaurentPoly
+from superhecke.hecke import HeckeAlgebra, family_braid_instances, hecke_poly
+from superhecke.scalars import LaurentPoly, rational_to_string
+
+from helpers import structure_constants_at
 
 SMALL = [Family("A", 1, 1), Family("B", 1, 1), Family("B", 0, 2), Family("CD", 1, 1)]
 
@@ -72,24 +78,64 @@ def test_presentation_all_families():
         assert report.checked > 0
 
 
+def _structconst_at(fam: Family, q0: Fraction) -> dict:
+    """The rows of `structconst --scalar eval --q q0`, as the reference
+    structure_constants_at keys and holds them."""
+    argv = ["structconst", "--family", fam.kind, "--m", str(fam.m), "--n", str(fam.n)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--scalar", "eval", f"--q={rational_to_string(q0)}"]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["mode"] == "eval"
+    return {
+        (e["u"], e["v"]): tuple((t["w"], Fraction(t["poly"])) for t in e["terms"])
+        for e in doc["entries"]
+    }
+
+
 def test_presentation_eval_mode():
-    report = hecke_eval(Family("B", 1, 1), Fraction(2)).verify_presentation()
-    assert report.passed
+    # the one Z[q, q^-1] proof of the relations, for verify --scalar eval
+    argv = ["verify", "--family", "B", "--m", "1", "--n", "1", "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--scalar", "eval", "--q", "2"]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["relations_passed"] and doc["relations_checked"] > 0
 
 
 @pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("B", 1, 1)])
 def test_presentation_and_table_at_q1(fam):
-    # at q0 = 1 the quadratic rule's T-coefficient q0 - 1 vanishes; it must not
-    # be stored, or HeckeElement equality reports false relation failures
+    # at q0 = 1 the quadratic rule's T-coefficient q0 - 1 vanishes: the table
+    # at q0 = 1 stores no zeros, and is the poly table specialised there
     one = Fraction(1)
-    He = hecke_eval(fam, one)
-    report = He.verify_presentation()
-    assert report.passed, report.failures[:3]
-    te = He.structure_constants()
+    te = _structconst_at(fam, one)
+    assert te == structure_constants_at(fam, one)
     for key, row in hecke_poly(fam).structure_constants().items():
         specialized = tuple((wi, c.evaluate(one)) for wi, c in row if c.evaluate(one))
-        assert specialized == te.get(key, ())
+        assert specialized == te[key]
     assert all(c for row in te.values() for _, c in row)
+
+
+def test_presentation_fails_on_a_corrupted_generator_table():
+    # T_1 f(k) redirected to another element of the same length, source and
+    # target: the unit relation breaks, and nothing but the report says so
+    fam = Family("B", 1, 2)
+    H = HeckeAlgebra(fam)
+    T = H.tables
+    shape = lambda j: (T.length[j], T.src[j], T.tgt[j])
+    k, other = next(
+        (k, j)
+        for k, t in enumerate(T.lgen[1])
+        for j in range(len(T.src))
+        if j != t and shape(j) == shape(t)
+    )
+    lgen = [list(row) for row in T.lgen]
+    lgen[1][k] = other
+    H.tables = T._replace(lgen=tuple(tuple(row) for row in lgen))
+    report = H.verify_presentation()
+    assert report.passed is False
+    assert len(report.failures) == 14
+    assert any(f.startswith("sum of E_a is not the unit") for f in report.failures)
 
 
 def test_family_list_matches_coxeter_braids():
@@ -162,10 +208,8 @@ def test_identity_rows_of_table():
 
 def test_specialization_commutes():
     fam = Family("B", 1, 1)
-    Hp = hecke_poly(fam)
-    He = hecke_eval(fam, Fraction(2))
-    tp = Hp.structure_constants()
-    te = He.structure_constants()
+    tp = hecke_poly(fam).structure_constants()
+    te = structure_constants_at(fam, 2)
     for key, row in tp.items():
         specialized = tuple(
             (wi, c.evaluate(Fraction(2))) for wi, c in row if c.evaluate(Fraction(2))
@@ -222,11 +266,12 @@ def test_associativity_random_triples_a21():
 @pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("B", 1, 1)])
 @pytest.mark.parametrize("q", [None, Fraction(2), Fraction(1, 3)])
 def test_table_rows_match_products_through_canonical_words(fam, q):
-    # the length-layer recursion against the definition: f(u) f(v) is the
+    # the length-layer recursion, of the program over Z[q, q^-1] or of the
+    # Fraction reference at q, against the definition: f(u) f(v) is the
     # canonical word of u, from its root-count descents, applied to f(v)
-    H = hecke_poly(fam) if q is None else hecke_eval(fam, q)
+    H = hecke_poly(fam)
     G = H.groupoid
-    table = H.structure_constants()
+    table = H.structure_constants() if q is None else structure_constants_at(fam, q)
     pairs = 0
     for ui, u in enumerate(H.basis):
         word = G.canonical_reduced_word(u)
@@ -236,7 +281,10 @@ def test_table_rows_match_products_through_canonical_words(fam, q):
                 assert row is None
                 continue
             pairs += 1
-            assert row == tuple(sorted(H.apply_word(word, H.f(v)).items()))
+            product = sorted(H.apply_word(word, H.f(v)).items())
+            if q is not None:
+                product = [(wi, c.evaluate(q)) for wi, c in product if c.evaluate(q)]
+            assert row == tuple(product)
     assert pairs == len(table)
 
 
@@ -245,25 +293,26 @@ def test_table_rows_match_products_through_canonical_words(fam, q):
     st.sampled_from(SMALL),
     st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
 )
+@example(SMALL[0], Fraction(1))
+@example(SMALL[1], Fraction(1))
+@example(SMALL[2], Fraction(1))
+@example(SMALL[3], Fraction(1))
 def test_eval_table_is_poly_table_at_q0(fam, q0):
-    te = hecke_eval(fam, q0).structure_constants()
-    specialized = {}
-    for key, row in hecke_poly(fam).structure_constants().items():
-        values = tuple((wi, c.evaluate(q0)) for wi, c in row if c.evaluate(q0))
-        if values:
-            specialized[key] = values
-    assert specialized == te
+    # structconst --scalar eval, the poly table specialised at q0, against
+    # the length-layer recursion over Fraction at q0
+    assert _structconst_at(fam, q0) == structure_constants_at(fam, q0)
 
 
 def test_product_bilinear_random():
-    H = hecke_eval(Family("CD", 1, 1), Fraction(2))
+    H = hecke_poly(Family("CD", 1, 1))
+    c = H.q + 3
     rng = random.Random(5)
     for _ in range(30):
         u, v, w = (H.basis[rng.randrange(len(H.basis))] for _ in range(3))
-        x = H.f(u) + H.f(v).scaled(Fraction(3))
+        x = H.f(u) + H.f(v).scaled(c)
         assert H.product(x, H.f(w)) == H.product(H.f(u), H.f(w)) + H.product(
             H.f(v), H.f(w)
-        ).scaled(Fraction(3))
+        ).scaled(c)
 
 
 def test_structconst_json_shape():
@@ -272,8 +321,3 @@ def test_structconst_json_shape():
     assert data["schema_version"] == 1
     assert len(data["basis"]) == 16
     assert all({"u", "v", "terms"} <= set(e) for e in data["entries"])
-
-
-def test_mode_guard():
-    with pytest.raises(ValueError):
-        HeckeAlgebra(Family("B", 1, 1), Fraction(0))

@@ -2,6 +2,8 @@
 
 import hashlib
 
+import pytest
+
 from superhecke.domains import CDDomain, Family, act, domain_str
 from superhecke.roots import (
     dynkin_dot,
@@ -197,6 +199,22 @@ def _mutated_systems(fam):
         a = rs.domains[0]
         total = tuple(x + y for x, y in zip(rs.simple_root(1, a), rs.simple_root(2, a)))
         yield "alpha_3 = alpha_1 + alpha_2", mutated_alpha(rs, 3, a, total)
+
+
+def test_dependent_simple_pair_fails_the_axioms_without_raising():
+    # alpha_2 := alpha_1 at one domain: no nonzero 2 x 2 minor for the pair
+    rs = root_system(Family("A", 1, 1))
+    a = rs.domains[0]
+    bad = mutated_alpha(rs, 2, a, rs.simple_root(1, a))
+    report = bad.check_axioms()
+    assert not report.passed
+    assert 2 in {f.axiom for f in report.failures}
+    assert any(
+        f.axiom == 7 and f.description.startswith("alpha_1 and alpha_2 are dependent")
+        for f in report.failures
+    )
+    with pytest.raises(ValueError, match="alpha_1 and alpha_2 are dependent"):
+        bad.coxeter_entry(1, 2, a)
 
 
 def test_axiom_failure_descriptions_are_pinned():

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhecke.scalars import (
-    LaurentPoly,
-    laurent_to_json,
-    rational_from_string,
-    rational_to_string,
-)
+from superhecke.cli import _rational
+from superhecke.scalars import LaurentPoly, laurent_to_json, rational_to_string
 
 from helpers import laurent_from_json
 
@@ -20,7 +16,7 @@ Q = LaurentPoly.q()
 
 def test_rational_examples():
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
-    assert rational_from_string("5/6") == Fraction(5, 6)
+    assert _rational("5/6") == Fraction(5, 6)
     assert rational_to_string(Fraction(-7, 2)) == "-7/2"
     assert rational_to_string(Fraction(4)) == "4"
 
