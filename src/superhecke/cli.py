@@ -249,7 +249,8 @@ def cmd_structconst(args) -> int:
 # One entry of the structure-constant document, as json.dumps(indent=2)
 # lays it out at its depth; "poly" values sit at depth 5.
 _ENTRY_HEAD = '    {\n      "u": %d,\n      "v": %d,\n      "terms": [\n'
-_TERM = '        {\n          "w": %d,\n          "poly": %s\n        }'
+_TERM_HEAD = '        {\n          "w": '
+_TERM_TAIL = ',\n          "poly": %s\n        }'
 _ENTRY_TAIL = "\n      ]\n    }"
 _TERM_INDENT = "\n" + " " * 10
 
@@ -257,28 +258,28 @@ _TERM_INDENT = "\n" + " " * 10
 def _write_structconst(alg: HeckeAlgebra, write, q0: Fraction | None = None) -> None:
     """The structure-constant document, byte for byte as _json_dump of
     alg.structure_constants_json(), written about a megabyte at a time as it
-    is encoded.  Each distinct coefficient is encoded once.  The table is
+    is encoded.  The table's rows hold coefficient ids, and each id is
+    encoded once, into the text that follows a term's "w".  The table is
     never empty: it holds the identity rows.  With q0, mode "eval", it is
     specialised at q0, without the terms that vanish there (at q0 = 1)."""
     mode = {"mode": "eval"} if q0 is not None else {}
     head = _json_dump({**alg.structconst_header(), **mode, "entries": []})
     write(head[: -len("[]\n}\n")] + "[\n")
-    encoded: dict = {}  # coefficient -> its JSON text, or None if it vanishes at q0
+    table = alg.structure_constants()
+    # coefficient id -> the text after a term's "w", or None if it vanishes at q0
+    tails: list[str | None] = []
+    for c in table.polys:
+        if q0 is None:
+            text = json.dumps(laurent_to_json(c), indent=2).replace("\n", _TERM_INDENT)
+        else:
+            x = c.evaluate(q0)
+            text = json.dumps(rational_to_string(x)) if x else None
+        tails.append(None if text is None else _TERM_TAIL % text)
     chunk: list[str] = []
     size = 0
     sep = ""
-    for (u, v), row in alg.structure_constants().items():
-        terms = []
-        for w, c in row:
-            if c in encoded:
-                text = encoded[c]
-            elif q0 is None:
-                text = encoded[c] = json.dumps(laurent_to_json(c), indent=2).replace("\n", _TERM_INDENT)
-            else:
-                x = c.evaluate(q0)
-                text = encoded[c] = json.dumps(rational_to_string(x)) if x else None
-            if text is not None:
-                terms.append(_TERM % (w, text))
+    for (u, v), row in table.rows.items():
+        terms = [_TERM_HEAD + str(w) + tails[c] for w, c in row if tails[c] is not None]
         entry = sep + _ENTRY_HEAD % (u, v) + ",\n".join(terms) + _ENTRY_TAIL
         chunk.append(entry)
         size += len(entry)

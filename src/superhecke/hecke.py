@@ -11,70 +11,104 @@ q0 != 0.
 Inside the algebra a basis element is its position in the groupoid's
 `elements()`, and left multiplication by a generator reads the groupoid's
 integer tables (`lgen`, `length`); groupoid elements appear only where the
-API takes or returns them (`f`, `e`, `t`, JSON).
+API takes or returns them (`f`, `e`, `t`, JSON).  Likewise a coefficient is
+its id in the algebra's `CoefficientRing`: a table has few distinct
+coefficients, so `_lmul`, the one generator rule, adds and multiplies by
+memoised lookups.  LaurentPoly appears only at the edges: in
+`HeckeElement.items()`, in `scaled`'s argument, and in the rows that
+`structure_constants()` yields.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
 from .domains import Domain, Family, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
 from .roots import root_system
-from .scalars import LaurentPoly, laurent_to_json
+from .scalars import CoefficientRing, LaurentPoly, laurent_to_json
 
 
 class HeckeElement:
     """Finite scalar combination of basis elements f(w), keyed by basis
     index; immutable.  It takes ownership of terms, a dict from basis index
-    to nonzero scalar."""
+    to the nonzero coefficient's id in ring; `items()` gives the
+    coefficients as LaurentPoly."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_ring")
 
-    def __init__(self, terms: dict[int, LaurentPoly]):
+    def __init__(self, terms: dict[int, int], ring: CoefficientRing):
         self._terms = terms
+        self._ring = ring
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list[tuple[int, LaurentPoly]]:
+        polys = self._ring.polys
+        return [(k, polys[c]) for k, c in self._terms.items()]
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        add_to = self._ring.add_to
         d = dict(self._terms)
         for w, c in other._terms.items():
-            if w in d:
-                s = d[w] + c
-                if s:
-                    d[w] = s
-                else:
-                    del d[w]
-            else:
-                d[w] = c
-        return HeckeElement(d)
+            add_to(d, w, c)
+        return HeckeElement(d, self._ring)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scaled(-1)
 
-    def scaled(self, c) -> "HeckeElement":
-        if not c:
-            return HeckeElement({})
-        return HeckeElement({w: x * c for w, x in self._terms.items()})
+    def scaled(self, c: int | LaurentPoly) -> "HeckeElement":
+        ring = self._ring
+        k = ring.intern(c if isinstance(c, LaurentPoly) else LaurentPoly.from_int(c))
+        if not k:
+            return HeckeElement({}, ring)
+        return HeckeElement({w: ring.mul(x, k) for w, x in self._terms.items()}, ring)
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self._terms == other._terms
+        if self._ring is other._ring:
+            return self._terms == other._terms
+        return dict(self.items()) == dict(other.items())
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.items()))
 
     def __repr__(self):
         if not self._terms:
             return "HeckeElement(0)"
-        return "HeckeElement(" + ", ".join(f"{c}*f[{k}]" for k, c in self._terms.items()) + ")"
+        return "HeckeElement(" + ", ".join(f"{c}*f[{k}]" for k, c in self.items()) + ")"
+
+
+class StructureConstants(Mapping):
+    """The table c^w_{u,v}, read-only: (u, v) -> sparse row of (w, LaurentPoly),
+    in (u, v) order.  It is stored once, as `rows` of (w, coefficient id)
+    beside the ring's `polys`; a LaurentPoly row is built when it is read."""
+
+    __slots__ = ("rows", "polys")
+
+    def __init__(
+        self, rows: dict[tuple[int, int], tuple[tuple[int, int], ...]], polys: list[LaurentPoly]
+    ):
+        self.rows = rows
+        self.polys = polys
+
+    def __getitem__(self, key: tuple[int, int]) -> tuple[tuple[int, LaurentPoly], ...]:
+        polys = self.polys
+        return tuple((w, polys[c]) for w, c in self.rows[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 class RelationInstance(NamedTuple):
@@ -169,18 +203,21 @@ class HeckeAlgebra:
         self.family = family
         self.q = LaurentPoly.q()
         self.one = LaurentPoly.one()
-        self._qm1 = self.q - 1
+        self.ring = CoefficientRing()
+        self._one = self.ring.intern(self.one)
+        self._q = self.ring.intern(self.q)
+        self._qm1 = self.ring.intern(self.q - 1)
         self.groupoid: CoxeterGroupoid = groupoid_for(family)
         self.basis: tuple[Element, ...] = self.groupoid.elements()
         self.tables: Tables = self.groupoid.tables()
         self.index: dict[Element, int] = self.tables.index
         self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
-        self._table: dict[tuple[int, int], tuple[tuple[int, LaurentPoly], ...]] | None = None
+        self._table: StructureConstants | None = None
 
     # ---- basis elements ----
 
     def f(self, w: Element) -> HeckeElement:
-        return HeckeElement({self.index[w]: self.one})
+        return HeckeElement({self.index[w]: self._one}, self.ring)
 
     def e(self, a: Domain) -> HeckeElement:
         return self.f(self.groupoid.identity(a))
@@ -191,43 +228,32 @@ class HeckeAlgebra:
     def unit(self) -> HeckeElement:
         """Sum of all idempotents E_a: the unit of the algebra."""
         return HeckeElement(
-            {self.index[self.groupoid.identity(a)]: self.one for a in self.groupoid.roots.domains}
+            {self.index[self.groupoid.identity(a)]: self._one for a in self.groupoid.roots.domains},
+            self.ring,
         )
 
     # ---- left multiplication by generators ----
 
-    def _project(self, a: int, terms: dict) -> dict:
-        tgt = self.tables.tgt
-        return {k: c for k, c in terms.items() if tgt[k] == a}
-
-    def _lmul(self, i: int, a: int, terms) -> dict:
-        """T_{i,a} applied to the (index, scalar) pairs of terms."""
+    def _lmul(self, i: int, a: int, terms) -> dict[int, int]:
+        """T_{i,a} applied to the (index, coefficient id) pairs of terms: the
+        one generator rule of the algebra, on memoised ring operations."""
         T = self.tables
         tgt, length, gen = T.tgt, T.length, T.lgen[i]
-        q, qm1 = self.q, self._qm1
-        out: dict[int, LaurentPoly] = {}
-
-        def put(k, c):
-            # no stored zeros: terms can cancel
-            if k in out:
-                c = out[k] + c
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-
+        add_to, mul = self.ring.add_to, self.ring.mul
+        q, qm1 = self._q, self._qm1
+        out: dict[int, int] = {}
         for k, c in terms:
             if tgt[k] != a:
                 continue
             sk = gen[k]
             if length[sk] > length[k] or tgt[sk] != a:  # longer, or i moves a
-                put(sk, c)
+                add_to(out, sk, c)
             else:
-                put(k, c * qm1)
-                put(sk, c * q)
+                add_to(out, k, mul(c, qm1))
+                add_to(out, sk, mul(c, q))
         return out
 
-    def _lmul_basis(self, u: int, terms: dict) -> dict:
+    def _lmul_basis(self, u: int, terms: dict[int, int]) -> dict[int, int]:
         """f(u) applied to terms supported on target source(u): the letters of
         u's canonical word, the rightmost first."""
         T = self.tables
@@ -248,7 +274,7 @@ class HeckeAlgebra:
             terms = self._lmul(word.letters[k], self._domain[doms[k]], terms.items())
             if not terms:
                 break
-        return HeckeElement(terms)
+        return HeckeElement(terms, self.ring)
 
     def element_of_word(self, word: Word) -> HeckeElement:
         """The algebra element T_{i1} ... T_{im, base} itself."""
@@ -257,18 +283,26 @@ class HeckeAlgebra:
     # ---- products ----
 
     def product(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
-        """Bilinear product; the left factor is decomposed by canonical words."""
-        src = self.tables.src
-        total = HeckeElement({})
-        for u, cu in x.items():
-            z = self._project(src[u], y._terms)
-            if z:
-                total = total + HeckeElement(self._lmul_basis(u, z)).scaled(cu)
-        return total
+        """Bilinear product; the left factor is decomposed by canonical words.
+        y is split by target domain once, so each term f(u) of x meets only
+        the part of y that f(u) can multiply."""
+        T = self.tables
+        add_to, mul = self.ring.add_to, self.ring.mul
+        by_target: dict[int, dict[int, int]] = {}
+        for v, c in y._terms.items():
+            by_target.setdefault(T.tgt[v], {})[v] = c
+        total: dict[int, int] = {}
+        for u, cu in x._terms.items():
+            z = by_target.get(T.src[u])
+            if z is None:
+                continue
+            for w, c in self._lmul_basis(u, z).items():
+                add_to(total, w, mul(c, cu))
+        return HeckeElement(total, self.ring)
 
     # ---- structure constants ----
 
-    def structure_constants(self) -> dict[tuple[int, int], tuple[tuple[int, LaurentPoly], ...]]:
+    def structure_constants(self) -> StructureConstants:
         """Complete table c^w_{u,v}, keyed by basis indices, sparse rows, in
         (u, v) order.
 
@@ -282,23 +316,22 @@ class HeckeAlgebra:
         by_target: list[list[int]] = [[] for _ in self._domain]
         for v, a in enumerate(T.tgt):
             by_target[a].append(v)
-        table: dict[tuple[int, int], tuple[tuple[int, LaurentPoly], ...]] = {}
-        one = self.one
-        shared: dict = {}  # one object per distinct coefficient: most repeat
+        rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        one = self._one
         for u, a in enumerate(T.src):
             if T.length[u] == 0:
                 for v in by_target[a]:
-                    table[(u, v)] = ((v, one),)
+                    rows[(u, v)] = ((v, one),)
                 continue
             i = T.first[u]
             r = T.lgen[i][u]
             b = T.tgt[r]
             for v in by_target[a]:
-                z = self._lmul(i, b, table[(r, v)])
+                z = self._lmul(i, b, rows[(r, v)])
                 if z:
-                    table[(u, v)] = tuple(sorted((w, shared.setdefault(c, c)) for w, c in z.items()))
-        self._table = table
-        return table
+                    rows[(u, v)] = tuple(sorted(z.items()))
+        self._table = StructureConstants(rows, self.ring.polys)
+        return self._table
 
     def structconst_header(self) -> dict:
         """The structure-constant document without its entries."""
@@ -345,30 +378,29 @@ class HeckeAlgebra:
         checked = 0
         failures: list[str] = []
 
-        def check(ok: bool, msg: str):
+        def check(ok: bool, msg: str, *args):
+            # the message is formatted only for a failure
             nonlocal checked
             checked += 1
             if not ok:
-                failures.append(msg)
+                failures.append(msg.format(*args))
 
         domains = rs.domains
         # idempotent relations
         for a in domains:
             ea = self.e(a)
-            check(self.product(ea, ea) == ea, f"E_a^2 != E_a at {a}")
+            check(self.product(ea, ea) == ea, "E_a^2 != E_a at {}", a)
             for b in domains:
                 if b != a:
-                    check(
-                        self.product(ea, self.e(b)).is_zero,
-                        f"E_a E_b != 0 at {a}, {b}",
-                    )
+                    check(self.product(ea, self.e(b)).is_zero, "E_a E_b != 0 at {}, {}", a, b)
         # sum of idempotents is the unit
         unit = self.unit()
         for w in self.basis:
             fw = self.f(w)
             check(
                 self.product(unit, fw) == fw and self.product(fw, unit) == fw,
-                f"sum of E_a is not the unit on {w}",
+                "sum of E_a is not the unit on {}",
+                w,
             )
         # generator relations
         for a in domains:
@@ -377,19 +409,20 @@ class HeckeAlgebra:
                 tia = self.t(i, a)
                 check(
                     self.product(self.product(self.e(b), tia), self.e(a)) == tia,
-                    f"E_(i>a) T_(i,a) E_a != T_(i,a) at i={i}, a={a}",
+                    "E_(i>a) T_(i,a) E_a != T_(i,a) at i={}, a={}",
+                    i,
+                    a,
                 )
                 if b == a:
                     lhs = self.product(tia, tia)
                     rhs = self.t(i, a).scaled(self.q - 1) + self.e(a).scaled(self.q)
-                    check(
-                        lhs == rhs,
-                        f"quadratic relation fails at i={i}, a={a}",
-                    )
+                    check(lhs == rhs, "quadratic relation fails at i={}, a={}", i, a)
                 else:
                     check(
                         self.product(self.t(i, b), tia) == self.e(a),
-                        f"isotropic relation T_(i,i>a) T_(i,a) != E_a at i={i}, a={a}",
+                        "isotropic relation T_(i,i>a) T_(i,a) != E_a at i={}, a={}",
+                        i,
+                        a,
                     )
         # braid relations: family lists, and agreement with the coxeter-derived set
         fam_list = family_braid_instances(fam)
@@ -403,15 +436,20 @@ class HeckeAlgebra:
         check(
             fam_keys == cox_keys,
             "family relation list differs from the Definition-4 braid list: "
-            f"only-family={sorted(fam_keys - cox_keys)[:3]} "
-            f"only-coxeter={sorted(cox_keys - fam_keys)[:3]}",
+            "only-family={} only-coxeter={}",
+            sorted(fam_keys - cox_keys)[:3],
+            sorted(cox_keys - fam_keys)[:3],
         )
         for inst in fam_list + cox_list:
             lhs = self.element_of_word(Word(inst.base, inst.left))
             rhs = self.element_of_word(Word(inst.base, inst.right))
             check(
                 lhs == rhs,
-                f"{inst.name} fails at base={inst.base}, {inst.left} vs {inst.right}",
+                "{} fails at base={}, {} vs {}",
+                inst.name,
+                inst.base,
+                inst.left,
+                inst.right,
             )
         return PresentationReport(fam, checked, failures)
 

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: rationals and Laurent polynomials in q.
 
 The Hecke algebra computes over the Laurent polynomial ring Z[q, q^-1]
-only; no division occurs there.  `structconst --scalar eval` specialises
+only; no division occurs there.  It holds each coefficient as an id of a
+`CoefficientRing`, which interns the few distinct polynomials a table has
+and memoises their sums and products.  `structconst --scalar eval` specialises
 that table at a rational q0 with `LaurentPoly.evaluate`, one distinct
 coefficient at a time.  The representations work at a rational q0 of their
 own, on integer matrices (see linalg).  Nothing computes in the fraction
@@ -182,6 +184,53 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
+
+
+class CoefficientRing:
+    """The Laurent polynomials one computation meets, each interned as a
+    small int id, with sums and products memoised per pair of ids.
+
+    `polys[k]` is the polynomial of id k; id 0 is zero, so an id is falsy
+    exactly when its polynomial is.  Ids are equal exactly when their
+    polynomials are.  Sums and products of ids are dictionary lookups after
+    the first time a pair is met.
+    """
+
+    __slots__ = ("polys", "_ids", "_sums", "_products")
+
+    def __init__(self):
+        self.polys: list[LaurentPoly] = [LaurentPoly()]
+        self._ids: dict[LaurentPoly, int] = {self.polys[0]: 0}
+        self._sums: dict[tuple[int, int], int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+
+    def intern(self, p: LaurentPoly) -> int:
+        k = self._ids.get(p)
+        if k is None:
+            k = self._ids[p] = len(self.polys)
+            self.polys.append(p)
+        return k
+
+    def add(self, a: int, b: int) -> int:
+        s = self._sums.get((a, b))
+        if s is None:
+            s = self._sums[(a, b)] = self.intern(self.polys[a] + self.polys[b])
+        return s
+
+    def add_to(self, terms: dict, k, c: int) -> None:
+        """terms[k] += c, storing no zero: terms can cancel."""
+        if k in terms:
+            c = self.add(terms[k], c)
+            if not c:
+                del terms[k]
+                return
+        terms[k] = c
+
+    def mul(self, a: int, b: int) -> int:
+        s = self._products.get((a, b))
+        if s is None:
+            s = self._products[(a, b)] = self.intern(self.polys[a] * self.polys[b])
+        return s
 
 
 def laurent_to_json(p: LaurentPoly) -> list[list]:

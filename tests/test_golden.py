@@ -4,7 +4,9 @@ element-keyed code, so any change to a byte of these outputs shows here.
 The irreps pins were recorded on the Fraction-matrix splitting oracle, before
 it moved to integer kernels: the same seed must give the same bytes.  The
 reps and verify-all pins were recorded while each box tensor was still built
-as Fraction blocks and scaled to integers afterwards."""
+as Fraction blocks and scaled to integers afterwards.  The osp(4|2)
+structconst and osp(4|4) verify pins were recorded while the Hecke layer
+still computed on LaurentPoly objects, before it moved to coefficient ids."""
 
 import hashlib
 
@@ -45,6 +47,9 @@ GOLDEN = [
     ("osp(2|4)", ["structconst", *EVAL, "1/3"], "5db4deed276384aa8fdab18741b8027e84f4fa511cc87688eb5a92f3c8d98fb6"),
     ("osp(2|4)", ["structconst", *EVAL, "1"], "34d711721240326a1a6fb47712bdec3de8361dabcc64fe7d3cb0e9edc87a89f3"),
     ("osp(2|4)", ["enumerate", "--format", "json"], "66569a80d4f74ee8e908affbcac0ebdf5c7cdd23fb82c611b9b7e567db42f494"),
+    ("osp(4|2)", ["structconst"], "91d779552d1b5e911f21e2d233181f6f1fb91f57d0cc38ec5ff37fc23b623174"),
+    ("osp(4|2)", ["structconst", *EVAL, "1/3"], "7321ceca66cc9d9af1b3af4bf15040ae6f69ae64f0e54e32d26b45032b29b417"),
+    ("osp(4|4)", ["verify", "--format", "json"], "039ff83f23c46e72fc0488d4b88e274cf9f35ac4a6b33074e0eeee473dc35cf5"),
     ("A(1,1)", [*REPS, "2"], "ddb14c8b6a6c99e3d5fe5616748bb7bb535662ebde2d09d3859057fd0be679f4"),
     ("B(2,1)", [*REPS, "2"], "3522b61b63dd1d2979e7bcd643a5b79de7b8ecc5b1499bb43a70cdc57b700e3c"),
     ("osp(2|4)", [*REPS, "2"], "8074eb882ff6c644d8caf248e852129dd423cea5c3ee4921fcde1658fef2c411"),

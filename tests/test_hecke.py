@@ -315,6 +315,50 @@ def test_product_bilinear_random():
         ).scaled(c)
 
 
+def test_elements_show_laurent_coefficients():
+    # the algebra computes on coefficient ids; its elements show LaurentPoly
+    H = hecke_poly(Family("B", 1, 1))
+    q = LaurentPoly.q()
+    a = H.groupoid.roots.domains[0]
+    i = next(i for i in range(1, H.family.rank + 1) if act(H.family, i, a) == a)
+    x = H.product(H.t(i, a), H.t(i, a))
+    assert sorted(x.items()) == sorted(
+        [(H.index[H.groupoid.generator(i, a)], q - 1), (H.index[H.groupoid.identity(a)], q)]
+    )
+    assert all(isinstance(c, LaurentPoly) for _, c in x.items())
+    assert x.scaled(3) == x.scaled(LaurentPoly.from_int(3))
+    assert dict(x.scaled(-2).items()) == {w: -2 * c for w, c in x.items()}
+    assert x.scaled(0).is_zero and (x - x).is_zero
+    assert x + x == x.scaled(2) and hash(x + x) == hash(x.scaled(2))
+    # an element of another algebra of the same family compares by its items
+    other = HeckeAlgebra(H.family)
+    assert other.product(other.t(i, a), other.t(i, a)) == x
+
+
+@pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("CD", 1, 1)])
+def test_structure_constants_are_a_read_only_mapping(fam):
+    # the Mapping over the id rows against products through canonical words
+    H = HeckeAlgebra(fam)
+    G = H.groupoid
+    reference = {}
+    for ui, u in enumerate(H.basis):
+        word = G.canonical_reduced_word(u)
+        for vi, v in enumerate(H.basis):
+            if v.target == u.source:
+                reference[(ui, vi)] = tuple(sorted(H.apply_word(word, H.f(v)).items()))
+    table = H.structure_constants()
+    assert len(table) == len(reference)
+    assert table == reference
+    assert dict(table.items()) == reference
+    assert list(table.values()) == [reference[k] for k in table]
+    for key, row in reference.items():
+        assert key in table and table[key] == row
+        assert all(isinstance(c, LaurentPoly) for _, c in table[key])
+    assert (len(H.basis), 0) not in table
+    with pytest.raises(TypeError):
+        table[next(iter(table))] = ()
+
+
 def test_structconst_json_shape():
     H = hecke_poly(Family("B", 1, 1))
     data = H.structure_constants_json()

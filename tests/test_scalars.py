@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhecke.cli import _rational
-from superhecke.scalars import LaurentPoly, laurent_to_json, rational_to_string
+from superhecke.scalars import CoefficientRing, LaurentPoly, laurent_to_json, rational_to_string
 
 from helpers import laurent_from_json
 
@@ -69,3 +69,23 @@ def test_laurent_ring_axioms(a, b, c):
 def test_eval_is_ring_homomorphism(a, b, q0):
     assert (a * b).evaluate(q0) == a.evaluate(q0) * b.evaluate(q0)
     assert (a + b).evaluate(q0) == a.evaluate(q0) + b.evaluate(q0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(laurents, min_size=1, max_size=6))
+def test_coefficient_ring_interns_and_memoises(polys):
+    ring = CoefficientRing()
+    ids = [ring.intern(p) for p in polys]
+    for a, x in zip(polys, ids):
+        assert ring.polys[x] == a
+        assert (x == 0) == a.is_zero
+        for b, y in zip(polys, ids):
+            # ids are equal exactly when the polynomials are
+            assert (x == y) == (a == b)
+            # sums and products agree with LaurentPoly's own, memoised or not
+            for _ in range(2):
+                assert ring.polys[ring.add(x, y)] == a + b
+                assert ring.polys[ring.mul(x, y)] == a * b
+        # a cancelling sum is id 0
+        assert ring.add(x, ring.intern(-a)) == 0
+    assert len(ring.polys) == len(set(ring.polys))
