@@ -6,7 +6,10 @@ it moved to integer kernels: the same seed must give the same bytes.  The
 reps and verify-all pins were recorded while each box tensor was still built
 as Fraction blocks and scaled to integers afterwards.  The osp(4|2)
 structconst and osp(4|4) verify pins were recorded while the Hecke layer
-still computed on LaurentPoly objects, before it moved to coefficient ids."""
+still computed on LaurentPoly objects, before it moved to coefficient ids.
+The osp(6|2) and osp(2|6) reps pins, the first to reach a W(D_m) fork with
+m >= 3 and a right factor of rank n >= 3, were recorded while the box tensor
+still read its classical generators off a hand-written case table."""
 
 import hashlib
 
@@ -27,6 +30,8 @@ FAMILIES = {
     "osp(2|2)": ["--family", "CD", "--m", "1", "--n", "1"],
     "osp(4|2)": ["--family", "CD", "--m", "2", "--n", "1"],
     "osp(4|4)": ["--family", "CD", "--m", "2", "--n", "2"],
+    "osp(6|2)": ["--family", "CD", "--m", "3", "--n", "1"],
+    "osp(2|6)": ["--family", "CD", "--m", "1", "--n", "3"],
 }
 EVAL = ["--scalar", "eval", "--q"]
 REPS = ["reps", "--format", "json", "--q"]
@@ -61,6 +66,8 @@ GOLDEN = [
     ("A(2,1)", [*REPS, "2"], "48f5a16c72c080dfad0db0b8dba0bb0dbb404aa8225f4b061f262752445895c7"),
     ("B(2,2)", [*REPS, "2"], "ee744ab567a8384106d70dfb1a697eb948e199707649d51e1933f20004c26eca"),
     ("osp(4|4)", [*REPS, "1/3"], "eae7b12193e9a8a1fca23d8400d10bf1f64246995e49b8c176714bc6d96e58a4"),
+    ("osp(6|2)", [*REPS, "1/3"], "755c1d4d76ca839862d0b05e8ae7b90eb76490ea80cc6a9d25f3bcedaa49a96c"),
+    ("osp(2|6)", [*REPS, "1/3"], "4d8d575b53608821e1c265d8c4da587862b060ee7d2e4e72d878002f25f7e3ac"),
     ("A(1,1)", ["reps", "--mode", "build"], "b4ace4884f918e8318ed00db879e9869f9a0caa5d8a3a0dd9ba983f44e099907"),
     ("osp(2|4)", ["reps", "--mode", "build"], "31c589e61dcaaad1f32cfbce7f812eb18a213edf62cd8660596e67e51a848ab9"),
     ("A(1,1)", ["verify-all"], "a363f86fd7f7652816612ba2cec61b22b045a4d38bac19cd8147578bed553f6d"),
