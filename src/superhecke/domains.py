@@ -195,13 +195,6 @@ def tau_minus(family: Family, d: Domain) -> tuple[int, ...]:
     return tuple(ones + zeros)
 
 
-def invert_perm(t: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(t)
-    for i, v in enumerate(t):
-        inv[v] = i
-    return tuple(inv)
-
-
 def domain_to_json(a: Domain):
     if isinstance(a, CDDomain):
         return {"p": list(a.parities), "tag": a.tag}

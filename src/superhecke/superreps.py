@@ -3,11 +3,13 @@ semisimplicity / isomorphism theorems.
 
 A block representation lives on one copy of V (x) W per domain.  Generators
 whose node is isotropic transport blocks identically; even nodes act through
-a classical Hecke irreducible on the left or right tensor factor, with the
-block-sorting permutations translating generator indices (one case table,
-_even_generator, for all three families).  Each summand is built once, as
-integer blocks: the generators times one common denominator D, the lcm of
-q0's denominator and of every classical irrep entry's denominator.
+a classical Hecke irreducible on the left or right tensor factor.  The
+factor and its generator T_k are read off the root data, once per family:
+the reflection of T_{i,a}, carried back to the base domain by odd
+reflections, is a generator of one factor's Weyl group (_even_generators).
+Each summand is built once, as integer blocks: the generators times one
+common denominator D, the lcm of q0's denominator and of every classical
+irrep entry's denominator.
 
 The isomorphism H_q(g) -> (+)_s End(V_s), the direct sum over all label
 pairs, is proved at q0 by a Wedderburn certificate of four exact checks:
@@ -43,23 +45,15 @@ trace signatures skip words that do not close into a loop.  No
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .domains import (
-    CDDomain,
-    Domain,
-    Family,
-    UsageError,
-    act,
-    enumerate_domains,
-    invert_perm,
-    tau_minus,
-    tau_plus,
-)
+from .domains import Domain, Family, UsageError, act, domain_str, enumerate_domains
 from .groupoid import CoxeterGroupoid, dimension_formula, groupoid_for
 from .hecke import family_braid_instances
 from .linalg import IntEchelon, IntMatrix, closure, int_identity, int_mat_mul, kron, scale_to_int
+from .roots import SignedPerm, root_system, sp_compose, sp_identity, sp_invert
 from .weylgroups import WeylType, generators, is_semisimple
 from .weylreps import Irrep, irreps
 
@@ -106,44 +100,53 @@ def _check_ranks(family: Family, left: Irrep, right: Irrep):
         raise ValueError("left and right factors must share q0")
 
 
-def _even_generator(family: Family, i: int, a: Domain) -> tuple[str, int]:
-    """The classical generator through which T_i acts on a domain a that i
-    fixes: ("left", k) for l(T_k) (x) 1, ("right", k) for 1 (x) r(T_k).
+@lru_cache(maxsize=None)
+def _even_generators(family: Family) -> dict[tuple[int, Domain], tuple[str, int]]:
+    """The classical generator through which each even node acts, read off
+    the root data: (i, a) -> ("left", k) for l(T_k) (x) 1 or ("right", k) for
+    1 (x) r(T_k), for every i that fixes a.
 
-    Node i between two equal parities acts through tau+ (zeros, left) or
-    tau- (ones, right).  In B the last node acts by l(T_m) or r(T_n)
-    according to the last parity.  In CD the last two nodes follow the tag:
-    crossing D <-> C- reverses the orientation of the 0-block, which acts on
-    W(D_m) as the diagram automorphism swapping the two fork generators
-    (k = m - 1 becomes m), and C+ / C- swap the roles of the right factor's
-    last two generators.
+    A breadth-first tree of odd moves from a0 = domains[0] gives x_a, the
+    product of odd reflections from a0 to a.  The loop x_a^-1 sigma_{i,a} x_a
+    at a0 is looked up among the factors' generators, placed on a0's zero
+    coordinates (left) or one coordinates (right) in increasing order.  The
+    transports carry CD's fork swap at C- domains and the C+ / C- twist of
+    the right factor.  A loop that is no classical generator, or a generator
+    that no even node reaches, is a fault of the program and raises.
     """
-    l, m, n = family.rank, family.m, family.n
-    p, tag = (a.parities, a.tag) if isinstance(a, CDDomain) else (a, None)
-
-    def k_of(tau) -> int:
-        return invert_perm(tau(family, a))[i - 1] + 1
-
-    if family.kind == "A" or (family.kind == "B" and i <= l - 1):
-        return ("left", k_of(tau_plus)) if p[i - 1] == 0 else ("right", k_of(tau_minus))
-    if family.kind == "B":
-        return ("left", m) if p[l - 1] == 0 else ("right", n)
-    if i <= l - 1 and p[i - 1] == 0 and p[i] == 0:
-        k = k_of(tau_plus)
-        return "left", m if tag == "C-" and k == m - 1 else k
-    if i == l and p[l - 1] == 0:
-        return "left", m
-    if i <= l - 2 and p[i - 1] == 1 and p[i] == 1:
-        return "right", k_of(tau_minus)
-    if i == l - 1 and tag == "C+" and p[l - 2] == 1 and p[l - 1] == 1:
-        return "right", n - 1
-    if i == l - 1 and tag == "C-" and p[l - 1] == 1:
-        return "right", n
-    if i == l and tag == "C+" and p[l - 1] == 1:
-        return "right", n
-    if i == l and tag == "C-" and p[l - 2] == 1 and p[l - 1] == 1:
-        return "right", n - 1
-    raise AssertionError(f"uncovered case i={i}, a={a}")
+    rs = root_system(family)
+    a0 = rs.domains[0]
+    p0 = a0.parities if family.kind == "CD" else a0
+    classical: dict[SignedPerm, tuple[str, int]] = {}
+    for side, wt, parity in zip(("left", "right"), factor_types(family), (0, 1)):
+        coords = [j for j, v in enumerate(p0) if v == parity]
+        for k, h in enumerate(generators(wt), start=1):
+            g = list(sp_identity(rs.dim))
+            for c, v in zip(coords, h):
+                g[c] = (coords[abs(v) - 1] + 1) * (1 if v > 0 else -1)
+            classical[tuple(g)] = (side, k)
+    x = {a0: sp_identity(rs.dim)}
+    out: dict[tuple[int, Domain], tuple[str, int]] = {}
+    queue = [a0]
+    for a in queue:  # breadth first: the loop reads what it appends
+        for i in range(1, family.rank + 1):
+            b = act(family, i, a)
+            if b != a:
+                if b not in x:
+                    x[b] = sp_compose(rs.reflection(i, a), x[a])
+                    queue.append(b)
+                continue
+            loop = sp_compose(sp_invert(x[a]), sp_compose(rs.reflection(i, a), x[a]))
+            if loop not in classical:
+                raise RuntimeError(
+                    f"even node (i, a) = ({i}, {domain_str(a)}): its loop {loop} at "
+                    f"{domain_str(a0)} is not a classical generator"
+                )
+            out[i, a] = classical[loop]
+    missing = set(classical.values()) - set(out.values())
+    if missing:
+        raise RuntimeError(f"no even node of {family.name()} acts by the generators {sorted(missing)}")
+    return out
 
 
 def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
@@ -160,6 +163,7 @@ def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
         "left": [kron(scale_to_int(g, D), int_identity(right.dim)) for g in left.gens],
         "right": [kron(int_identity(left.dim), scale_to_int(g, D)) for g in right.gens],
     }
+    even = _even_generators(family)
     blocks: dict[int, dict[Domain, tuple[Domain, IntMatrix]]] = {}
     for i in range(1, family.rank + 1):
         per: dict[Domain, tuple[Domain, IntMatrix]] = {}
@@ -168,7 +172,7 @@ def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
             if b != a:
                 per[a] = (b, transport)
             else:
-                side, k = _even_generator(family, i, a)
+                side, k = even[i, a]
                 per[a] = (a, factors[side][k - 1])
         blocks[i] = per
     return BlockRep(family, left.q0, left, right, domains, d, D, blocks)

@@ -1,6 +1,7 @@
 """Box-tensor representations and the isomorphism verification machinery."""
 
 import contextlib
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -10,13 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superhecke import cli, superreps
-from superhecke.domains import CDDomain, Family, act, enumerate_domains
+from superhecke.domains import CDDomain, Family, act, domain_str, enumerate_domains
 from superhecke.groupoid import groupoid_for
 from superhecke.linalg import int_identity, int_mat_mul, kron, scale_to_int
+from superhecke.roots import RootSystem
 from superhecke.superreps import (
     BigMap,
     _basis_rank,
-    _even_generator,
+    _even_generators,
     big_map,
     box_tensor,
     factor_types,
@@ -77,17 +79,58 @@ RANK_6 = _families_up_to_rank(6)  # 21 A, 21 B and 15 CD families
 
 @pytest.mark.parametrize("fam", RANK_6, ids=[f.name() for f in RANK_6])
 def test_even_generator_case_table_is_complete(fam):
-    # every fixed (i, a) gets a classical generator of the right factor, in
-    # range, and every generator of both factors acts somewhere
+    # the lookup read off the root data gives every fixed (i, a) a classical
+    # generator of the right factor, in range, and every generator of both
+    # factors acts somewhere
     ranks = {side: len(generators(wt)) for side, wt in zip(("left", "right"), factor_types(fam))}
+    even = _even_generators(fam)
     used = set()
     for a in enumerate_domains(fam):
         for i in range(1, fam.rank + 1):
             if act(fam, i, a) == a:
-                side, k = _even_generator(fam, i, a)
+                side, k = even[i, a]
                 assert 1 <= k <= ranks[side], (i, a, side, k)
                 used.add((side, k))
     assert used == {(side, k) for side, n in ranks.items() for k in range(1, n + 1)}
+
+
+def test_even_generator_map_matches_the_hand_table():
+    # sha256 over the 1 445 even (family, i, a, side, k) of the rank <= 6
+    # families, recorded with the hand-written case table the lookup replaced
+    entries = sorted(
+        f"{fam.name()} {i} {domain_str(a)} {side} {k}"
+        for fam in RANK_6
+        for (i, a), (side, k) in _even_generators(fam).items()
+    )
+    assert len(entries) == 1445
+    digest = hashlib.sha256("\n".join(entries).encode()).hexdigest()
+    assert digest == "5555d158efd2fc5d45790ace68764b8351b37ce7105d2a3bc3220b2538c596b1"
+
+
+def test_a_wrong_reflection_stops_the_box_tensor(monkeypatch, capsys):
+    # hand the C- fork node 2 of osp(4|2) the other fork node's reflection:
+    # its loop at the base domain mixes an even and an odd coordinate, so no
+    # box tensor is built and nothing prints PASS
+    fam = Family("CD", 2, 1)
+    bad = CDDomain((0, 0, 1), "C-")
+    rs = RootSystem(fam)  # a private copy: the cached root data stays sound
+    reflection = rs.reflection
+    monkeypatch.setattr(rs, "reflection", lambda i, a: reflection(3 if (i, a) == (2, bad) else i, a))
+    monkeypatch.setattr(superreps, "root_system", lambda f: rs)
+    monkeypatch.setattr(superreps, "_even_generators", _even_generators.__wrapped__)
+    with pytest.raises(RuntimeError, match=r"\(i, a\) = \(2, \(0,0,1\)\^C-\)"):
+        cli.main(["reps", "--family", "CD", "--m", "2", "--n", "1", "--q", "2"])
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_a_factor_generator_no_even_node_reaches_is_refused(monkeypatch):
+    # an extra "generator" of S_3, the left factor of A(2,1): the identity is
+    # the loop of no even node
+    real = superreps.generators
+    extra = {3: ((1, 2, 3),)}
+    monkeypatch.setattr(superreps, "generators", lambda wt: real(wt) + extra.get(wt.n, ()))
+    with pytest.raises(RuntimeError, match=r"A\(2,1\) acts by the generators \[\('left', 3\)\]"):
+        _even_generators.__wrapped__(Family("A", 2, 1))
 
 
 def test_block_rep_is_homomorphism():
@@ -123,11 +166,11 @@ def test_worked_braid_chain_in_matrices():
     rhs_target, rhs = chain((i + 1, i, i + 1))
     assert lhs == rhs
     # closed form: transport to d3 composed with the left generator action
-    from superhecke.domains import invert_perm, tau_plus
+    from superhecke.domains import tau_plus
 
     d3 = act(fam, i, act(fam, i + 1, act(fam, i, d)))
     assert lhs_target == rhs_target == d3
-    k = invert_perm(tau_plus(fam, d))[i - 1]
+    k = tau_plus(fam, d).index(i - 1)
     assert lhs == kron(scale_to_int(l.gens[k], D**3), int_identity(r.dim))
 
 
