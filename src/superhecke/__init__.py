@@ -1,9 +1,9 @@
 """Exact Coxeter groupoids and Iwahori-Hecke type algebras for the Lie
 superalgebra families A(m,n), B(m,n), C(n), D(m,n)."""
 
-from .domains import CDDomain, Family, act, enumerate_domains, tau_minus, tau_plus
+from .domains import CDDomain, Family, act, enumerate_domains
 from .groupoid import ZERO, CoxeterGroupoid, Element, Word, dimension_formula, groupoid_for
-from .hecke import HeckeAlgebra, HeckeElement, hecke_poly
+from .hecke import HeckeAlgebra, hecke_poly
 from .roots import RootSystem, root_system
 from .scalars import LaurentPoly
 from .weylgroups import WeylType, is_semisimple, poincare
@@ -15,7 +15,6 @@ __all__ = [
     "Element",
     "Family",
     "HeckeAlgebra",
-    "HeckeElement",
     "Irrep",
     "LaurentPoly",
     "RootSystem",
@@ -33,8 +32,6 @@ __all__ = [
     "root_system",
     "split_regular_module",
     "split_regular_weyl",
-    "tau_minus",
-    "tau_plus",
 ]
 
 __version__ = "0.1.0"

@@ -205,7 +205,8 @@ def _parse_word(fam: Family, args) -> Word:
     if base not in enumerate_domains(fam):
         raise UsageError(f"--base {args.base} is not a domain of {fam.name()}")
     try:
-        letters = tuple(int(x) for x in args.letters.split(",") if x)
+        # "" is the empty word; an empty item anywhere else is a typo
+        letters = tuple(int(x) for x in args.letters.split(",")) if args.letters else ()
     except ValueError:
         raise UsageError(f"--letters {args.letters!r} is not a comma-separated list of integers")
     for x in letters:

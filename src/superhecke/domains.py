@@ -1,5 +1,4 @@
-"""Domain sets of the three families, the generator action on them, and the
-block-sorting permutations tau+ / tau-.
+"""Domain sets of the three families and the generator action on them.
 
 A domain is a parity sequence: a tuple over {0,1} recording which basis
 directions of the defining superspace are odd.  Family "A" (gl(m+1|n+1)) uses
@@ -153,46 +152,6 @@ def act(family: Family, i: int, a: Domain) -> Domain:
     if i == l and p[l - 2] != p[l - 1]:
         return CDDomain(_swap(p, l - 1), "D")
     return a
-
-
-def _blocks(family: Family) -> tuple[int, int]:
-    if family.kind == "A":
-        return family.m + 1, family.n + 1
-    return family.m, family.n
-
-
-def _parities_of(a: Domain) -> tuple[int, ...]:
-    return a.parities if isinstance(a, CDDomain) else a
-
-
-def tau_plus(family: Family, d: Domain) -> tuple[int, ...]:
-    """Minimal-length permutation placing the sorted pattern 0..0 1..1 onto d.
-
-    Returned 0-based: tau[i] is the image position of i.  Positions 0..m'-1 go
-    to the zero positions of d in increasing order, the rest to the ones.
-    """
-    p = _parities_of(d)
-    m1, n1 = _blocks(family)
-    zeros = [k for k, v in enumerate(p) if v == 0]
-    ones = [k for k, v in enumerate(p) if v == 1]
-    if len(zeros) != m1 or len(ones) != n1:
-        raise ValueError(f"domain {d} does not match block sizes ({m1}, {n1})")
-    return tuple(zeros + ones)
-
-
-def tau_minus(family: Family, d: Domain) -> tuple[int, ...]:
-    """Minimal-length permutation placing the pattern 1..1 0..0 onto d.
-
-    Positions 0..n'-1 go to the one positions of d in increasing order, the
-    remaining n'..n'+m'-1 to the zero positions.
-    """
-    p = _parities_of(d)
-    m1, n1 = _blocks(family)
-    zeros = [k for k, v in enumerate(p) if v == 0]
-    ones = [k for k, v in enumerate(p) if v == 1]
-    if len(zeros) != m1 or len(ones) != n1:
-        raise ValueError(f"domain {d} does not match block sizes ({m1}, {n1})")
-    return tuple(ones + zeros)
 
 
 def domain_to_json(a: Domain):

@@ -8,14 +8,15 @@ algebra is defined over.  A table at a rational q0 is this one specialised
 at q0 (see `cli`), and a relation proved over Z[q, q^-1] holds at every
 q0 != 0.
 
-Inside the algebra a basis element is its position in the groupoid's
-`elements()`, and left multiplication by a generator reads the groupoid's
-integer tables (`lgen`, `length`); groupoid elements appear only where the
-API takes or returns them (`f`, `e`, `t`, JSON).  Likewise a coefficient is
-its id in the algebra's `CoefficientRing`: a table has few distinct
-coefficients, so `_lmul`, the one generator rule, adds and multiplies by
-memoised lookups.  LaurentPoly appears only at the edges: in
-`HeckeElement.items()`, in `scaled`'s argument, and in the rows that
+Inside the algebra an element is a dict {basis index: coefficient id}.  A
+basis index is a position in the groupoid's `elements()`, and left
+multiplication by a generator reads the groupoid's integer tables (`lgen`,
+`length`); groupoid elements appear only in failure messages and JSON.  A
+coefficient id is a key of the algebra's `CoefficientRing`: a table has few
+distinct coefficients, so `_lmul`, the one generator rule that both the
+table and the presentation check multiply through, adds and multiplies by
+memoised lookups.  LaurentPoly appears only at the edges: in the q and
+q - 1 that the relations intern, and in the rows that
 `structure_constants()` yields.
 """
 
@@ -29,59 +30,6 @@ from .domains import Domain, Family, act, domain_to_json
 from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
 from .roots import root_system
 from .scalars import CoefficientRing, LaurentPoly, laurent_to_json
-
-
-class HeckeElement:
-    """Finite scalar combination of basis elements f(w), keyed by basis
-    index; immutable.  It takes ownership of terms, a dict from basis index
-    to the nonzero coefficient's id in ring; `items()` gives the
-    coefficients as LaurentPoly."""
-
-    __slots__ = ("_terms", "_ring")
-
-    def __init__(self, terms: dict[int, int], ring: CoefficientRing):
-        self._terms = terms
-        self._ring = ring
-
-    def items(self) -> list[tuple[int, LaurentPoly]]:
-        polys = self._ring.polys
-        return [(k, polys[c]) for k, c in self._terms.items()]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        add_to = self._ring.add_to
-        d = dict(self._terms)
-        for w, c in other._terms.items():
-            add_to(d, w, c)
-        return HeckeElement(d, self._ring)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: int | LaurentPoly) -> "HeckeElement":
-        ring = self._ring
-        k = ring.intern(c if isinstance(c, LaurentPoly) else LaurentPoly.from_int(c))
-        if not k:
-            return HeckeElement({}, ring)
-        return HeckeElement({w: ring.mul(x, k) for w, x in self._terms.items()}, ring)
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        if self._ring is other._ring:
-            return self._terms == other._terms
-        return dict(self.items()) == dict(other.items())
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "HeckeElement(0)"
-        return "HeckeElement(" + ", ".join(f"{c}*f[{k}]" for k, c in self.items()) + ")"
 
 
 class StructureConstants(Mapping):
@@ -214,24 +162,6 @@ class HeckeAlgebra:
         self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
         self._table: StructureConstants | None = None
 
-    # ---- basis elements ----
-
-    def f(self, w: Element) -> HeckeElement:
-        return HeckeElement({self.index[w]: self._one}, self.ring)
-
-    def e(self, a: Domain) -> HeckeElement:
-        return self.f(self.groupoid.identity(a))
-
-    def t(self, i: int, a: Domain) -> HeckeElement:
-        return self.f(self.groupoid.generator(i, a))
-
-    def unit(self) -> HeckeElement:
-        """Sum of all idempotents E_a: the unit of the algebra."""
-        return HeckeElement(
-            {self.index[self.groupoid.identity(a)]: self._one for a in self.groupoid.roots.domains},
-            self.ring,
-        )
-
     # ---- left multiplication by generators ----
 
     def _lmul(self, i: int, a: int, terms) -> dict[int, int]:
@@ -252,53 +182,6 @@ class HeckeAlgebra:
                 add_to(out, k, mul(c, qm1))
                 add_to(out, sk, mul(c, q))
         return out
-
-    def _lmul_basis(self, u: int, terms: dict[int, int]) -> dict[int, int]:
-        """f(u) applied to terms supported on target source(u): the letters of
-        u's canonical word, the rightmost first."""
-        T = self.tables
-        steps = []
-        while T.length[u]:
-            i = T.first[u]
-            u = T.lgen[i][u]
-            steps.append((i, T.tgt[u]))
-        for i, a in reversed(steps):
-            terms = self._lmul(i, a, terms.items())
-        return terms
-
-    def apply_word(self, word: Word, x: HeckeElement) -> HeckeElement:
-        """Left-multiply x by T_{i1} ... T_{im, base} (no source projection)."""
-        doms = self.groupoid.word_domains(word)
-        terms = x._terms
-        for k in range(len(word.letters) - 1, -1, -1):
-            terms = self._lmul(word.letters[k], self._domain[doms[k]], terms.items())
-            if not terms:
-                break
-        return HeckeElement(terms, self.ring)
-
-    def element_of_word(self, word: Word) -> HeckeElement:
-        """The algebra element T_{i1} ... T_{im, base} itself."""
-        return self.apply_word(word, self.e(word.base))
-
-    # ---- products ----
-
-    def product(self, x: HeckeElement, y: HeckeElement) -> HeckeElement:
-        """Bilinear product; the left factor is decomposed by canonical words.
-        y is split by target domain once, so each term f(u) of x meets only
-        the part of y that f(u) can multiply."""
-        T = self.tables
-        add_to, mul = self.ring.add_to, self.ring.mul
-        by_target: dict[int, dict[int, int]] = {}
-        for v, c in y._terms.items():
-            by_target.setdefault(T.tgt[v], {})[v] = c
-        total: dict[int, int] = {}
-        for u, cu in x._terms.items():
-            z = by_target.get(T.src[u])
-            if z is None:
-                continue
-            for w, c in self._lmul_basis(u, z).items():
-                add_to(total, w, mul(c, cu))
-        return HeckeElement(total, self.ring)
 
     # ---- structure constants ----
 
@@ -371,10 +254,21 @@ class HeckeAlgebra:
         return out
 
     def verify_presentation(self) -> PresentationReport:
-        """Check every defining relation instance as a HeckeElement identity."""
+        """Check every defining relation instance in the left regular module.
+
+        Each side is a dict {basis index: coefficient id}.  A generator acts
+        by `_lmul`; E_a on the left keeps the terms of target a, on the right
+        those of source a.  The relations intern q and q - 1 themselves
+        rather than read the rule's `_q` and `_qm1`, so a wrong rule cannot
+        agree with itself."""
         G = self.groupoid
-        rs = G.roots
+        T = self.tables
         fam = self.family
+        lmul, one = self._lmul, self._one
+        q, qm1 = self.ring.intern(self.q), self.ring.intern(self.q - 1)
+        domains = G.roots.domains
+        ident = [self.index[G.identity(a)] for a in domains]
+        E = [{k: one} for k in ident]
         checked = 0
         failures: list[str] = []
 
@@ -385,44 +279,60 @@ class HeckeAlgebra:
             if not ok:
                 failures.append(msg.format(*args))
 
-        domains = rs.domains
+        def left(a: int, x: dict[int, int]) -> dict[int, int]:  # E_a x
+            return {k: c for k, c in x.items() if T.tgt[k] == a}
+
+        def right(x: dict[int, int], a: int) -> dict[int, int]:  # x E_a
+            return {k: c for k, c in x.items() if T.src[k] == a}
+
+        def apply(steps, x: dict[int, int]) -> dict[int, int]:
+            # T_{i1,a1} ... T_{im,am} x for steps (i, a), the rightmost first
+            for i, a in reversed(steps):
+                x = lmul(i, a, x.items())
+            return x
+
         # idempotent relations
-        for a in domains:
-            ea = self.e(a)
-            check(self.product(ea, ea) == ea, "E_a^2 != E_a at {}", a)
-            for b in domains:
+        for a in range(len(domains)):
+            check(right(E[a], a) == E[a], "E_a^2 != E_a at {}", domains[a])
+            for b in range(len(domains)):
                 if b != a:
-                    check(self.product(ea, self.e(b)).is_zero, "E_a E_b != 0 at {}, {}", a, b)
-        # sum of idempotents is the unit
-        unit = self.unit()
-        for w in self.basis:
-            fw = self.f(w)
-            check(
-                self.product(unit, fw) == fw and self.product(fw, unit) == fw,
-                "sum of E_a is not the unit on {}",
-                w,
-            )
+                    check(not right(E[a], b), "E_a E_b != 0 at {}, {}", domains[a], domains[b])
+        # sum of idempotents is the unit: on the left it keeps every term of
+        # f(w); on the right it is E_source(w), to which f(w)'s canonical
+        # letters are applied
+        for k, w in enumerate(self.basis):
+            steps = []
+            u = k
+            while T.length[u]:
+                i = T.first[u]
+                u = T.lgen[i][u]
+                steps.append((i, T.tgt[u]))
+            check(apply(steps, E[T.src[k]]) == {k: one}, "sum of E_a is not the unit on {}", w)
         # generator relations
-        for a in domains:
+        for a, d in enumerate(domains):
             for i in range(1, fam.rank + 1):
-                b = act(fam, i, a)
-                tia = self.t(i, a)
+                b = self._domain[act(fam, i, d)]
+                g = self.index[G.generator(i, d)]
+                tia = {g: one}
                 check(
-                    self.product(self.product(self.e(b), tia), self.e(a)) == tia,
+                    left(b, lmul(i, a, E[a].items())) == tia,
                     "E_(i>a) T_(i,a) E_a != T_(i,a) at i={}, a={}",
                     i,
-                    a,
+                    d,
                 )
                 if b == a:
-                    lhs = self.product(tia, tia)
-                    rhs = self.t(i, a).scaled(self.q - 1) + self.e(a).scaled(self.q)
-                    check(lhs == rhs, "quadratic relation fails at i={}, a={}", i, a)
+                    check(
+                        lmul(i, a, tia.items()) == {g: qm1, ident[a]: q},
+                        "quadratic relation fails at i={}, a={}",
+                        i,
+                        d,
+                    )
                 else:
                     check(
-                        self.product(self.t(i, b), tia) == self.e(a),
+                        lmul(i, b, tia.items()) == E[a],
                         "isotropic relation T_(i,i>a) T_(i,a) != E_a at i={}, a={}",
                         i,
-                        a,
+                        d,
                     )
         # braid relations: family lists, and agreement with the coxeter-derived set
         fam_list = family_braid_instances(fam)
@@ -440,11 +350,16 @@ class HeckeAlgebra:
             sorted(fam_keys - cox_keys)[:3],
             sorted(cox_keys - fam_keys)[:3],
         )
+
+        def word(letters: tuple[int, ...], base: Domain) -> dict[int, int]:
+            # the element T_{i1} ... T_{im, base}
+            doms = G.word_domains(Word(base, letters))
+            steps = [(i, self._domain[x]) for i, x in zip(letters, doms)]
+            return apply(steps, E[self._domain[base]])
+
         for inst in fam_list + cox_list:
-            lhs = self.element_of_word(Word(inst.base, inst.left))
-            rhs = self.element_of_word(Word(inst.base, inst.right))
             check(
-                lhs == rhs,
+                word(inst.left, inst.base) == word(inst.right, inst.base),
                 "{} fails at base={}, {} vs {}",
                 inst.name,
                 inst.base,

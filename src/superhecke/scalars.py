@@ -71,10 +71,6 @@ class LaurentPoly:
         return self._c
 
     @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
     def min_exp(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no exponents")

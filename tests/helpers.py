@@ -3,7 +3,9 @@
 The program never calls these.  Each recomputes something the program
 builds another way (a Poincare polynomial by enumeration, a braid-move
 closure, standard tableaux by their own recursion, a matrix product over
-Fraction, the Hecke structure constants over Q at q0) or makes a
+Fraction, Hecke products over Z[q, q^-1] and the structure constants over Q
+at q0), states a definition of the paper that the program reads off the
+root data instead (the block-sorting permutations tau+ / tau-), or makes a
 deliberately broken input for a checker.
 """
 
@@ -12,8 +14,8 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 
-from superhecke.domains import Family
-from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Word, groupoid_for
+from superhecke.domains import CDDomain, Domain, Family
+from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Tables, Word, groupoid_for
 from superhecke.roots import RootSystem, reflection_for_root
 from superhecke.scalars import LaurentPoly
 from superhecke.weylgroups import WeylType, elements_with_length
@@ -35,6 +37,46 @@ def mat_mul(a, b):
         [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(m)]
         for i in range(len(a))
     ]
+
+
+def _blocks(family: Family) -> tuple[int, int]:
+    if family.kind == "A":
+        return family.m + 1, family.n + 1
+    return family.m, family.n
+
+
+def _parities_of(a: Domain) -> tuple[int, ...]:
+    return a.parities if isinstance(a, CDDomain) else a
+
+
+def tau_plus(family: Family, d: Domain) -> tuple[int, ...]:
+    """Minimal-length permutation placing the sorted pattern 0..0 1..1 onto d.
+
+    Returned 0-based: tau[i] is the image position of i.  Positions 0..m'-1 go
+    to the zero positions of d in increasing order, the rest to the ones.
+    """
+    p = _parities_of(d)
+    m1, n1 = _blocks(family)
+    zeros = [k for k, v in enumerate(p) if v == 0]
+    ones = [k for k, v in enumerate(p) if v == 1]
+    if len(zeros) != m1 or len(ones) != n1:
+        raise ValueError(f"domain {d} does not match block sizes ({m1}, {n1})")
+    return tuple(zeros + ones)
+
+
+def tau_minus(family: Family, d: Domain) -> tuple[int, ...]:
+    """Minimal-length permutation placing the pattern 1..1 0..0 onto d.
+
+    Positions 0..n'-1 go to the one positions of d in increasing order, the
+    remaining n'..n'+m'-1 to the zero positions.
+    """
+    p = _parities_of(d)
+    m1, n1 = _blocks(family)
+    zeros = [k for k, v in enumerate(p) if v == 0]
+    ones = [k for k, v in enumerate(p) if v == 1]
+    if len(zeros) != m1 or len(ones) != n1:
+        raise ValueError(f"domain {d} does not match block sizes ({m1}, {n1})")
+    return tuple(ones + zeros)
 
 
 def laurent_from_json(data) -> LaurentPoly:
@@ -114,6 +156,90 @@ def mutated_negated_alpha(rs: RootSystem, i: int, a) -> RootSystem:
     return mutated_alpha(rs, i, a, tuple(-c for c in rs.simple_root(i, a)))
 
 
+def lmul(T: Tables, i: int, a: int, terms, q) -> dict:
+    """T_{i,a} applied to (basis index, scalar) pairs at q, a Fraction or
+    LaurentPoly.q(): f(k) of target a goes to f(s_i k) if that is longer or i
+    moves a, else to (q - 1) f(k) + q f(s_i k).  Zeros are dropped."""
+    out: dict = {}
+    for k, c in terms:
+        if T.tgt[k] != a:
+            continue
+        sk = T.lgen[i][k]
+        if T.length[sk] > T.length[k] or T.tgt[sk] != a:
+            out[sk] = out.get(sk, 0) + c
+        else:
+            out[k] = out.get(k, 0) + c * (q - 1)
+            out[sk] = out.get(sk, 0) + c * q
+    return {w: c for w, c in out.items() if c}
+
+
+class Combination(dict):
+    """An element of the Hecke algebra: {basis index: nonzero LaurentPoly}."""
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
+
+    def __add__(self, other: "Combination") -> "Combination":
+        out = Combination(self)
+        for k, c in other.items():
+            out[k] = out.get(k, 0) + c
+            if not out[k]:
+                del out[k]
+        return out
+
+    def scaled(self, c) -> "Combination":
+        return Combination({k: y for k, x in self.items() if (y := x * c)})
+
+
+class HeckeReference:
+    """H_q(W) of one family over Z[q, q^-1], multiplied by `lmul` on the
+    groupoid's tables: f(u) f(v) is u's canonical reduced word, from root
+    counts, applied to f(v)."""
+
+    def __init__(self, fam: Family):
+        self.family = fam
+        self.groupoid = G = groupoid_for(fam)
+        self.tables = G.tables()
+        self.basis = G.elements()
+        self.index = self.tables.index
+        self.q = LaurentPoly.q()
+        self._domain = {a: j for j, a in enumerate(G.roots.domains)}
+
+    def f(self, w) -> Combination:
+        return Combination({self.index[w]: LaurentPoly.one()})
+
+    def e(self, a) -> Combination:
+        return self.f(self.groupoid.identity(a))
+
+    def t(self, i: int, a) -> Combination:
+        return self.f(self.groupoid.generator(i, a))
+
+    def unit(self) -> Combination:
+        """Sum of all idempotents E_a."""
+        out = Combination()
+        for a in self.groupoid.roots.domains:
+            out += self.e(a)
+        return out
+
+    def apply_word(self, word: Word, x: Combination) -> Combination:
+        """Left-multiply x by T_{i1} ... T_{im, base}, the rightmost first."""
+        doms = self.groupoid.word_domains(word)
+        terms = x.items()
+        for i, d in reversed(list(zip(word.letters, doms))):
+            terms = lmul(self.tables, i, self._domain[d], terms, self.q).items()
+        return Combination(terms)
+
+    def product(self, x: Combination, y: Combination) -> Combination:
+        T = self.tables
+        total = Combination()
+        for u, c in x.items():
+            z = Combination({v: d for v, d in y.items() if T.tgt[v] == T.src[u]})
+            word = self.groupoid.canonical_reduced_word(self.basis[u])
+            total += self.apply_word(word, z).scaled(c)
+        return total
+
+
 def structure_constants_at(fam: Family, q0) -> dict:
     """The Hecke structure constants c^w_{u,v} at q = q0 != 0, computed over
     Q: the length-layer recursion f(u) f(v) = T_i (f(u') f(v)), with
@@ -122,20 +248,6 @@ def structure_constants_at(fam: Family, q0) -> dict:
     as `structconst --scalar eval` writes them."""
     q0 = Fraction(q0)
     T = groupoid_for(fam).tables()
-
-    def lmul(i, a, row):
-        # T_{i,a} f(k) = f(s_i k) if that is longer or i moves a, else
-        # (q0 - 1) f(k) + q0 f(s_i k)
-        out: dict[int, Fraction] = {}
-        for k, c in row:
-            sk = T.lgen[i][k]
-            if T.length[sk] > T.length[k] or T.tgt[sk] != a:
-                out[sk] = out.get(sk, 0) + c
-            else:
-                out[k] = out.get(k, 0) + c * (q0 - 1)
-                out[sk] = out.get(sk, 0) + c * q0
-        return tuple(sorted((w, c) for w, c in out.items() if c))
-
     table = {}
     for u, a in enumerate(T.src):
         for v, b in enumerate(T.tgt):
@@ -146,5 +258,5 @@ def structure_constants_at(fam: Family, q0) -> dict:
             else:
                 i = T.first[u]
                 r = T.lgen[i][u]
-                table[(u, v)] = lmul(i, T.tgt[r], table[(r, v)])
+                table[(u, v)] = tuple(sorted(lmul(T, i, T.tgt[r], table[(r, v)], q0).items()))
     return table

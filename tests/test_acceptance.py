@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from superhecke.domains import CDDomain, Family, act, tau_minus, tau_plus
+from superhecke.domains import CDDomain, Family, act
 from superhecke.groupoid import Word, dimension_formula, groupoid_for
 from superhecke.hecke import hecke_poly
 from superhecke.roots import dynkin_dot, root_system
@@ -32,6 +32,8 @@ from helpers import (
     perm_one_based,
     poincare_enum,
     structure_constants_at,
+    tau_minus,
+    tau_plus,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

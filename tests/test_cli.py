@@ -121,6 +121,16 @@ def test_words_nonreduced():
     assert data["canonical_word"]["letters"] == []
 
 
+def test_words_empty_letters_is_the_empty_word():
+    proc = run_cli(
+        "words", "--family", "A", "--m", "1", "--n", "1",
+        "--base", "[0,0,1,1]", "--letters", "", "--format", "json",
+    )
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert data["word"]["letters"] == [] and data["length"] == 0
+
+
 def test_words_command():
     proc = run_cli(
         "words", "--family", "A", "--m", "1", "--n", "1",
@@ -190,6 +200,8 @@ def test_output_deterministic():
         (["CD", "--m", "1", "--n", "1"], '{"p": [0, 1], "tag": "E"}', "1"),  # unknown tag
         (["CD", "--m", "1", "--n", "1"], "[0,1]", "1"),
         (["A", "--m", "1", "--n", "1"], "[1e400,0,1,1]", "1"),  # int() of infinity overflows
+        (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "1,,2"),  # empty item
+        (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "1,"),  # trailing empty item
     ],
 )
 def test_words_bad_input_exit_2(family, base, letters):

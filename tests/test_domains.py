@@ -13,11 +13,9 @@ from superhecke.domains import (
     domain_from_json,
     domain_to_json,
     enumerate_domains,
-    tau_minus,
-    tau_plus,
 )
 
-from helpers import inversions, perm_one_based
+from helpers import inversions, perm_one_based, tau_minus, tau_plus
 
 DESK = [
     Family("A", 1, 1),

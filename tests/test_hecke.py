@@ -2,6 +2,7 @@
 structure constants over Z[q, q^-1] and their specialisation at q0."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -16,13 +17,13 @@ from superhecke.domains import Family, act
 from superhecke.hecke import HeckeAlgebra, family_braid_instances, hecke_poly
 from superhecke.scalars import LaurentPoly, rational_to_string
 
-from helpers import structure_constants_at
+from helpers import HeckeReference, structure_constants_at
 
 SMALL = [Family("A", 1, 1), Family("B", 1, 1), Family("B", 0, 2), Family("CD", 1, 1)]
 
 
 def test_idempotent_rules():
-    H = hecke_poly(Family("A", 1, 1))
+    H = HeckeReference(Family("A", 1, 1))
     a, b = (0, 0, 1, 1), (0, 1, 0, 1)
     assert H.product(H.e(a), H.e(a)) == H.e(a)
     assert H.product(H.e(a), H.e(b)).is_zero
@@ -33,7 +34,7 @@ def test_idempotent_rules():
 
 
 def test_lmul_rules():
-    H = hecke_poly(Family("A", 1, 1))
+    H = HeckeReference(Family("A", 1, 1))
     q = H.q
     a = (0, 0, 1, 1)
     # T e_a = t(i, a)
@@ -50,7 +51,7 @@ def test_lmul_rules():
 def test_quadratic_operator_identity_on_basis():
     # (L - q L_E)(L + L_E) = 0 on the E_a-column, in operator form
     for fam in [Family("B", 1, 1), Family("CD", 1, 1)]:
-        H = hecke_poly(fam)
+        H = HeckeReference(fam)
         q = H.q
         for a in H.groupoid.roots.domains:
             for i in range(1, fam.rank + 1):
@@ -65,7 +66,7 @@ def test_quadratic_operator_identity_on_basis():
 
 
 def test_product_left_unit_and_zero():
-    H = hecke_poly(Family("B", 1, 1))
+    H = HeckeReference(Family("B", 1, 1))
     for u in H.basis:
         assert H.product(H.f(u), H.e(u.source)) == H.f(u)
         assert H.product(H.e(u.target), H.f(u)) == H.f(u)
@@ -136,6 +137,31 @@ def test_presentation_fails_on_a_corrupted_generator_table():
     assert report.passed is False
     assert len(report.failures) == 14
     assert any(f.startswith("sum of E_a is not the unit") for f in report.failures)
+    # the count and every failure line, byte for byte
+    assert _report_digest(report) == (
+        "30ed09c5a871a9172ea21ca542e82d1c198ae75ad33c4683565d09662a1163a4"
+    )
+
+
+def test_presentation_fails_on_a_wrong_quadratic_coefficient():
+    # the generator rule multiplies by q where q - 1 belongs: every quadratic
+    # line fails, since the relation's q - 1 is not the rule's
+    H = HeckeAlgebra(Family("B", 1, 2))
+    H._qm1 = H._q
+    report = H.verify_presentation()
+    fam, domains = H.family, H.groupoid.roots.domains
+    even = [(i, a) for a in domains for i in range(1, fam.rank + 1) if act(fam, i, a) == a]
+    assert len(report.failures) == len(even) > 0
+    assert all(f.startswith("quadratic relation fails") for f in report.failures)
+    assert _report_digest(report) == (
+        "bd220168ad7552a372ffe3d8f221b47c5393be763775c2747fbfd71a36212e33"
+    )
+
+
+def _report_digest(report) -> str:
+    """sha256 over a presentation report's count and failure lines."""
+    text = "\n".join([str(report.checked), *report.failures])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_family_list_matches_coxeter_braids():
@@ -270,6 +296,7 @@ def test_table_rows_match_products_through_canonical_words(fam, q):
     # Fraction reference at q, against the definition: f(u) f(v) is the
     # canonical word of u, from its root-count descents, applied to f(v)
     H = hecke_poly(fam)
+    R = HeckeReference(fam)
     G = H.groupoid
     table = H.structure_constants() if q is None else structure_constants_at(fam, q)
     pairs = 0
@@ -281,7 +308,7 @@ def test_table_rows_match_products_through_canonical_words(fam, q):
                 assert row is None
                 continue
             pairs += 1
-            product = sorted(H.apply_word(word, H.f(v)).items())
+            product = sorted(R.apply_word(word, R.f(v)).items())
             if q is not None:
                 product = [(wi, c.evaluate(q)) for wi, c in product if c.evaluate(q)]
             assert row == tuple(product)
@@ -304,7 +331,7 @@ def test_eval_table_is_poly_table_at_q0(fam, q0):
 
 
 def test_product_bilinear_random():
-    H = hecke_poly(Family("CD", 1, 1))
+    H = HeckeReference(Family("CD", 1, 1))
     c = H.q + 3
     rng = random.Random(5)
     for _ in range(30):
@@ -315,37 +342,19 @@ def test_product_bilinear_random():
         ).scaled(c)
 
 
-def test_elements_show_laurent_coefficients():
-    # the algebra computes on coefficient ids; its elements show LaurentPoly
-    H = hecke_poly(Family("B", 1, 1))
-    q = LaurentPoly.q()
-    a = H.groupoid.roots.domains[0]
-    i = next(i for i in range(1, H.family.rank + 1) if act(H.family, i, a) == a)
-    x = H.product(H.t(i, a), H.t(i, a))
-    assert sorted(x.items()) == sorted(
-        [(H.index[H.groupoid.generator(i, a)], q - 1), (H.index[H.groupoid.identity(a)], q)]
-    )
-    assert all(isinstance(c, LaurentPoly) for _, c in x.items())
-    assert x.scaled(3) == x.scaled(LaurentPoly.from_int(3))
-    assert dict(x.scaled(-2).items()) == {w: -2 * c for w, c in x.items()}
-    assert x.scaled(0).is_zero and (x - x).is_zero
-    assert x + x == x.scaled(2) and hash(x + x) == hash(x.scaled(2))
-    # an element of another algebra of the same family compares by its items
-    other = HeckeAlgebra(H.family)
-    assert other.product(other.t(i, a), other.t(i, a)) == x
-
-
 @pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("CD", 1, 1)])
 def test_structure_constants_are_a_read_only_mapping(fam):
-    # the Mapping over the id rows against products through canonical words
+    # the Mapping over the id rows against the reference's products through
+    # canonical words
     H = HeckeAlgebra(fam)
+    R = HeckeReference(fam)
     G = H.groupoid
     reference = {}
     for ui, u in enumerate(H.basis):
         word = G.canonical_reduced_word(u)
         for vi, v in enumerate(H.basis):
             if v.target == u.source:
-                reference[(ui, vi)] = tuple(sorted(H.apply_word(word, H.f(v)).items()))
+                reference[(ui, vi)] = tuple(sorted(R.apply_word(word, R.f(v)).items()))
     table = H.structure_constants()
     assert len(table) == len(reference)
     assert table == reference

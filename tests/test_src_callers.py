@@ -1,14 +1,15 @@
 """src/ holds only what the program runs: every function, class and method
 defined in src/superhecke has a caller there, outside its own definition,
-or in perfbench/traced.py, which wraps some of them by name.  Code that only
-the tests use lives in tests/helpers.py."""
+or in perfbench/traced.py, which wraps some of them by name.  A re-export
+in the package's __init__.py is not a caller.  Code that only the tests use
+lives in tests/helpers.py."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "superhecke").glob("*.py"))
-CALLERS = SRC + [ROOT / "perfbench" / "traced.py"]
+CALLERS = [p for p in SRC if p.name != "__init__.py"] + [ROOT / "perfbench" / "traced.py"]
 
 # verification helpers that `irreps --verify` is to call (ROADMAP item 8,
 # stage 1); until then only the tests do
@@ -17,7 +18,7 @@ AWAITING_CALLER = {"verify_irrep_relations", "pairwise_distinct_traces", "charac
 
 def _references(tree):
     """(line, name) of every name a module reads: plain and attribute names,
-    imported names and string constants, as a wrapper or __all__ uses them."""
+    imported names and string constants, as a wrapper uses them."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.lineno, node.id

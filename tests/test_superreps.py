@@ -166,7 +166,7 @@ def test_worked_braid_chain_in_matrices():
     rhs_target, rhs = chain((i + 1, i, i + 1))
     assert lhs == rhs
     # closed form: transport to d3 composed with the left generator action
-    from superhecke.domains import tau_plus
+    from helpers import tau_plus
 
     d3 = act(fam, i, act(fam, i + 1, act(fam, i, d)))
     assert lhs_target == rhs_target == d3
