@@ -66,10 +66,10 @@ def _parse_family(args) -> Family:
 
 
 def _capped_groupoid(args, fam: Family) -> CoxeterGroupoid:
-    """The family's groupoid, enumerated under --max-elements before any
-    other work, so a family past the cap fails fast with exit 2."""
+    """The family's groupoid, counted under --max-elements before any other
+    work, so a family past the cap fails fast with exit 2."""
     G = groupoid_for(fam)
-    G.elements(args.max_elements)
+    G.order(args.max_elements)
     return G
 
 
@@ -154,7 +154,7 @@ def cmd_enumerate(args) -> int:
 def cmd_dim(args) -> int:
     fam = _parse_family(args)
     G = groupoid_for(fam)
-    count = len(G.elements(args.max_elements))
+    count = G.order(args.max_elements)
     formula = dimension_formula(fam)
     if args.format == "json":
         _emit(args, _json_dump({

@@ -6,20 +6,26 @@ groupoid and multiplication is composition when the domains match, the zero
 element otherwise.  Length, descents, reduced words, and the braid-move
 machinery of single elements all reduce to exact root bookkeeping.
 
-Enumeration also fills flat integer tables (`Tables`) over the elements, in
-the breadth-first search from the identities: an element's length is its
-minimal word length, which is the depth at which the search first reaches it
-(Heckenberger-Yamane, Math. Z. 259, 2008).  Bulk work on every element reads
-these tables instead of recomputing roots.
+Enumeration is one breadth-first search from the identities on integer
+keys: an element is an id, given in discovery order, with the indices of its
+source and target in `roots.domains` and its signed map, and s_i·w is one
+table lookup per coordinate of the map.  An element's length is its minimal
+word length, the depth at which the search first reaches it
+(Heckenberger-Yamane, Math. Z. 259, 2008).  `order` is the size of the
+search.  `elements` and the flat integer tables (`Tables`) are built only
+when asked, from one sort of the ids; bulk work on every element reads these
+tables instead of recomputing roots.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable
 from functools import lru_cache
 from math import inf
 from typing import NamedTuple
 
-from .domains import Domain, Family, UsageError, act, domain_sort_key
+from .domains import Domain, Family, UsageError, act
 from .roots import (
     RootSystem,
     SignedPerm,
@@ -69,7 +75,8 @@ _REDUCED_WORDS_CAP = 1_000_000
 
 class Tables(NamedTuple):
     """Integer tables over the elements, indexed by position in
-    `CoxeterGroupoid.elements()`.  That order starts with length, so the
+    `CoxeterGroupoid.elements()`.  They are the search's records put in that
+    order by one sort of its ids.  The order starts with length, so the
     element lgen[first[k]][k] comes before k.
 
     - index: element -> position;
@@ -98,10 +105,24 @@ class Tables(NamedTuple):
         return tuple(letters)
 
 
+class _Search(NamedTuple):
+    """The enumeration's breadth-first search, indexed by id in discovery
+    order: source and target positions in `roots.domains`, signed map,
+    depth, and nbrs[i - 1][k], the id of s_i·w_k."""
+
+    src: list[int]
+    tgt: list[int]
+    smap: list[SignedPerm]
+    depth: list[int]
+    nbrs: list[list[int]]
+
+
 class CoxeterGroupoid:
     def __init__(self, family: Family):
         self.family = family
         self.roots: RootSystem = root_system(family)
+        self._order: int | None = None
+        self._search: _Search | None = None
         self._elements: tuple[Element, ...] | None = None
         self._tables: Tables | None = None
         self._reduced_words: dict[Element, tuple[tuple[int, ...], ...]] = {}
@@ -148,18 +169,29 @@ class CoxeterGroupoid:
 
     # ---- enumeration ----
 
-    def elements(self, max_elements: float = inf) -> tuple[Element, ...]:
-        """All nonzero elements, closed under generator multiplication.
+    def order(self, max_elements: float = inf) -> int:
+        """|W \\ {0}|, by the search alone.
 
-        Ordered by (length, source, target, map) so output is reproducible.
         Raises SizeCapExceeded past max_elements, whether or not an earlier
         call already enumerated the groupoid; with no max_elements there is
         no cap.
         """
-        if self._elements is None:
-            self._enumerate(max_elements)
-        elif len(self._elements) > max_elements:
+        if self._order is None:
+            self._search = self._breadth_first(max_elements)
+            self._order = len(self._search.smap)
+        elif self._order > max_elements:
             raise SizeCapExceeded(f"more than {max_elements} elements")
+        return self._order
+
+    def elements(self, max_elements: float = inf) -> tuple[Element, ...]:
+        """All nonzero elements, closed under generator multiplication.
+
+        Ordered by (length, source, target, map) so output is reproducible.
+        Capped as `order` is.
+        """
+        self.order(max_elements)
+        if self._elements is None:
+            self._sort()
         return self._elements
 
     def tables(self) -> Tables:
@@ -167,70 +199,94 @@ class CoxeterGroupoid:
         self.elements()
         return self._tables
 
-    def _enumerate(self, cap: float):
-        """Breadth-first search from the identities, recording each element's
-        depth and its left neighbours s_i·w, then sorting into the tables.
-        Each domain's identity is an element, so more domains than the cap
-        are refused before anything is built."""
-        if len(self.roots.domains) > cap:
+    def _breadth_first(self, cap: float) -> _Search:
+        """Breadth-first search from the identities on integer keys.
+
+        Each (letter, domain) becomes a target index and a lookup of the
+        reflection's signed values, so s_i·w is `tuple(map(lookup, smap))`,
+        looked up among the ids found with its source and target.  Each
+        domain's identity is an element, so more domains than the cap are
+        refused before anything is built."""
+        doms = self.roots.domains
+        nd = len(doms)
+        if nd > cap:
             raise SizeCapExceeded(f"more than {cap} elements")
-        rank = self.family.rank
-        gens = {(i, a): self.generator(i, a) for i in range(1, rank + 1) for a in self.roots.domains}
-        depth: dict[Element, int] = {}
-        nbrs: dict[Element, tuple[Element, ...]] = {}
-        frontier = [self.identity(a) for a in self.roots.domains]
-        for e in frontier:
-            depth[e] = 0
-        d = 0
-        while frontier:
+        rank, r = self.family.rank, self.roots.dim
+        dom_index = {a: j for j, a in enumerate(doms)}
+        lookups: dict[SignedPerm, Callable[[int], int]] = {}  # one per distinct reflection
+        steps = []
+        for a in doms:
+            row = []
+            for i in range(1, rank + 1):
+                g = self.roots.reflection(i, a)
+                if g not in lookups:
+                    # table[v] is the image of the signed value v, 0 < |v| <= r
+                    table = [0] * (2 * r + 1)
+                    for v in range(1, r + 1):
+                        table[v], table[-v] = g[v - 1], -g[v - 1]
+                    lookups[g] = table.__getitem__
+                row.append((dom_index[act(self.family, i, a)], lookups[g]))
+            steps.append(row)
+        ident = sp_identity(r)
+        src, tgt, smap = list(range(nd)), list(range(nd)), [ident] * nd
+        depth = [0] * nd
+        nbrs: list[list[int]] = [[] for _ in range(rank)]
+        # the ids of each (source, target) pair reached, by signed map
+        seen: defaultdict[int, dict[SignedPerm, int]] = defaultdict(dict)
+        for j in range(nd):
+            seen[j * nd + j][ident] = j
+        lo, hi, d = 0, nd, 0
+        while lo < hi:
             d += 1
-            nxt = []
-            for w in frontier:
-                row = []
-                for i in range(1, rank + 1):
-                    u = self.multiply(gens[(i, w.target)], w)
-                    row.append(u)
-                    if u not in depth:
-                        if len(depth) >= cap:
+            for k in range(lo, hi):
+                s, m = src[k], smap[k]
+                for row, (t, lookup) in zip(nbrs, steps[tgt[k]]):
+                    u = tuple(map(lookup, m))
+                    bucket = seen[s * nd + t]
+                    uid = bucket.get(u)
+                    if uid is None:
+                        uid = len(smap)
+                        if uid >= cap:
                             raise SizeCapExceeded(f"more than {cap} elements")
-                        depth[u] = d
-                        nxt.append(u)
-                nbrs[w] = tuple(row)
-            frontier = nxt
-        ordered = tuple(
-            sorted(
-                depth,
-                key=lambda w: (
-                    depth[w],
-                    domain_sort_key(w.source),
-                    domain_sort_key(w.target),
-                    w.smap,
-                ),
-            )
-        )
-        index = {w: k for k, w in enumerate(ordered)}
-        dom = {a: j for j, a in enumerate(self.roots.domains)}
-        length = tuple(depth[w] for w in ordered)
-        lgen = ((),) + tuple(
-            tuple(index[nbrs[w][i]] for w in ordered) for i in range(rank)
-        )
+                        bucket[u] = uid
+                        src.append(s)
+                        tgt.append(t)
+                        smap.append(u)
+                        depth.append(d)
+                    row.append(uid)
+            lo, hi = hi, len(smap)
+        return _Search(src, tgt, smap, depth, nbrs)
+
+    def _sort(self):
+        """Sort the search's ids by (depth, source, target, map) and build
+        `elements()` and `tables()` in that order, then drop the search.
+        `roots.domains` is sorted by `domain_sort_key`, so source and target
+        indices compare as their domains do."""
+        src, tgt, smap, depth, nbrs = self._search
+        doms = self.roots.domains
+        order = sorted(range(len(smap)), key=lambda k: (depth[k], src[k], tgt[k], smap[k]))
+        # one int object per position, shared by pos, lgen and index
+        positions = list(range(len(order)))
+        pos = [0] * len(order)
+        for k, p in zip(order, positions):
+            pos[k] = p
+        ordered = tuple(Element(doms[src[k]], doms[tgt[k]], smap[k]) for k in order)
+        length = tuple(depth[k] for k in order)
+        lgen = ((),) + tuple(tuple(pos[row[k]] for k in order) for row in nbrs)
         first = tuple(
-            next((i for i in range(1, rank + 1) if length[lgen[i][k]] < lk), 0)
-            for k, lk in enumerate(length)
+            next((i for i in range(1, len(lgen)) if length[lgen[i][p]] < lp), 0)
+            for p, lp in enumerate(length)
         )
         self._tables = Tables(
-            index=index,
-            src=tuple(dom[w.source] for w in ordered),
-            tgt=tuple(dom[w.target] for w in ordered),
+            index=dict(zip(ordered, positions)),
+            src=tuple(src[k] for k in order),
+            tgt=tuple(tgt[k] for k in order),
             length=length,
             lgen=lgen,
             first=first,
         )
         self._elements = ordered
-
-    def order(self) -> int:
-        """|W \\ {0}|."""
-        return len(self.elements())
+        self._search = None
 
     # ---- words ----
 

@@ -269,6 +269,59 @@ def test_more_domains_than_the_cap_are_declined_before_any_root(monkeypatch, cap
     assert built == []
 
 
+CD21 = ["--family", "CD", "--m", "2", "--n", "1"]  # osp(4|2), 128 elements
+CD22 = ["--family", "CD", "--m", "2", "--n", "2"]  # osp(4|4), 2 592 elements
+
+
+@pytest.mark.parametrize("command", ["dim", "enumerate", "verify"])
+def test_max_elements_one_below_the_order_is_refused(command, uncached, capsys):
+    # refused while the search runs, twice, since a refused search caches
+    # nothing; at exactly |W \ 0| the command runs, and once the groupoid
+    # is cached the cap below it is still refused
+    from superhecke import cli
+
+    for _ in range(2):
+        assert cli.main([command, *CD21, "--max-elements", "127"]) == 2
+        assert capsys.readouterr() == ("", "error: more than 127 elements\n")
+    assert cli.main([command, *CD21, "--max-elements", "128"]) == 0
+    capsys.readouterr()
+    assert cli.main([command, *CD21, "--max-elements", "127"]) == 2
+    assert capsys.readouterr() == ("", "error: more than 127 elements\n")
+
+
+def test_uncapped_dim_then_capped_enumerate_is_refused(uncached, capsys):
+    # dim caches only the count of the search; enumerate still checks it
+    from superhecke import cli
+
+    assert cli.main(["dim", *CD21]) == 0
+    assert cli.main(["enumerate", *CD21, "--max-elements", "127"]) == 2
+    assert capsys.readouterr() == ("128\n", "error: more than 127 elements\n")
+
+
+def test_dim_counts_the_search_without_sorting_it(monkeypatch, uncached, capsys):
+    # dim never sorts the search into elements and tables; a verify after
+    # it in the same process sorts that same search instead of searching again
+    from superhecke import cli
+    from superhecke.groupoid import CoxeterGroupoid
+
+    searches = []
+    search = CoxeterGroupoid._breadth_first
+    monkeypatch.setattr(
+        CoxeterGroupoid, "_breadth_first", lambda self, cap: searches.append(cap) or search(self, cap)
+    )
+
+    def refuse(self):
+        raise AssertionError("dim sorted the search")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CoxeterGroupoid, "_sort", refuse)
+        assert cli.main(["dim", *CD22]) == 0
+    assert capsys.readouterr() == ("2592\n", "")
+    assert cli.main(["verify", *CD22]) == 0
+    assert len(searches) == 1
+    capsys.readouterr()
+
+
 FAMILY = ["--family", "A", "--m", "1", "--n", "1"]
 # the subcommands that read --q or --max-elements, with their required options
 READERS = {

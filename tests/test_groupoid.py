@@ -1,5 +1,6 @@
 """Groupoid elements, multiplication, length, words, and braid moves."""
 
+import hashlib
 import itertools
 import random
 
@@ -308,3 +309,62 @@ def test_random_word_length_in_tables(fam, data):
     assert length <= len(letters)
     assert (len(letters) - length) % 2 == 0
     assert length == G.length(w)
+
+
+# sha256 of elements() and every Tables field, recorded while enumeration
+# sorted Element-keyed dicts; every family with |W \ 0| <= 15 000
+ENUMERATION_DIGESTS = {
+    ("A", 0, 0): "0198854abb5ff79c88a93665106dac354ed3ef91ef67883180992e5d20a404fc",
+    ("A", 0, 1): "d33ab5a12f2c8a0d9f2d31ae633cfe50556706b9bb69e840acf1abe61a97908a",
+    ("A", 0, 2): "6a87df6b14bc8097253444b5061cd8de71da15e9f44997481a6989578cf2b3da",
+    ("A", 0, 3): "78ec7c164b445849587aa9b2d5a9cc0efd6f185b6bd86ff5d2d60370221a49a8",
+    ("A", 0, 4): "380ba0f3917ec26ca5acbfd14072bf1b48bbd668672a0ac081e28247bf083f14",
+    ("A", 1, 0): "184b536c952ef2eb86d28202fd34a246965537327aff074dc956d96a9d0c0b29",
+    ("A", 1, 1): "a3880a6a5cb95bbff055853675bb6e287e6abe67c59ecfb6aca54b37b2690f5f",
+    ("A", 1, 2): "248cd28a4c8c53d3bd015b34d274fb2eb9b4ce8346692cb091720aa0b62a6284",
+    ("A", 1, 3): "9c06fe16b352446dc120cfc75aaee1a3c9e3363419c9ddcd4e80314e7d1565e7",
+    ("A", 2, 0): "bfc71e2c01adf37171b4c3a846db68a95d15c90941f9b2eadb4abe3183b983c5",
+    ("A", 2, 1): "965dfc896e99b4bed63a528356ee6901750e0cab8096c35621dee732fe4dc980",
+    ("A", 2, 2): "05078bf0bc53601021b6ed1d2151812dbebddf47198012af41d91e3e0de037db",
+    ("A", 3, 0): "77cdb5f5d3b409855fa339ae3804b6f1267245a05afcde887eeca49aa5db15ef",
+    ("A", 3, 1): "28e206450b7b4ec64d9e2a9e1e39ff878de557b129d546f7ca04167a973f54ed",
+    ("A", 4, 0): "ed1b0b31c5d32363d7c042f97e89ecff47bc24864919fc86ebf519a9af2e34e9",
+    ("B", 0, 1): "c2492535b79f36060605f75168e8a133e4913aa3cf6d1e1440ee13fc98608ae9",
+    ("B", 0, 2): "6d55cc1c45116d9fddeea6f4ae60cb1be205ade65b2b1888da193e1feb07c636",
+    ("B", 0, 3): "0e2ccb9531b47ea1eede824e1ba1ec2f41ed9fc68e9775536bf312606b01d658",
+    ("B", 0, 4): "264aacc824a4245b36666e2c234f5d7f718c40e3341927f423edcd348692428f",
+    ("B", 0, 5): "ec85172fa4c5a2b801f32ace2ada5a12bf41ba19afaaff17ee7051e7770838b3",
+    ("B", 1, 1): "e215699d3a08dd8348085d007f73da785d16f028c0314b4dda294d497b0cc0f8",
+    ("B", 1, 2): "c11dbeb425cc93da27a2a12323c238f87ae5d2696aa37e7a6579524381c39fd7",
+    ("B", 1, 3): "45cf798c26c03e0ed3f5881136af04d6aa5c31c7fcb57f88862ef437b28e80ba",
+    ("B", 2, 1): "32acd1a6721bf23fd8595351108ec557be742a278f7a9c9a6de550daf73d7841",
+    ("B", 2, 2): "d9c3ca3439e9252eb8e15f4c5dd904c858bf5d8776e297ec35293a0e04ab3c77",
+    ("B", 3, 1): "701c4796f13f60d46a2bc85ad9ee159154e7694e7881731726c2d496bbb655cc",
+    ("CD", 1, 1): "29eb168eeeacfed79c5a06de7bd32f32f078bc1d0db53e846b7bb41ea18efb9f",
+    ("CD", 1, 2): "b1a6555332b890965f69d11a9f89fd356099fdda99f88a84706f212b151bcf02",
+    ("CD", 1, 3): "7d0b94e950639cd3235ee18ba70c62b37569d786aa31d81e3a3c058f5b63d9b4",
+    ("CD", 2, 1): "1735e5d08e6253bdd8f2924f637e7beb733051f9ce5f56aa335810e95564c8f0",
+    ("CD", 2, 2): "d031d6e267e158dc0b785483ad3c0ed0a0e89ea7df0ada317b072b9b04a7339e",
+    ("CD", 3, 1): "8a898f1ced362db8a161b16600ffe15725b8308cae9f81392f3b438d6c83d5d9",
+    ("CD", 4, 1): "8b89bb13768c1d0b901357dbb998907c5cd45463d63cf62cadbda650acd4b070",
+}
+
+
+def _enumeration_digest(G) -> str:
+    els = G.elements()
+    T = G.tables()
+    h = hashlib.sha256()
+    h.update(repr(els).encode())
+    h.update(repr((len(T.index), tuple(T.index[w] for w in els))).encode())
+    for field in (T.src, T.tgt, T.length, T.first):
+        h.update(repr(tuple(field)).encode())
+    h.update(repr(tuple(tuple(row) for row in T.lgen)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(ENUMERATION_DIGESTS), ids=lambda k: "%s(%d,%d)" % k)
+def test_enumeration_pinned(key):
+    fam = Family(*key)
+    G = CoxeterGroupoid(fam)
+    assert G.order() == len(G.elements()) == dimension_formula(fam)
+    assert _enumeration_digest(G) == ENUMERATION_DIGESTS[key]

@@ -22,54 +22,101 @@ from helpers import HeckeReference, structure_constants_at
 SMALL = [Family("A", 1, 1), Family("B", 1, 1), Family("B", 0, 2), Family("CD", 1, 1)]
 
 
+def _f(H, w) -> dict:
+    """f(w) as the algebra's dict {basis index: coefficient id}."""
+    return {H.index[w]: H._one}
+
+
+def _plus(H, x: dict, y: dict) -> dict:
+    out = dict(x)
+    for k, c in y.items():
+        H.ring.add_to(out, k, c)
+    return out
+
+
+def _scaled(H, x: dict, c: int) -> dict:
+    return {k: p for k, d in x.items() if (p := H.ring.mul(d, c))}
+
+
+def _product(H, x: dict, y: dict) -> dict:
+    """x y on the algebra's dicts: f(u) y is E_source(u) y with u's canonical
+    letters, read off the tables, applied by `_lmul`, the rightmost first."""
+    T = H.tables
+    out: dict = {}
+    for u, c in x.items():
+        z = {v: d for v, d in y.items() if T.tgt[v] == T.src[u]}
+        steps = []
+        k = u
+        while T.length[k]:
+            i = T.first[k]
+            k = T.lgen[i][k]
+            steps.append((i, T.tgt[k]))
+        for i, a in reversed(steps):
+            z = H._lmul(i, a, z.items())
+        out = _plus(H, out, _scaled(H, z, c))
+    return out
+
+
 def test_idempotent_rules():
-    H = HeckeReference(Family("A", 1, 1))
+    H = HeckeAlgebra(Family("A", 1, 1))
+    G = H.groupoid
     a, b = (0, 0, 1, 1), (0, 1, 0, 1)
-    assert H.product(H.e(a), H.e(a)) == H.e(a)
-    assert H.product(H.e(a), H.e(b)).is_zero
-    unit = H.unit()
+    e = lambda d: _f(H, G.identity(d))
+    assert _product(H, e(a), e(a)) == e(a)
+    assert _product(H, e(a), e(b)) == {}
+    unit = {}
+    for d in G.roots.domains:
+        unit = _plus(H, unit, e(d))
     for w in H.basis[:20]:
-        assert H.product(unit, H.f(w)) == H.f(w)
-        assert H.product(H.f(w), unit) == H.f(w)
+        assert _product(H, unit, _f(H, w)) == _f(H, w)
+        assert _product(H, _f(H, w), unit) == _f(H, w)
 
 
 def test_lmul_rules():
-    H = HeckeReference(Family("A", 1, 1))
-    q = H.q
+    # the relations intern q and q - 1 themselves, so a wrong rule cannot
+    # agree with itself
+    H = HeckeAlgebra(Family("A", 1, 1))
+    G = H.groupoid
+    q, qm1 = H.ring.intern(LaurentPoly.q()), H.ring.intern(LaurentPoly.q() - 1)
     a = (0, 0, 1, 1)
+    ia = H._domain[a]
+    t1, e = _f(H, G.generator(1, a)), _f(H, G.identity(a))
     # T e_a = t(i, a)
-    assert H.product(H.t(1, a), H.e(a)) == H.t(1, a)
+    assert H._lmul(1, ia, e.items()) == t1
     # isotropic: T_{i, i>a} T_{i, a} = E_a
     b = act(H.family, 2, a)
-    assert H.product(H.t(2, b), H.t(2, a)) == H.e(a)
+    assert H._lmul(2, H._domain[b], _f(H, G.generator(2, a)).items()) == e
     # quadratic: T^2 = (q-1) T + q E when the node is even
-    lhs = H.product(H.t(1, a), H.t(1, a))
-    rhs = H.t(1, a).scaled(q - 1) + H.e(a).scaled(q)
-    assert lhs == rhs
+    assert H._lmul(1, ia, t1.items()) == _plus(H, _scaled(H, t1, qm1), _scaled(H, e, q))
 
 
 def test_quadratic_operator_identity_on_basis():
     # (L - q L_E)(L + L_E) = 0 on the E_a-column, in operator form
     for fam in [Family("B", 1, 1), Family("CD", 1, 1)]:
-        H = HeckeReference(fam)
-        q = H.q
+        H = HeckeAlgebra(fam)
+        q, qm1 = H.ring.intern(LaurentPoly.q()), H.ring.intern(LaurentPoly.q() - 1)
         for a in H.groupoid.roots.domains:
+            ia = H._domain[a]
             for i in range(1, fam.rank + 1):
                 if act(fam, i, a) != a:
                     continue
-                for w in H.basis:
-                    x = H.f(w)
-                    tx = H.product(H.t(i, a), x)
-                    ttx = H.product(H.t(i, a), tx)
-                    rhs = tx.scaled(q - 1) + H.product(H.e(a), x).scaled(q)
-                    assert ttx == rhs
+                for k in range(len(H.basis)):
+                    x = {k: H._one}
+                    tx = H._lmul(i, ia, x.items())
+                    ttx = H._lmul(i, ia, tx.items())
+                    ex = {j: c for j, c in x.items() if H.tables.tgt[j] == ia}
+                    assert ttx == _plus(H, _scaled(H, tx, qm1), _scaled(H, ex, q))
 
 
 def test_product_left_unit_and_zero():
-    H = HeckeReference(Family("B", 1, 1))
+    H = HeckeAlgebra(Family("B", 1, 1))
+    G = H.groupoid
     for u in H.basis:
-        assert H.product(H.f(u), H.e(u.source)) == H.f(u)
-        assert H.product(H.e(u.target), H.f(u)) == H.f(u)
+        assert _product(H, _f(H, u), _f(H, G.identity(u.source))) == _f(H, u)
+        assert _product(H, _f(H, G.identity(u.target)), _f(H, u)) == _f(H, u)
+        for a in G.roots.domains:
+            if a != u.source:
+                assert _product(H, _f(H, u), _f(H, G.identity(a))) == {}
 
 
 def test_presentation_all_families():
@@ -331,15 +378,20 @@ def test_eval_table_is_poly_table_at_q0(fam, q0):
 
 
 def test_product_bilinear_random():
-    H = HeckeReference(Family("CD", 1, 1))
-    c = H.q + 3
+    # in each argument, with the terms of x = f(u) + c f(v) in both orders;
+    # half of the draws take v = s_i u, so that on the right _lmul meets two
+    # terms that one letter sends onto each other
+    H = HeckeAlgebra(Family("CD", 1, 1))
+    T = H.tables
+    c = H.ring.intern(LaurentPoly.q() + 3)
     rng = random.Random(5)
-    for _ in range(30):
-        u, v, w = (H.basis[rng.randrange(len(H.basis))] for _ in range(3))
-        x = H.f(u) + H.f(v).scaled(c)
-        assert H.product(x, H.f(w)) == H.product(H.f(u), H.f(w)) + H.product(
-            H.f(v), H.f(w)
-        ).scaled(c)
+    for _ in range(60):
+        u, w = rng.randrange(len(H.basis)), rng.randrange(len(H.basis))
+        v = T.lgen[rng.randint(1, H.family.rank)][u] if rng.random() < 0.5 else rng.randrange(len(H.basis))
+        fu, cfv, fw = {u: H._one}, {v: c}, {w: H._one}
+        for x in (_plus(H, fu, cfv), _plus(H, cfv, fu)):
+            assert _product(H, x, fw) == _plus(H, _product(H, fu, fw), _product(H, cfv, fw))
+            assert _product(H, fw, x) == _plus(H, _product(H, fw, fu), _product(H, fw, cfv))
 
 
 @pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("CD", 1, 1)])
