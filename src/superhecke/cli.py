@@ -444,7 +444,7 @@ def cmd_verify_all(args) -> int:
     report("root system axioms", axioms.passed)
     pres = hecke_poly(fam).verify_presentation()
     report("presentation relations", pres.passed, f"{pres.checked} instances")
-    report("length theory", _length_theory(G))
+    report("length theory", G.length_theory())
     if count <= _BRAID_CAP:
         braid_ok = all(G.braid_connected(w) for w in G.elements())
         report("braid connectivity", braid_ok, f"{count} elements")
@@ -455,33 +455,12 @@ def cmd_verify_all(args) -> int:
     if count <= _STRUCTCONST_CAP:
         alg = hecke_poly(fam)
         table = alg.structure_constants()
-        integral = all(
-            c.min_exp >= 0 for row in table.values() for _, c in row
-        )
+        integral = all(c.min_exp >= 0 for row in table.values() for _, c in row)
         report("Z[q] structure constants", integral, f"{len(table)} products")
     else:
         lines.append(f"SKIP  Z[q] structure constants  ({count} > cap {_STRUCTCONST_CAP})")
     _emit(args, "\n".join(lines) + ("\nOK\n" if ok else "\nFAILED\n"))
     return 0 if ok else 1
-
-
-def _length_theory(G: CoxeterGroupoid) -> bool:
-    """Every table entry against the root-count definitions: the length is
-    the number of positive roots sent to negative roots and equals the
-    inverse's, first is the smallest left descent, and the table's canonical
-    word evaluates to the element."""
-    T = G.tables()
-    letters = range(1, G.family.rank + 1)
-    for k, w in enumerate(G.elements()):
-        length = G.length(w)
-        if T.length[k] != length or G.length(G.inverse(w)) != length:
-            return False
-        if T.first[k] != next((i for i in letters if G.left_descent(w, i)), 0):
-            return False
-        word = Word(w.source, T.canonical_letters(k))
-        if len(word.letters) != length or G.evaluate(word) != w:
-            return False
-    return True
 
 
 def _rational(text: str) -> Fraction:

@@ -12,9 +12,10 @@ source and target in `roots.domains` and its signed map, and s_i·w is one
 table lookup per coordinate of the map.  An element's length is its minimal
 word length, the depth at which the search first reaches it
 (Heckenberger-Yamane, Math. Z. 259, 2008).  `order` is the size of the
-search.  `elements` and the flat integer tables (`Tables`) are built only
-when asked, from one sort of the ids; bulk work on every element reads these
-tables instead of recomputing roots.
+search.  The flat integer tables (`Tables`) are built only when asked, from
+one sort of the ids, and `elements` only from the tables; bulk work on every
+element, `length_theory`'s proof of the tables included, reads the tables
+instead of recomputing roots.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable
 from functools import lru_cache
-from math import inf
+from itertools import pairwise
+from math import factorial, inf
 from typing import NamedTuple
 
-from .domains import Domain, Family, UsageError, act
+from .domains import Domain, Family, UsageError, act, domain_to_json
 from .roots import (
     RootSystem,
     SignedPerm,
@@ -69,18 +71,25 @@ class SizeCapExceeded(UsageError):
     """More elements, or reduced words, than a cap allows."""
 
 
+def alternating(i: int, j: int, m: int) -> tuple[int, ...]:
+    """The m letters alternating between i and j that end (rightmost) in i."""
+    return tuple(i if t % 2 == 0 else j for t in range(m))[::-1]
+
+
 # the most reduced words all_reduced_words lists for one element
 _REDUCED_WORDS_CAP = 1_000_000
 
 
 class Tables(NamedTuple):
-    """Integer tables over the elements, indexed by position in
-    `CoxeterGroupoid.elements()`.  They are the search's records put in that
-    order by one sort of its ids.  The order starts with length, so the
-    element lgen[first[k]][k] comes before k.
+    """Integer tables over the elements, indexed by position.  They are the
+    search's records put in (length, source, target, map) order by one sort
+    of its ids, so the identity of the domain at position a of
+    `roots.domains` is at position a, and the element lgen[first[k]][k]
+    comes before k.  `CoxeterGroupoid.elements()` lists the same elements in
+    the same order.
 
-    - index: element -> position;
     - src, tgt: positions in `roots.domains` of the source and target;
+    - smap: the signed map;
     - length: minimal word length, the depth of the enumeration's search;
     - lgen[i][k]: position of s_{i, tgt}·w_k, for letters i >= 1 (lgen[0]
       is empty);
@@ -88,9 +97,9 @@ class Tables(NamedTuple):
       first letter of the canonical reduced word; 0 at the identities.
     """
 
-    index: dict[Element, int]
     src: tuple[int, ...]
     tgt: tuple[int, ...]
+    smap: tuple[SignedPerm, ...]
     length: tuple[int, ...]
     lgen: tuple[tuple[int, ...], ...]
     first: tuple[int, ...]
@@ -164,8 +173,7 @@ class CoxeterGroupoid:
         return tuple(-c for c in img) in self.roots.positive_roots(w.target)
 
     def left_descent(self, w: Element, i: int) -> bool:
-        inv = self.inverse(w)
-        return self.right_descent(inv, i)
+        return self.right_descent(self.inverse(w), i)
 
     # ---- enumeration ----
 
@@ -184,40 +192,41 @@ class CoxeterGroupoid:
         return self._order
 
     def elements(self, max_elements: float = inf) -> tuple[Element, ...]:
-        """All nonzero elements, closed under generator multiplication.
+        """All nonzero elements, closed under generator multiplication, built
+        from the tables on the first call: only code that prints or walks
+        elements asks for them.
 
         Ordered by (length, source, target, map) so output is reproducible.
         Capped as `order` is.
         """
         self.order(max_elements)
         if self._elements is None:
-            self._sort()
+            T = self.tables()
+            doms = self.roots.domains
+            self._elements = tuple(
+                Element(doms[s], doms[t], m) for s, t, m in zip(T.src, T.tgt, T.smap)
+            )
         return self._elements
 
     def tables(self) -> Tables:
-        """The integer tables over `elements()`, enumerating first if needed."""
-        self.elements()
+        """The integer tables over the elements, enumerating first if needed."""
+        self.order()
+        if self._tables is None:
+            self._sort()
         return self._tables
 
-    def _breadth_first(self, cap: float) -> _Search:
-        """Breadth-first search from the identities on integer keys.
-
-        Each (letter, domain) becomes a target index and a lookup of the
-        reflection's signed values, so s_i·w is `tuple(map(lookup, smap))`,
-        looked up among the ids found with its source and target.  Each
-        domain's identity is an element, so more domains than the cap are
-        refused before anything is built."""
+    def _steps(self) -> list[list[tuple[int, Callable[[int], int]]]]:
+        """steps[a][i - 1]: for the domain at position a and letter i, the
+        position of act(i, a) and a lookup of the reflection's signed values,
+        so sigma_{i,a}∘smap is `tuple(map(lookup, smap))`."""
         doms = self.roots.domains
-        nd = len(doms)
-        if nd > cap:
-            raise SizeCapExceeded(f"more than {cap} elements")
-        rank, r = self.family.rank, self.roots.dim
+        r = self.roots.dim
         dom_index = {a: j for j, a in enumerate(doms)}
         lookups: dict[SignedPerm, Callable[[int], int]] = {}  # one per distinct reflection
         steps = []
         for a in doms:
             row = []
-            for i in range(1, rank + 1):
+            for i in range(1, self.family.rank + 1):
                 g = self.roots.reflection(i, a)
                 if g not in lookups:
                     # table[v] is the image of the signed value v, 0 < |v| <= r
@@ -227,10 +236,23 @@ class CoxeterGroupoid:
                     lookups[g] = table.__getitem__
                 row.append((dom_index[act(self.family, i, a)], lookups[g]))
             steps.append(row)
-        ident = sp_identity(r)
+        return steps
+
+    def _breadth_first(self, cap: float) -> _Search:
+        """Breadth-first search from the identities on integer keys.
+
+        Each s_i·w is one `_steps` lookup per coordinate of w's map, looked
+        up among the ids found with its source and target.  Each domain's
+        identity is an element, so more domains than the cap are refused
+        before anything is built."""
+        nd = len(self.roots.domains)
+        if nd > cap:
+            raise SizeCapExceeded(f"more than {cap} elements")
+        steps = self._steps()
+        ident = sp_identity(self.roots.dim)
         src, tgt, smap = list(range(nd)), list(range(nd)), [ident] * nd
         depth = [0] * nd
-        nbrs: list[list[int]] = [[] for _ in range(rank)]
+        nbrs: list[list[int]] = [[] for _ in range(self.family.rank)]
         # the ids of each (source, target) pair reached, by signed map
         seen: defaultdict[int, dict[SignedPerm, int]] = defaultdict(dict)
         for j in range(nd):
@@ -259,18 +281,15 @@ class CoxeterGroupoid:
 
     def _sort(self):
         """Sort the search's ids by (depth, source, target, map) and build
-        `elements()` and `tables()` in that order, then drop the search.
-        `roots.domains` is sorted by `domain_sort_key`, so source and target
-        indices compare as their domains do."""
+        `tables()` in that order, then drop the search.  `roots.domains` is
+        sorted by `domain_sort_key`, so source and target indices compare as
+        their domains do."""
         src, tgt, smap, depth, nbrs = self._search
-        doms = self.roots.domains
         order = sorted(range(len(smap)), key=lambda k: (depth[k], src[k], tgt[k], smap[k]))
-        # one int object per position, shared by pos, lgen and index
-        positions = list(range(len(order)))
+        # one int object per position, shared by pos and lgen
         pos = [0] * len(order)
-        for k, p in zip(order, positions):
+        for p, k in enumerate(order):
             pos[k] = p
-        ordered = tuple(Element(doms[src[k]], doms[tgt[k]], smap[k]) for k in order)
         length = tuple(depth[k] for k in order)
         lgen = ((),) + tuple(tuple(pos[row[k]] for k in order) for row in nbrs)
         first = tuple(
@@ -278,15 +297,68 @@ class CoxeterGroupoid:
             for p, lp in enumerate(length)
         )
         self._tables = Tables(
-            index=dict(zip(ordered, positions)),
             src=tuple(src[k] for k in order),
             tgt=tuple(tgt[k] for k in order),
+            smap=tuple(smap[k] for k in order),
             length=length,
             lgen=lgen,
             first=first,
         )
-        self._elements = ordered
         self._search = None
+
+    def length_theory(self) -> bool:
+        """The tables against the root data, one pass over the edges (k, i):
+        - the positions are strictly increasing in (length, source, target,
+          map), so distinct, and the first |domains| are the identities;
+        - lgen[i][k] has k's source, target act(i, tgt) and map
+          sigma_{i,tgt}∘smap[k], and its length is length[k] + 1 if
+          smap[k]^-1(alpha_{i,tgt}) is positive at the source, length[k] - 1
+          otherwise (Heckenberger-Yamane, Math. Z. 259, 2008);
+        - first[k] is the smallest letter that lowers the length, and 0
+          exactly at the identities.
+        Following `first` from k lowers the length by one at each step, down
+        to an identity, so by induction up that path the length of k is its
+        number of inverted positive roots, first[k] its smallest left
+        descent, and its canonical word evaluates to it.  Every element is
+        reached from the identities along `lgen`, so the positions are the
+        groupoid's elements."""
+        src, tgt, smap, length, lgen, first = self.tables()
+        rs = self.roots
+        nd = len(rs.domains)
+        ident = sp_identity(rs.dim)
+        if any((src[a], tgt[a], smap[a], length[a]) != (a, a, ident, 0) for a in range(nd)):
+            return False
+        if not all(x < y for x, y in pairwise(zip(length, src, tgt, smap))):
+            return False
+        positive = [rs.positive_roots(a) for a in rs.domains]
+        # per domain and letter: the target, the reflection lookup, and the
+        # simple root's nonzero coordinates
+        edges = [
+            [(i, t, lookup, [(p, c) for p, c in enumerate(rs.simple_root(i, a)) if c])
+             for i, (t, lookup) in enumerate(row, 1)]
+            for a, row in zip(rs.domains, self._steps())
+        ]
+        for k, (s, m, lk) in enumerate(zip(src, smap, length)):
+            inv = sp_invert(m)
+            descent = 0
+            for i, t, lookup, alpha in edges[tgt[k]]:
+                j = lgen[i][k]
+                if src[j] != s or tgt[j] != t or smap[j] != tuple(map(lookup, m)):
+                    return False
+                beta = [0] * len(m)  # smap[k]^-1(alpha_{i,tgt})
+                for p, c in alpha:
+                    v = inv[p]
+                    beta[abs(v) - 1] += c if v > 0 else -c
+                if tuple(beta) in positive[s]:
+                    if length[j] != lk + 1:
+                        return False
+                elif length[j] != lk - 1:
+                    return False
+                elif not descent:
+                    descent = i
+            if first[k] != descent or (descent == 0) != (k < nd):
+                return False
+        return True
 
     # ---- words ----
 
@@ -353,33 +425,17 @@ class CoxeterGroupoid:
         replaced by the swapped alternation.
         """
         letters = word.letters
-        mlen = len(letters)
-        doms = self.word_domains(word)
         out = []
-        for end in range(mlen):  # rightmost index of the segment
-            b = doms[end]
-            i = letters[end]
+        # end: the rightmost index of the segment
+        for end, (i, b) in enumerate(zip(letters, self.word_domains(word))):
             for j in range(1, self.family.rank + 1):
                 if j == i:
                     continue
                 m = self.roots.coxeter_entry(i, j, b)
                 start = end - m + 1
-                if start < 0:
-                    continue
-                ok = True
-                for t in range(m):
-                    expect = i if t % 2 == 0 else j
-                    if letters[end - t] != expect:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                swapped = []
-                for t in range(m):
-                    swapped.append(j if t % 2 == 0 else i)
-                swapped.reverse()
-                new_letters = letters[:start] + tuple(swapped) + letters[end + 1 :]
-                out.append(Word(word.base, new_letters))
+                if start >= 0 and letters[start : end + 1] == alternating(i, j, m):
+                    swapped = letters[:start] + alternating(j, i, m) + letters[end + 1 :]
+                    out.append(Word(word.base, swapped))
         return out
 
     def braid_connected(self, w: Element) -> bool:
@@ -408,8 +464,6 @@ def groupoid_for(family: Family) -> CoxeterGroupoid:
 
 def dimension_formula(family: Family) -> int:
     """Closed-form |W \\ {0}| for each family."""
-    from math import factorial
-
     m, n = family.m, family.n
     if family.kind == "A":
         return factorial(m + n + 2) ** 2 // (factorial(m + 1) * factorial(n + 1))
@@ -423,8 +477,6 @@ def dimension_formula(family: Family) -> int:
 
 
 def element_to_json(w: Element):
-    from .domains import domain_to_json
-
     return {
         "source": domain_to_json(w.source),
         "target": domain_to_json(w.target),
@@ -433,6 +485,4 @@ def element_to_json(w: Element):
 
 
 def word_to_json(word: Word):
-    from .domains import domain_to_json
-
     return {"base": domain_to_json(word.base), "letters": list(word.letters)}

@@ -9,9 +9,10 @@ at q0 (see `cli`), and a relation proved over Z[q, q^-1] holds at every
 q0 != 0.
 
 Inside the algebra an element is a dict {basis index: coefficient id}.  A
-basis index is a position in the groupoid's `elements()`, and left
-multiplication by a generator reads the groupoid's integer tables (`lgen`,
-`length`); groupoid elements appear only in failure messages and JSON.  A
+basis index is a position in the groupoid's integer tables, which start
+with the identities in the order of the domains, and left multiplication by
+a generator reads the tables (`lgen`, `length`).  The algebra builds no
+groupoid element: a failure message builds the one it names.  A
 coefficient id is a key of the algebra's `CoefficientRing`: a table has few
 distinct coefficients, so `_lmul`, the one generator rule that both the
 table and the presentation check multiply through, adds and multiplies by
@@ -22,12 +23,13 @@ q - 1 that the relations intern, and in the rows that
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
 from .domains import Domain, Family, act, domain_to_json
-from .groupoid import CoxeterGroupoid, Element, Tables, Word, groupoid_for
+from .groupoid import CoxeterGroupoid, Tables, Word, alternating, groupoid_for
 from .roots import root_system
 from .scalars import CoefficientRing, LaurentPoly, laurent_to_json
 
@@ -77,10 +79,7 @@ class PresentationReport(NamedTuple):
 
 
 def _braid_instance(name: str, i: int, j: int, a: Domain, m: int) -> RelationInstance:
-    # side ending (rightmost) in i, and the swapped side ending in j
-    side_i = tuple((i if t % 2 == 0 else j) for t in range(m))[::-1]
-    side_j = tuple((j if t % 2 == 0 else i) for t in range(m))[::-1]
-    return RelationInstance(name, a, side_i, side_j)
+    return RelationInstance(name, a, alternating(i, j, m), alternating(j, i, m))
 
 
 def family_braid_instances(fam: Family) -> list[RelationInstance]:
@@ -150,15 +149,12 @@ class HeckeAlgebra:
     def __init__(self, family: Family):
         self.family = family
         self.q = LaurentPoly.q()
-        self.one = LaurentPoly.one()
         self.ring = CoefficientRing()
-        self._one = self.ring.intern(self.one)
+        self._one = self.ring.intern(LaurentPoly.one())
         self._q = self.ring.intern(self.q)
         self._qm1 = self.ring.intern(self.q - 1)
         self.groupoid: CoxeterGroupoid = groupoid_for(family)
-        self.basis: tuple[Element, ...] = self.groupoid.elements()
         self.tables: Tables = self.groupoid.tables()
-        self.index: dict[Element, int] = self.tables.index
         self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
         self._table: StructureConstants | None = None
 
@@ -219,13 +215,14 @@ class HeckeAlgebra:
     def structconst_header(self) -> dict:
         """The structure-constant document without its entries."""
         T = self.tables
+        domains = self.groupoid.roots.domains
         return {
             "schema_version": 1,
             "family": {"kind": self.family.kind, "m": self.family.m, "n": self.family.n},
             "mode": self.mode,
             "basis": [
-                {"base": domain_to_json(w.source), "letters": list(T.canonical_letters(k))}
-                for k, w in enumerate(self.basis)
+                {"base": domain_to_json(domains[a]), "letters": list(T.canonical_letters(k))}
+                for k, a in enumerate(T.src)
             ],
         }
 
@@ -267,8 +264,7 @@ class HeckeAlgebra:
         lmul, one = self._lmul, self._one
         q, qm1 = self.ring.intern(self.q), self.ring.intern(self.q - 1)
         domains = G.roots.domains
-        ident = [self.index[G.identity(a)] for a in domains]
-        E = [{k: one} for k in ident]
+        E = [{a: one} for a in range(len(domains))]  # the identities lead the tables
         checked = 0
         failures: list[str] = []
 
@@ -278,6 +274,11 @@ class HeckeAlgebra:
             checked += 1
             if not ok:
                 failures.append(msg.format(*args))
+
+        def position(*key) -> int:
+            # of the element keyed (length, source, target, map), in the order of the tables
+            at = lambda k: (T.length[k], T.src[k], T.tgt[k], T.smap[k])
+            return bisect_left(range(len(T.src)), key, key=at)
 
         def left(a: int, x: dict[int, int]) -> dict[int, int]:  # E_a x
             return {k: c for k, c in x.items() if T.tgt[k] == a}
@@ -300,19 +301,20 @@ class HeckeAlgebra:
         # sum of idempotents is the unit: on the left it keeps every term of
         # f(w); on the right it is E_source(w), to which f(w)'s canonical
         # letters are applied
-        for k, w in enumerate(self.basis):
+        for k, a in enumerate(T.src):
             steps = []
             u = k
             while T.length[u]:
                 i = T.first[u]
                 u = T.lgen[i][u]
                 steps.append((i, T.tgt[u]))
-            check(apply(steps, E[T.src[k]]) == {k: one}, "sum of E_a is not the unit on {}", w)
+            ok = apply(steps, E[a]) == {k: one}
+            check(ok, "sum of E_a is not the unit on {}", None if ok else G.elements()[k])
         # generator relations
         for a, d in enumerate(domains):
             for i in range(1, fam.rank + 1):
                 b = self._domain[act(fam, i, d)]
-                g = self.index[G.generator(i, d)]
+                g = position(1, a, b, G.roots.reflection(i, d))  # s_{i,a}
                 tia = {g: one}
                 check(
                     left(b, lmul(i, a, E[a].items())) == tia,
@@ -322,7 +324,7 @@ class HeckeAlgebra:
                 )
                 if b == a:
                     check(
-                        lmul(i, a, tia.items()) == {g: qm1, ident[a]: q},
+                        lmul(i, a, tia.items()) == {g: qm1, a: q},
                         "quadratic relation fails at i={}, a={}",
                         i,
                         d,

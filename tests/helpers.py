@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from fractions import Fraction
+from functools import lru_cache
 
 from superhecke.domains import CDDomain, Domain, Family
 from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Tables, Word, groupoid_for
@@ -156,6 +157,13 @@ def mutated_negated_alpha(rs: RootSystem, i: int, a) -> RootSystem:
     return mutated_alpha(rs, i, a, tuple(-c for c in rs.simple_root(i, a)))
 
 
+@lru_cache(maxsize=None)
+def positions(G: CoxeterGroupoid) -> dict:
+    """Element -> its position in G.elements() and in G.tables(), for tests
+    that name elements; the program reads positions off the tables alone."""
+    return {w: k for k, w in enumerate(G.elements())}
+
+
 def lmul(T: Tables, i: int, a: int, terms, q) -> dict:
     """T_{i,a} applied to (basis index, scalar) pairs at q, a Fraction or
     LaurentPoly.q(): f(k) of target a goes to f(s_i k) if that is longer or i
@@ -201,13 +209,11 @@ class HeckeReference:
         self.family = fam
         self.groupoid = G = groupoid_for(fam)
         self.tables = G.tables()
-        self.basis = G.elements()
-        self.index = self.tables.index
         self.q = LaurentPoly.q()
         self._domain = {a: j for j, a in enumerate(G.roots.domains)}
 
     def f(self, w) -> Combination:
-        return Combination({self.index[w]: LaurentPoly.one()})
+        return Combination({positions(self.groupoid)[w]: LaurentPoly.one()})
 
     def e(self, a) -> Combination:
         return self.f(self.groupoid.identity(a))
@@ -235,7 +241,7 @@ class HeckeReference:
         total = Combination()
         for u, c in x.items():
             z = Combination({v: d for v, d in y.items() if T.tgt[v] == T.src[u]})
-            word = self.groupoid.canonical_reduced_word(self.basis[u])
+            word = self.groupoid.canonical_reduced_word(self.groupoid.elements()[u])
             total += self.apply_word(word, z).scaled(c)
         return total
 

@@ -115,7 +115,7 @@ def test_criterion_03_associativity():
     for fam in [Family("B", 1, 1), Family("CD", 1, 1)]:
         H = hecke_poly(fam)
         table = H.structure_constants()
-        dim = len(H.basis)
+        dim = len(H.tables.src)
         triples = itertools.product(range(dim), repeat=3)
         ok = ok and _assoc_via_table(table, triples, LaurentPoly())
     H = hecke_poly(Family("A", 1, 1))

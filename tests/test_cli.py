@@ -462,24 +462,29 @@ def uncached():
     hecke_poly.cache_clear()
 
 
-@pytest.mark.parametrize("field", ["length", "first"])
+@pytest.mark.parametrize("field", ["length", "first", "lgen", "smap"])
 def test_verify_all_fails_on_a_corrupted_table_entry(uncached, monkeypatch, capsys, field):
-    # "length theory" compares every table entry with the root-count
-    # definitions, so one wrong entry is a FAIL and exit 1
+    # "length theory" checks every edge (k, i) of the tables against the root
+    # data, so one wrong entry is a FAIL and exit 1.  Element 143 of B(1,2)
+    # has length 9 and every letter as a left descent, so a first of 2 is a
+    # descent but not the smallest; s_3 w_143 is element 140, and element 139
+    # has the same length, source and target, so only the maps tell them apart
     from superhecke import cli
     from superhecke.domains import Family
 
-    G = uncached(Family("B", 1, 1))
+    G = uncached(Family("B", 1, 2))
     T = G.tables()
-    letters = range(1, 3)
-    # an element with two left descents: first stays a descent, but not the smallest
-    k = next(
-        k for k, w in enumerate(G.elements()) if all(G.left_descent(w, i) for i in letters)
-    )
-    values = list(getattr(T, field))
-    values[k] = values[k] + 2 if field == "length" else 2
-    monkeypatch.setattr(G, "_tables", T._replace(**{field: tuple(values)}))
-    assert cli.main(["verify-all", "--family", "B", "--m", "1", "--n", "1"]) == 1
+    k = 143
+    assert (len(T.src), T.length[k], T.first[k], T.lgen[3][k]) == (144, 9, 1, 140)
+    assert (T.length[139], T.src[139], T.tgt[139]) == (T.length[140], T.src[140], T.tgt[140])
+    put = lambda values, value: values[:k] + (value,) + values[k + 1 :]
+    if field == "lgen":
+        corrupted = T._replace(lgen=T.lgen[:3] + (put(T.lgen[3], 139),) + T.lgen[4:])
+    else:
+        value = {"length": 11, "first": 2, "smap": T.smap[140]}[field]
+        corrupted = T._replace(**{field: put(getattr(T, field), value)})
+    monkeypatch.setattr(G, "_tables", corrupted)
+    assert cli.main(["verify-all", "--family", "B", "--m", "1", "--n", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  length theory" in out.splitlines()
     assert out.endswith("FAILED\n")

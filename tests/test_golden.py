@@ -87,6 +87,28 @@ def test_cli_output_matches_pinned_checksum(tmp_path, family, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# verify, structconst and verify-all past the braid check's 200-element cap
+# read only the groupoid's integer tables: they build no Element and walk none
+TABLE_ONLY = [
+    (f, a, d) for f, a, d in GOLDEN
+    if (f, a[0]) in {("A(2,1)", "verify-all"), ("osp(4|4)", "verify"), ("osp(4|2)", "structconst")}
+]
+
+
+@pytest.mark.parametrize(
+    "family, argv, digest", TABLE_ONLY, ids=[f"{f} {' '.join(a)}" for f, a, _ in TABLE_ONLY]
+)
+def test_verify_paths_build_no_element(monkeypatch, tmp_path, family, argv, digest):
+    from superhecke.groupoid import CoxeterGroupoid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verify path built or walked an Element")
+
+    for name in ("elements", "length", "left_descent", "evaluate"):
+        monkeypatch.setattr(CoxeterGroupoid, name, refuse)
+    test_cli_output_matches_pinned_checksum(tmp_path, family, argv, digest)
+
+
 IRREPS_GOLDEN = [
     (["--type", "A", "--n", "4", "--oracle", "--seed", "0"], "06a762552bd67ca0302a444e9a11b2837fae40dc89208281eb4d71b2a442a0e7"),
     (["--type", "D", "--n", "3", "--oracle", "--seed", "0"], "7b376e7c1d0aabf1e02fe86c11895627eb1e7c26806cd6fd387f70621adecc0e"),

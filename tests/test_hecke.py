@@ -17,14 +17,14 @@ from superhecke.domains import Family, act
 from superhecke.hecke import HeckeAlgebra, family_braid_instances, hecke_poly
 from superhecke.scalars import LaurentPoly, rational_to_string
 
-from helpers import HeckeReference, structure_constants_at
+from helpers import HeckeReference, positions, structure_constants_at
 
 SMALL = [Family("A", 1, 1), Family("B", 1, 1), Family("B", 0, 2), Family("CD", 1, 1)]
 
 
 def _f(H, w) -> dict:
     """f(w) as the algebra's dict {basis index: coefficient id}."""
-    return {H.index[w]: H._one}
+    return {positions(H.groupoid)[w]: H._one}
 
 
 def _plus(H, x: dict, y: dict) -> dict:
@@ -67,7 +67,7 @@ def test_idempotent_rules():
     unit = {}
     for d in G.roots.domains:
         unit = _plus(H, unit, e(d))
-    for w in H.basis[:20]:
+    for w in G.elements()[:20]:
         assert _product(H, unit, _f(H, w)) == _f(H, w)
         assert _product(H, _f(H, w), unit) == _f(H, w)
 
@@ -100,7 +100,7 @@ def test_quadratic_operator_identity_on_basis():
             for i in range(1, fam.rank + 1):
                 if act(fam, i, a) != a:
                     continue
-                for k in range(len(H.basis)):
+                for k in range(len(H.tables.src)):
                     x = {k: H._one}
                     tx = H._lmul(i, ia, x.items())
                     ttx = H._lmul(i, ia, tx.items())
@@ -111,7 +111,7 @@ def test_quadratic_operator_identity_on_basis():
 def test_product_left_unit_and_zero():
     H = HeckeAlgebra(Family("B", 1, 1))
     G = H.groupoid
-    for u in H.basis:
+    for u in G.elements():
         assert _product(H, _f(H, u), _f(H, G.identity(u.source))) == _f(H, u)
         assert _product(H, _f(H, G.identity(u.target)), _f(H, u)) == _f(H, u)
         for a in G.roots.domains:
@@ -226,7 +226,7 @@ def test_structure_constants_integral_with_degree_bound():
         table = H.structure_constants()
         G = H.groupoid
         for (ui, vi), row in table.items():
-            u = H.basis[ui]
+            u = G.elements()[ui]
             for wi, c in row:
                 assert c.min_exp >= 0
                 assert c.items()[-1][0] <= G.length(u)
@@ -238,11 +238,12 @@ def test_structure_constants_q1_degeneration():
     for fam in [Family("B", 1, 1), Family("CD", 1, 1)]:
         H = hecke_poly(fam)
         G = H.groupoid
+        els = G.elements()
         for (ui, vi), row in H.structure_constants().items():
-            u, v = H.basis[ui], H.basis[vi]
+            u, v = els[ui], els[vi]
             uv = G.multiply(u, v)
             for wi, c in row:
-                w = H.basis[wi]
+                w = els[wi]
                 c1 = c.evaluate(Fraction(1))
                 assert c1 == (1 if w == uv else 0)
                 if (G.length(w) - G.length(u) - G.length(v)) % 2:
@@ -260,18 +261,19 @@ def test_isotropic_pair_gives_unit_coefficient():
             b = act(H.family, i, a)
             if b == a:
                 continue
-            ui = H.index[G.generator(i, b)]
-            vi = H.index[G.generator(i, a)]
-            assert table[(ui, vi)] == ((H.index[G.identity(a)], one),)
+            ui = positions(G)[G.generator(i, b)]
+            vi = positions(G)[G.generator(i, a)]
+            assert table[(ui, vi)] == ((positions(G)[G.identity(a)], one),)
 
 
 def test_identity_rows_of_table():
     H = hecke_poly(Family("B", 1, 1))
     table = H.structure_constants()
     one = LaurentPoly.one()
-    for ui, u in enumerate(H.basis):
+    els = H.groupoid.elements()
+    for ui, u in enumerate(els):
         if H.groupoid.length(u) == 0:
-            for vi, v in enumerate(H.basis):
+            for vi, v in enumerate(els):
                 row = table.get((ui, vi))
                 if v.target == u.source:
                     assert row == ((vi, one),)
@@ -309,7 +311,7 @@ def _triple_products(table, ui, vi, wi, zero):
 def test_associativity_exhaustive_b11():
     H = hecke_poly(Family("B", 1, 1))
     table = H.structure_constants()
-    dim = len(H.basis)
+    dim = len(H.tables.src)
     zero = LaurentPoly()
     for ui in range(dim):
         for vi in range(dim):
@@ -347,9 +349,9 @@ def test_table_rows_match_products_through_canonical_words(fam, q):
     G = H.groupoid
     table = H.structure_constants() if q is None else structure_constants_at(fam, q)
     pairs = 0
-    for ui, u in enumerate(H.basis):
+    for ui, u in enumerate(G.elements()):
         word = G.canonical_reduced_word(u)
-        for vi, v in enumerate(H.basis):
+        for vi, v in enumerate(G.elements()):
             row = table.get((ui, vi))
             if v.target != u.source:
                 assert row is None
@@ -386,8 +388,8 @@ def test_product_bilinear_random():
     c = H.ring.intern(LaurentPoly.q() + 3)
     rng = random.Random(5)
     for _ in range(60):
-        u, w = rng.randrange(len(H.basis)), rng.randrange(len(H.basis))
-        v = T.lgen[rng.randint(1, H.family.rank)][u] if rng.random() < 0.5 else rng.randrange(len(H.basis))
+        u, w = rng.randrange(len(T.src)), rng.randrange(len(T.src))
+        v = T.lgen[rng.randint(1, H.family.rank)][u] if rng.random() < 0.5 else rng.randrange(len(T.src))
         fu, cfv, fw = {u: H._one}, {v: c}, {w: H._one}
         for x in (_plus(H, fu, cfv), _plus(H, cfv, fu)):
             assert _product(H, x, fw) == _plus(H, _product(H, fu, fw), _product(H, cfv, fw))
@@ -402,9 +404,9 @@ def test_structure_constants_are_a_read_only_mapping(fam):
     R = HeckeReference(fam)
     G = H.groupoid
     reference = {}
-    for ui, u in enumerate(H.basis):
+    for ui, u in enumerate(G.elements()):
         word = G.canonical_reduced_word(u)
-        for vi, v in enumerate(H.basis):
+        for vi, v in enumerate(G.elements()):
             if v.target == u.source:
                 reference[(ui, vi)] = tuple(sorted(R.apply_word(word, R.f(v)).items()))
     table = H.structure_constants()
@@ -415,7 +417,7 @@ def test_structure_constants_are_a_read_only_mapping(fam):
     for key, row in reference.items():
         assert key in table and table[key] == row
         assert all(isinstance(c, LaurentPoly) for _, c in table[key])
-    assert (len(H.basis), 0) not in table
+    assert (len(H.tables.src), 0) not in table
     with pytest.raises(TypeError):
         table[next(iter(table))] = ()
 
