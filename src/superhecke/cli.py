@@ -103,7 +103,7 @@ def cmd_domains(args) -> int:
     if args.format == "json":
         _emit(args, _json_dump({
             "schema_version": 1,
-            "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
+            "family": fam._asdict(),
             "count": len(doms),
             "domains": [domain_to_json(a) for a in doms],
         }))
@@ -140,7 +140,7 @@ def cmd_enumerate(args) -> int:
         length = G.tables().length
         _emit(args, _json_dump({
             "schema_version": 1,
-            "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
+            "family": fam._asdict(),
             "count": len(els),
             "elements": [
                 {**element_to_json(w), "length": length[k]} for k, w in enumerate(els)
@@ -159,7 +159,7 @@ def cmd_dim(args) -> int:
     if args.format == "json":
         _emit(args, _json_dump({
             "schema_version": 1,
-            "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
+            "family": fam._asdict(),
             "dimension": count,
             "formula": formula,
             "match": count == formula,
@@ -174,13 +174,15 @@ def cmd_words(args) -> int:
     G = groupoid_for(fam)
     word = _parse_word(fam, args)
     w = G.evaluate(word)
+    canonical = G.canonical_reduced_word(w)
+    length = len(canonical.letters)
     data = {
         "schema_version": 1,
         "word": word_to_json(word),
         "element": element_to_json(w),
-        "length": G.length(w),
-        "reduced": G.length(w) == len(word.letters),
-        "canonical_word": word_to_json(G.canonical_reduced_word(w)),
+        "length": length,
+        "reduced": length == len(word.letters),
+        "canonical_word": word_to_json(canonical),
         "reduced_words": [word_to_json(u) for u in G.all_reduced_words(w)],
         "braid_connected": G.braid_connected(w),
     }
@@ -224,7 +226,7 @@ def cmd_verify(args) -> int:
     pres = hecke_poly(fam).verify_presentation()
     data = {
         "schema_version": 1,
-        "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
+        "family": fam._asdict(),
         "axioms_passed": axioms.passed,
         "axiom_failures": [f.description for f in axioms.failures],
         "relations_checked": pres.checked,
@@ -300,7 +302,7 @@ def cmd_poincare(args) -> int:
         if args.format == "json":
             _emit(args, _json_dump({
                 "schema_version": 1,
-                "type": {"kind": wt.kind, "n": wt.n},
+                "type": wt._asdict(),
                 "poincare": laurent_to_json(p),
             }))
         else:
@@ -311,7 +313,7 @@ def cmd_poincare(args) -> int:
     if args.format == "json":
         _emit(args, _json_dump({
             "schema_version": 1,
-            "type": {"kind": wt.kind, "n": wt.n},
+            "type": wt._asdict(),
             "q": rational_to_string(q0),
             "value": rational_to_string(val),
             "semisimple": is_semisimple(wt, q0),
@@ -328,7 +330,7 @@ def cmd_irreps(args) -> int:
         comps = split_regular_weyl(wt, q0, seed=args.seed)
         data = {
             "schema_version": 1,
-            "type": {"kind": wt.kind, "n": wt.n},
+            "type": wt._asdict(),
             "q": rational_to_string(q0),
             "components": [
                 {
@@ -346,7 +348,7 @@ def cmd_irreps(args) -> int:
         reps = irreps(wt, q0)
         data = {
             "schema_version": 1,
-            "type": {"kind": wt.kind, "n": wt.n},
+            "type": wt._asdict(),
             "q": rational_to_string(q0),
             "irreps": [
                 {
@@ -391,7 +393,7 @@ def cmd_reps(args) -> int:
         bm = big_map(fam, q0)
         data = {
             "schema_version": 1,
-            "family": {"kind": fam.kind, "m": fam.m, "n": fam.n},
+            "family": fam._asdict(),
             "q0": rational_to_string(q0),
             "summands": [
                 {

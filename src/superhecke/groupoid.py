@@ -2,20 +2,26 @@
 
 An element is the triple (source domain, target domain, signed permutation);
 the representation is faithful, so equality of triples is equality in the
-groupoid and multiplication is composition when the domains match, the zero
-element otherwise.  Length, descents, reduced words, and the braid-move
-machinery of single elements all reduce to exact root bookkeeping.
+groupoid.  Every layer walks elements on the integer key (s, t, m): the
+indices of the source and target in `roots.domains` and the signed map.  Two
+helpers do all the stepping and all the descent tests:
+- `row(a)`, built on first use, gives for each letter i at the domain of
+  index a the target index and two lookups, one that turns m into
+  sigma_{i,a}∘m and one that turns it into m^-1(alpha_{i,a}); so a single
+  word touches only the domains it passes through;
+- `descents(s, t, m)` tells, for each letter i, whether s_{i,t}·w is shorter
+  than w, that is whether m^-1(alpha_{i,t}) is a negative root at s
+  (Heckenberger-Yamane, Math. Z. 259, 2008).
+A word's element, its canonical and all its reduced words follow the letters
+and the descents from its key alone, so `words` never enumerates.
 
-Enumeration is one breadth-first search from the identities on integer
-keys: an element is an id, given in discovery order, with the indices of its
-source and target in `roots.domains` and its signed map, and s_i·w is one
-table lookup per coordinate of the map.  An element's length is its minimal
-word length, the depth at which the search first reaches it
-(Heckenberger-Yamane, Math. Z. 259, 2008).  `order` is the size of the
-search.  The flat integer tables (`Tables`) are built only when asked, from
-one sort of the ids, and `elements` only from the tables; bulk work on every
-element, `length_theory`'s proof of the tables included, reads the tables
-instead of recomputing roots.
+Enumeration is one breadth-first search from the identities on the keys,
+with ids given in discovery order.  An element's length is its minimal word
+length, the depth at which the search first reaches it.  `order` is the size
+of the search.  The flat integer tables (`Tables`) are built only when
+asked, from one sort of the ids, and `elements` only from the tables; bulk
+work on every element, `length_theory`'s proof of the tables included,
+reads the tables.
 """
 
 from __future__ import annotations
@@ -28,36 +34,13 @@ from math import factorial, inf
 from typing import NamedTuple
 
 from .domains import Domain, Family, UsageError, act, domain_to_json
-from .roots import (
-    RootSystem,
-    SignedPerm,
-    root_system,
-    sp_apply,
-    sp_compose,
-    sp_identity,
-    sp_invert,
-)
+from .roots import RootSystem, SignedPerm, root_system, sp_identity
 
 
 class Element(NamedTuple):
     source: Domain
     target: Domain
     smap: SignedPerm
-
-
-class _Zero:
-    """The zero element of the groupoid semigroup (absorbing)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "ZERO"
-
-    def __bool__(self):
-        return False
-
-
-ZERO = _Zero()
 
 
 class Word(NamedTuple):
@@ -114,6 +97,12 @@ class Tables(NamedTuple):
         return tuple(letters)
 
 
+# letter i at one domain, a plain tuple so that it unpacks fast: the target
+# position, and the lookups of the reflection and the simple root (see
+# `CoxeterGroupoid.row`)
+_Edge = tuple[int, Callable[[int], int], Callable[[int], int]]
+
+
 class _Search(NamedTuple):
     """The enumeration's breadth-first search, indexed by id in discovery
     order: source and target positions in `roots.domains`, signed map,
@@ -130,50 +119,59 @@ class CoxeterGroupoid:
     def __init__(self, family: Family):
         self.family = family
         self.roots: RootSystem = root_system(family)
+        # position in `roots.domains` of each domain
+        self.domain_index: dict[Domain, int] = {a: j for j, a in enumerate(self.roots.domains)}
+        self._rows: list[list[_Edge] | None] = [None] * len(self.roots.domains)
+        self._lookups: dict[tuple[int, ...], Callable[[int], int]] = {}
         self._order: int | None = None
         self._search: _Search | None = None
         self._elements: tuple[Element, ...] | None = None
         self._tables: Tables | None = None
-        self._reduced_words: dict[Element, tuple[tuple[int, ...], ...]] = {}
+        self._reduced_words: dict[tuple[int, int, SignedPerm], tuple[tuple[int, ...], ...]] = {}
 
-    # ---- basic elements ----
+    # ---- one step on the key (s, t, m) ----
 
-    def identity(self, a: Domain) -> Element:
-        return Element(a, a, sp_identity(self.roots.dim))
+    def _signed(self, x: tuple[int, ...]) -> Callable[[int], int]:
+        """The lookup v -> sign(v)·x[|v| - 1], for 0 < |v| <= len(x); one per
+        distinct x."""
+        lookup = self._lookups.get(x)
+        if lookup is None:
+            table = [0] * (2 * len(x) + 1)
+            for v, c in enumerate(x, 1):
+                table[v], table[-v] = c, -c
+            lookup = self._lookups[x] = table.__getitem__
+        return lookup
 
-    def generator(self, i: int, a: Domain) -> Element:
-        return Element(a, act(self.family, i, a), self.roots.reflection(i, a))
+    def row(self, a: int) -> list[_Edge]:
+        """row[i - 1] for the domain at position a and letter i: the position
+        of act(i, a), and `_signed` lookups of the reflection sigma_{i,a} and
+        of alpha_{i,a}; sigma_{i,a}∘m is `tuple(map(lookup, m))`.  Built on
+        first use."""
+        row = self._rows[a]
+        if row is None:
+            rs = self.roots
+            d = rs.domains[a]
+            row = self._rows[a] = [
+                (
+                    self.domain_index[act(self.family, i, d)],
+                    self._signed(rs.reflection(i, d)),
+                    self._signed(rs.simple_root(i, d)),
+                )
+                for i in range(1, self.family.rank + 1)
+            ]
+        return row
 
-    def multiply(self, x, y):
-        """Product xy; ZERO when the inner domains differ."""
-        if x is ZERO or y is ZERO:
-            return ZERO
-        if x.source != y.target:
-            return ZERO
-        return Element(y.source, x.target, sp_compose(x.smap, y.smap))
+    def descents(self, s: int, t: int, m: SignedPerm) -> list[bool]:
+        """For each letter i, whether i is a left descent of w = (s, t, m):
+        whether m^-1(alpha_{i,t}) is a negative root at the source s, so that
+        s_{i,t}·w is one shorter than w, and otherwise one longer.  The
+        inverse of a signed permutation is its transpose, so m^-1(alpha) is
+        `tuple(map(alpha_lookup, m))`."""
+        positive = self.roots.positive_roots(self.roots.domains[s])
+        return [tuple(map(alpha, m)) not in positive for _, _, alpha in self.row(t)]
 
-    def inverse(self, w: Element) -> Element:
-        return Element(w.target, w.source, sp_invert(w.smap))
-
-    def length(self, w: Element) -> int:
-        """Number of positive roots of the source sent to negative roots."""
-        pos_t = self.roots.positive_roots(w.target)
-        count = 0
-        for beta in self.roots.positive_roots(w.source):
-            img = sp_apply(w.smap, beta)
-            if tuple(-c for c in img) in pos_t:
-                count += 1
-        return count
-
-    # ---- descents ----
-
-    def right_descent(self, w: Element, j: int) -> bool:
-        """True iff w(alpha_{j, source}) is a negative root of the target."""
-        img = sp_apply(w.smap, self.roots.simple_root(j, w.source))
-        return tuple(-c for c in img) in self.roots.positive_roots(w.target)
-
-    def left_descent(self, w: Element, i: int) -> bool:
-        return self.right_descent(self.inverse(w), i)
+    def _key(self, w: Element) -> tuple[int, int, SignedPerm]:
+        return self.domain_index[w.source], self.domain_index[w.target], w.smap
 
     # ---- enumeration ----
 
@@ -215,40 +213,17 @@ class CoxeterGroupoid:
             self._sort()
         return self._tables
 
-    def _steps(self) -> list[list[tuple[int, Callable[[int], int]]]]:
-        """steps[a][i - 1]: for the domain at position a and letter i, the
-        position of act(i, a) and a lookup of the reflection's signed values,
-        so sigma_{i,a}∘smap is `tuple(map(lookup, smap))`."""
-        doms = self.roots.domains
-        r = self.roots.dim
-        dom_index = {a: j for j, a in enumerate(doms)}
-        lookups: dict[SignedPerm, Callable[[int], int]] = {}  # one per distinct reflection
-        steps = []
-        for a in doms:
-            row = []
-            for i in range(1, self.family.rank + 1):
-                g = self.roots.reflection(i, a)
-                if g not in lookups:
-                    # table[v] is the image of the signed value v, 0 < |v| <= r
-                    table = [0] * (2 * r + 1)
-                    for v in range(1, r + 1):
-                        table[v], table[-v] = g[v - 1], -g[v - 1]
-                    lookups[g] = table.__getitem__
-                row.append((dom_index[act(self.family, i, a)], lookups[g]))
-            steps.append(row)
-        return steps
-
     def _breadth_first(self, cap: float) -> _Search:
         """Breadth-first search from the identities on integer keys.
 
-        Each s_i·w is one `_steps` lookup per coordinate of w's map, looked
-        up among the ids found with its source and target.  Each domain's
+        Each s_i·w is one `row` lookup per coordinate of w's map, looked up
+        among the ids found with its source and target.  Each domain's
         identity is an element, so more domains than the cap are refused
         before anything is built."""
         nd = len(self.roots.domains)
         if nd > cap:
             raise SizeCapExceeded(f"more than {cap} elements")
-        steps = self._steps()
+        rows = [self.row(a) for a in range(nd)]
         ident = sp_identity(self.roots.dim)
         src, tgt, smap = list(range(nd)), list(range(nd)), [ident] * nd
         depth = [0] * nd
@@ -262,7 +237,7 @@ class CoxeterGroupoid:
             d += 1
             for k in range(lo, hi):
                 s, m = src[k], smap[k]
-                for row, (t, lookup) in zip(nbrs, steps[tgt[k]]):
+                for nb, (t, lookup, _) in zip(nbrs, rows[tgt[k]]):
                     u = tuple(map(lookup, m))
                     bucket = seen[s * nd + t]
                     uid = bucket.get(u)
@@ -275,7 +250,7 @@ class CoxeterGroupoid:
                         tgt.append(t)
                         smap.append(u)
                         depth.append(d)
-                    row.append(uid)
+                    nb.append(uid)
             lo, hi = hi, len(smap)
         return _Search(src, tgt, smap, depth, nbrs)
 
@@ -323,38 +298,22 @@ class CoxeterGroupoid:
         reached from the identities along `lgen`, so the positions are the
         groupoid's elements."""
         src, tgt, smap, length, lgen, first = self.tables()
-        rs = self.roots
-        nd = len(rs.domains)
-        ident = sp_identity(rs.dim)
+        nd = len(self.roots.domains)
+        ident = sp_identity(self.roots.dim)
         if any((src[a], tgt[a], smap[a], length[a]) != (a, a, ident, 0) for a in range(nd)):
             return False
         if not all(x < y for x, y in pairwise(zip(length, src, tgt, smap))):
             return False
-        positive = [rs.positive_roots(a) for a in rs.domains]
-        # per domain and letter: the target, the reflection lookup, and the
-        # simple root's nonzero coordinates
-        edges = [
-            [(i, t, lookup, [(p, c) for p, c in enumerate(rs.simple_root(i, a)) if c])
-             for i, (t, lookup) in enumerate(row, 1)]
-            for a, row in zip(rs.domains, self._steps())
-        ]
-        for k, (s, m, lk) in enumerate(zip(src, smap, length)):
-            inv = sp_invert(m)
+        for k, (s, t, m, lk) in enumerate(zip(src, tgt, smap, length)):
             descent = 0
-            for i, t, lookup, alpha in edges[tgt[k]]:
+            steps = zip(self.row(t), self.descents(s, t, m))
+            for i, ((u, lookup, _), down) in enumerate(steps, 1):
                 j = lgen[i][k]
-                if src[j] != s or tgt[j] != t or smap[j] != tuple(map(lookup, m)):
+                if src[j] != s or tgt[j] != u or smap[j] != tuple(map(lookup, m)):
                     return False
-                beta = [0] * len(m)  # smap[k]^-1(alpha_{i,tgt})
-                for p, c in alpha:
-                    v = inv[p]
-                    beta[abs(v) - 1] += c if v > 0 else -c
-                if tuple(beta) in positive[s]:
-                    if length[j] != lk + 1:
-                        return False
-                elif length[j] != lk - 1:
+                if length[j] != (lk - 1 if down else lk + 1):
                     return False
-                elif not descent:
+                if down and not descent:
                     descent = i
             if first[k] != descent or (descent == 0) != (k < nd):
                 return False
@@ -363,10 +322,12 @@ class CoxeterGroupoid:
     # ---- words ----
 
     def evaluate(self, word: Word) -> Element:
-        cur = self.identity(word.base)
-        for letter in reversed(word.letters):
-            cur = self.multiply(self.generator(letter, cur.target), cur)
-        return cur
+        t = self.domain_index[word.base]
+        m = sp_identity(self.roots.dim)
+        for i in reversed(word.letters):
+            t, lookup, _ = self.row(t)[i - 1]
+            m = tuple(map(lookup, m))
+        return Element(word.base, self.roots.domains[t], m)
 
     def word_domains(self, word: Word) -> list[Domain]:
         """Domain at which each letter applies (indexed like word.letters)."""
@@ -378,41 +339,39 @@ class CoxeterGroupoid:
         return doms
 
     def canonical_reduced_word(self, w: Element) -> Word:
-        """Deterministic reduced word: strip the smallest left descent first."""
+        """Deterministic reduced word: strip the smallest left descent first,
+        down to the identity, the one element with no left descent."""
+        s, t, m = self._key(w)
         letters: list[int] = []
-        cur = w
-        for _ in range(self.length(w)):
-            for i in range(1, self.family.rank + 1):
-                if self.left_descent(cur, i):
-                    letters.append(i)
-                    cur = self.multiply(self.generator(i, cur.target), cur)
-                    break
-            else:
-                raise AssertionError("no left descent on a positive-length element")
-        return Word(w.source, tuple(letters))
+        while True:
+            down = self.descents(s, t, m)
+            if True not in down:
+                return Word(w.source, tuple(letters))
+            i = down.index(True) + 1
+            letters.append(i)
+            t, lookup, _ = self.row(t)[i - 1]
+            m = tuple(map(lookup, m))
 
     def all_reduced_words(self, w: Element) -> tuple[Word, ...]:
         """Every reduced word for w, by descent recursion; sorted."""
-        letters = self._all_reduced_letters(w)
+        letters = self._all_reduced_letters(*self._key(w))
         return tuple(Word(w.source, ls) for ls in letters)
 
-    def _all_reduced_letters(self, w: Element) -> tuple[tuple[int, ...], ...]:
-        cached = self._reduced_words.get(w)
+    def _all_reduced_letters(self, s: int, t: int, m: SignedPerm) -> tuple[tuple[int, ...], ...]:
+        cached = self._reduced_words.get((s, t, m))
         if cached is not None:
             return cached
-        if self.length(w) == 0:
-            out: tuple[tuple[int, ...], ...] = ((),)
-        else:
-            acc = []
-            for i in range(1, self.family.rank + 1):
-                if self.left_descent(w, i):
-                    rest = self.multiply(self.generator(i, w.target), w)
-                    for tail in self._all_reduced_letters(rest):
-                        acc.append((i,) + tail)
-                        if len(acc) > _REDUCED_WORDS_CAP:
-                            raise SizeCapExceeded("too many reduced words")
-            out = tuple(sorted(acc))
-        self._reduced_words[w] = out
+        acc = []
+        steps = zip(self.row(t), self.descents(s, t, m))
+        for i, ((u, lookup, _), down) in enumerate(steps, 1):
+            if down:
+                for tail in self._all_reduced_letters(s, u, tuple(map(lookup, m))):
+                    acc.append((i,) + tail)
+                    if len(acc) > _REDUCED_WORDS_CAP:
+                        raise SizeCapExceeded("too many reduced words")
+        # no left descent: w is an identity, whose one reduced word is empty
+        out = tuple(sorted(acc)) or ((),)
+        self._reduced_words[s, t, m] = out
         return out
 
     # ---- braid moves ----

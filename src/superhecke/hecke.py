@@ -28,8 +28,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
-from .domains import Domain, Family, act, domain_to_json
-from .groupoid import CoxeterGroupoid, Tables, Word, alternating, groupoid_for
+from .domains import Domain, Family, domain_to_json
+from .groupoid import CoxeterGroupoid, Tables, alternating, groupoid_for
 from .roots import root_system
 from .scalars import CoefficientRing, LaurentPoly, laurent_to_json
 
@@ -155,7 +155,6 @@ class HeckeAlgebra:
         self._qm1 = self.ring.intern(self.q - 1)
         self.groupoid: CoxeterGroupoid = groupoid_for(family)
         self.tables: Tables = self.groupoid.tables()
-        self._domain: dict[Domain, int] = {a: j for j, a in enumerate(self.groupoid.roots.domains)}
         self._table: StructureConstants | None = None
 
     # ---- left multiplication by generators ----
@@ -192,7 +191,7 @@ class HeckeAlgebra:
         if self._table is not None:
             return self._table
         T = self.tables
-        by_target: list[list[int]] = [[] for _ in self._domain]
+        by_target: list[list[int]] = [[] for _ in self.groupoid.roots.domains]
         for v, a in enumerate(T.tgt):
             by_target[a].append(v)
         rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -218,7 +217,7 @@ class HeckeAlgebra:
         domains = self.groupoid.roots.domains
         return {
             "schema_version": 1,
-            "family": {"kind": self.family.kind, "m": self.family.m, "n": self.family.n},
+            "family": self.family._asdict(),
             "mode": self.mode,
             "basis": [
                 {"base": domain_to_json(domains[a]), "letters": list(T.canonical_letters(k))}
@@ -313,7 +312,7 @@ class HeckeAlgebra:
         # generator relations
         for a, d in enumerate(domains):
             for i in range(1, fam.rank + 1):
-                b = self._domain[act(fam, i, d)]
+                b = G.row(a)[i - 1][0]
                 g = position(1, a, b, G.roots.reflection(i, d))  # s_{i,a}
                 tia = {g: one}
                 check(
@@ -354,10 +353,13 @@ class HeckeAlgebra:
         )
 
         def word(letters: tuple[int, ...], base: Domain) -> dict[int, int]:
-            # the element T_{i1} ... T_{im, base}
-            doms = G.word_domains(Word(base, letters))
-            steps = [(i, self._domain[x]) for i, x in zip(letters, doms)]
-            return apply(steps, E[self._domain[base]])
+            # the element T_{i1} ... T_{im, base}, the rightmost letter first
+            a = G.domain_index[base]
+            x = E[a]
+            for i in reversed(letters):
+                x = lmul(i, a, x.items())
+                a = G.row(a)[i - 1][0]
+            return x
 
         for inst in fam_list + cox_list:
             check(

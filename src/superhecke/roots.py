@@ -22,6 +22,7 @@ from .domains import (
     act,
     domain_sort_key,
     domain_str,
+    domain_to_json,
     enumerate_domains,
 )
 from .linalg import int_coordinates, rank_exact
@@ -416,8 +417,6 @@ class DynkinDiagram(NamedTuple):
     edges: list[tuple[int, int, int]]
 
     def to_json(self):
-        from .domains import domain_to_json
-
         return {
             "domain": domain_to_json(self.domain),
             "nodes": [
@@ -466,11 +465,9 @@ def dynkin_dot(family: Family) -> str:
 
 def dynkin_json(family: Family):
     rs = root_system(family)
-    from .domains import domain_to_json
-
     return {
         "schema_version": 1,
-        "family": {"kind": family.kind, "m": family.m, "n": family.n},
+        "family": family._asdict(),
         "diagrams": [rs.dynkin(a).to_json() for a in rs.domains],
         "orbit_edges": [
             {"a": domain_to_json(a), "b": domain_to_json(b), "generator": i}

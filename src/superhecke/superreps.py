@@ -420,11 +420,7 @@ def verify_isomorphism(family: Family, q0: Fraction) -> IsoReport:
 def iso_report_json(report: IsoReport):
     return {
         "schema_version": 1,
-        "family": {
-            "kind": report.family.kind,
-            "m": report.family.m,
-            "n": report.family.n,
-        },
+        "family": report.family._asdict(),
         "q0": f"{report.q0.numerator}/{report.q0.denominator}",
         "dim_formula": report.dim_formula,
         "dim_enumerated": report.dim_enumerated,

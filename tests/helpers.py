@@ -5,7 +5,9 @@ builds another way (a Poincare polynomial by enumeration, a braid-move
 closure, standard tableaux by their own recursion, a matrix product over
 Fraction, Hecke products over Z[q, q^-1] and the structure constants over Q
 at q0), states a definition of the paper that the program reads off the
-root data instead (the block-sorting permutations tau+ / tau-), or makes a
+root data instead (the block-sorting permutations tau+ / tau-; the groupoid's
+multiplication, inverse, length and descents by counting roots, where the
+program steps on integer keys and tests one simple root), or makes a
 deliberately broken input for a checker.
 """
 
@@ -15,11 +17,80 @@ import copy
 from fractions import Fraction
 from functools import lru_cache
 
-from superhecke.domains import CDDomain, Domain, Family
-from superhecke.groupoid import CoxeterGroupoid, SizeCapExceeded, Tables, Word, groupoid_for
-from superhecke.roots import RootSystem, reflection_for_root
+from superhecke.domains import CDDomain, Domain, Family, act
+from superhecke.groupoid import (
+    CoxeterGroupoid,
+    Element,
+    SizeCapExceeded,
+    Tables,
+    Word,
+    groupoid_for,
+)
+from superhecke.roots import (
+    RootSystem,
+    reflection_for_root,
+    sp_apply,
+    sp_compose,
+    sp_identity,
+    sp_invert,
+)
 from superhecke.scalars import LaurentPoly
 from superhecke.weylgroups import WeylType, elements_with_length
+
+
+# ---- the groupoid by its root-count definitions ----
+
+# the zero of the groupoid semigroup: the product of elements whose inner
+# domains differ
+ZERO = None
+
+
+def identity(G: CoxeterGroupoid, a: Domain) -> Element:
+    return Element(a, a, sp_identity(G.roots.dim))
+
+
+def generator(G: CoxeterGroupoid, i: int, a: Domain) -> Element:
+    return Element(a, act(G.family, i, a), G.roots.reflection(i, a))
+
+
+def multiply(x, y):
+    """Product xy; ZERO when the inner domains differ."""
+    if x is ZERO or y is ZERO or x.source != y.target:
+        return ZERO
+    return Element(y.source, x.target, sp_compose(x.smap, y.smap))
+
+
+def inverse(w: Element) -> Element:
+    return Element(w.target, w.source, sp_invert(w.smap))
+
+
+def length(G: CoxeterGroupoid, w: Element) -> int:
+    """Number of positive roots of the source sent to negative roots."""
+    pos_t = G.roots.positive_roots(w.target)
+    return sum(
+        tuple(-c for c in sp_apply(w.smap, beta)) in pos_t
+        for beta in G.roots.positive_roots(w.source)
+    )
+
+
+def right_descent(G: CoxeterGroupoid, w: Element, j: int) -> bool:
+    """True iff w(alpha_{j, source}) is a negative root of the target."""
+    img = sp_apply(w.smap, G.roots.simple_root(j, w.source))
+    return tuple(-c for c in img) in G.roots.positive_roots(w.target)
+
+
+def left_descent(G: CoxeterGroupoid, w: Element, i: int) -> bool:
+    return right_descent(G, inverse(w), i)
+
+
+def canonical_word(G: CoxeterGroupoid, w: Element) -> Word:
+    """The reduced word that strips the smallest left descent first."""
+    letters = []
+    for _ in range(length(G, w)):
+        i = next(i for i in range(1, G.family.rank + 1) if left_descent(G, w, i))
+        letters.append(i)
+        w = multiply(generator(G, i, w.target), w)
+    return Word(w.source, tuple(letters))
 
 
 def perm_one_based(t: tuple[int, ...]) -> list[int]:
@@ -216,10 +287,10 @@ class HeckeReference:
         return Combination({positions(self.groupoid)[w]: LaurentPoly.one()})
 
     def e(self, a) -> Combination:
-        return self.f(self.groupoid.identity(a))
+        return self.f(identity(self.groupoid, a))
 
     def t(self, i: int, a) -> Combination:
-        return self.f(self.groupoid.generator(i, a))
+        return self.f(generator(self.groupoid, i, a))
 
     def unit(self) -> Combination:
         """Sum of all idempotents E_a."""
@@ -241,7 +312,7 @@ class HeckeReference:
         total = Combination()
         for u, c in x.items():
             z = Combination({v: d for v, d in y.items() if T.tgt[v] == T.src[u]})
-            word = self.groupoid.canonical_reduced_word(self.groupoid.elements()[u])
+            word = canonical_word(self.groupoid, self.groupoid.elements()[u])
             total += self.apply_word(word, z).scaled(c)
         return total
 

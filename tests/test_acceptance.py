@@ -28,9 +28,15 @@ from superhecke.weylreps import (
 
 from helpers import (
     braid_reaches_repeat,
+    generator,
+    inverse,
+    left_descent,
+    length,
+    multiply,
     mutated_negated_alpha,
     perm_one_based,
     poincare_enum,
+    right_descent,
     structure_constants_at,
     tau_minus,
     tau_plus,
@@ -143,10 +149,10 @@ def test_criterion_04_braid_word_problem():
         checked = 0
         while checked < 1000:
             base = doms[rng.randrange(len(doms))]
-            length = rng.randint(2, 8)
-            letters = tuple(rng.randint(1, fam.rank) for _ in range(length))
+            n = rng.randint(2, 8)
+            letters = tuple(rng.randint(1, fam.rank) for _ in range(n))
             word = Word(base, letters)
-            if G.length(G.evaluate(word)) == length:
+            if length(G, G.evaluate(word)) == n:
                 continue
             checked += 1
             if not braid_reaches_repeat(G, word):
@@ -164,7 +170,7 @@ def _length_pair_check(fam: Family) -> bool:
     els = G.elements()
     pos_index = {a: {b: i for i, b in enumerate(sorted(rs.positive_roots(a)))}
                  for a in rs.domains}
-    lengths = {w: G.length(w) for w in els}
+    lengths = {w: length(G, w) for w in els}
     # encode w as (perm of root indices, negativity bitmask)
     from superhecke.roots import sp_apply
 
@@ -208,20 +214,20 @@ def test_criterion_05_length_theory():
     for fam, _ in CRITERION_1_CASES:
         G = groupoid_for(fam)
         for w in G.elements():
-            lw = G.length(w)
-            if G.length(G.inverse(w)) != lw:
+            lw = length(G, w)
+            if length(G, inverse(w)) != lw:
                 ok = False
                 details.append(f"{fam.name()}: l(w) != l(w^-1)")
                 break
             for j in range(1, fam.rank + 1):
-                ws = G.multiply(w, G.generator(j, act(fam, j, w.source)))
-                delta = G.length(ws) - lw
-                if delta not in (-1, 1) or (delta == -1) != G.right_descent(w, j):
+                ws = multiply(w, generator(G, j, act(fam, j, w.source)))
+                delta = length(G, ws) - lw
+                if delta not in (-1, 1) or (delta == -1) != right_descent(G, w, j):
                     ok = False
                     details.append(f"{fam.name()}: right descent mismatch")
                     break
-                sw = G.multiply(G.generator(j, w.target), w)
-                if (G.length(sw) - lw == -1) != G.left_descent(w, j):
+                sw = multiply(generator(G, j, w.target), w)
+                if (length(G, sw) - lw == -1) != left_descent(G, w, j):
                     ok = False
                     details.append(f"{fam.name()}: left descent mismatch")
                     break

@@ -89,6 +89,7 @@ def test_cli_output_matches_pinned_checksum(tmp_path, family, argv, digest):
 
 # verify, structconst and verify-all past the braid check's 200-element cap
 # read only the groupoid's integer tables: they build no Element and walk none
+# through the single-element entry points
 TABLE_ONLY = [
     (f, a, d) for f, a, d in GOLDEN
     if (f, a[0]) in {("A(2,1)", "verify-all"), ("osp(4|4)", "verify"), ("osp(4|2)", "structconst")}
@@ -104,7 +105,7 @@ def test_verify_paths_build_no_element(monkeypatch, tmp_path, family, argv, dige
     def refuse(*args, **kwargs):
         raise AssertionError("a verify path built or walked an Element")
 
-    for name in ("elements", "length", "left_descent", "evaluate"):
+    for name in ("elements", "evaluate", "canonical_reduced_word", "all_reduced_words", "braid_connected"):
         monkeypatch.setattr(CoxeterGroupoid, name, refuse)
     test_cli_output_matches_pinned_checksum(tmp_path, family, argv, digest)
 
@@ -150,3 +151,68 @@ def test_oracle_sweep_matches_pinned_checksum(tmp_path):
                 assert cli.main(["irreps", *argv, "--format", "json", "--output", str(out)]) == 0
                 digest.update(out.read_bytes())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# `words --format json` over a fixed-seed sweep, as one digest of the
+# concatenated documents in the order of WORDS_FAMILIES; recorded while `words`
+# still multiplied Element objects and counted inverted roots.  Each family
+# gets the empty word, a non-reduced word with a repeated letter and random
+# words of up to 7 letters at random bases; A(7,7), with 12 870 domains, is
+# far too large to enumerate.
+WORDS_FAMILIES = {
+    **FAMILIES,
+    "osp(6|4)": ["--family", "CD", "--m", "3", "--n", "2"],
+    "A(7,7)": ["--family", "A", "--m", "7", "--n", "7"],
+}
+WORDS_DIGEST = "fbacce2eb285ca22e1b03c9cf07c93538d4c3499c03d9484e9485fde38f95148"
+
+
+def words_sweep():
+    """The (family argv, base JSON, letters) of the sweep, in order."""
+    import json
+    import random
+
+    from superhecke.domains import Family, domain_to_json, enumerate_domains
+
+    for seed, argv in enumerate(WORDS_FAMILIES.values()):
+        fam = Family(argv[1], int(argv[3]), int(argv[5]))
+        rng = random.Random(seed)
+        doms = enumerate_domains(fam)
+        i = rng.randint(1, fam.rank)
+        words = [(), (i, i)] + [
+            tuple(rng.randint(1, fam.rank) for _ in range(rng.randint(1, 7))) for _ in range(10)
+        ]
+        for letters in words:
+            base = json.dumps(domain_to_json(rng.choice(doms)))
+            yield argv, base, ",".join(map(str, letters))
+
+
+def test_words_sweep_matches_pinned_checksum(tmp_path):
+    out = tmp_path / "out.json"
+    digest = hashlib.sha256()
+    for argv, base, letters in words_sweep():
+        cmd = ["words", *argv, "--base", base, "--letters", letters, "--format", "json"]
+        assert cli.main([*cmd, "--output", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == WORDS_DIGEST
+
+
+# one word of A(7,7), recorded with the sweep; the CI step "Words without
+# enumeration" pins the same bytes
+WORDS_A77 = [
+    "words", *WORDS_FAMILIES["A(7,7)"], "--base", "[0,0,0,0,0,0,0,0,1,1,1,1,1,1,1,1]",
+    "--letters", "8,7,9,8,1,15,14,8,9", "--format", "json",
+]
+WORDS_A77_DIGEST = "a1620c967e4c764436e6010182302e5c542978436be2fa14c3105eed85dbe4a9"
+
+
+def test_words_never_enumerates(monkeypatch, tmp_path):
+    from superhecke.groupoid import CoxeterGroupoid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("words ran the groupoid's search")
+
+    monkeypatch.setattr(CoxeterGroupoid, "_breadth_first", refuse)
+    out = tmp_path / "out.json"
+    assert cli.main([*WORDS_A77, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WORDS_A77_DIGEST

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from superhecke.domains import Family, act
 from superhecke.groupoid import (
-    ZERO,
     CoxeterGroupoid,
     SizeCapExceeded,
     Word,
@@ -20,7 +19,18 @@ from superhecke.groupoid import (
     word_to_json,
 )
 
-from helpers import braid_reaches_repeat, positions
+from helpers import (
+    ZERO,
+    braid_reaches_repeat,
+    generator,
+    identity,
+    inverse,
+    left_descent,
+    length,
+    multiply,
+    positions,
+    right_descent,
+)
 
 SMALL = [Family("A", 1, 1), Family("B", 1, 1), Family("B", 0, 2), Family("CD", 1, 1)]
 
@@ -41,21 +51,21 @@ DIM_CASES = [
 def test_identity_and_generator():
     G = groupoid_for(Family("A", 1, 1))
     d_e = (0, 0, 1, 1)
-    e = G.identity(d_e)
+    e = identity(G, d_e)
     assert e.source == e.target == d_e
-    g1 = G.generator(1, d_e)
+    g1 = generator(G, 1, d_e)
     assert g1.target == d_e  # parities 1, 2 equal
-    g2 = G.generator(2, d_e)
+    g2 = generator(G, 2, d_e)
     assert g2.target == (0, 1, 0, 1)
     # s_{i, i>a} s_{i, a} = e_a
-    assert G.multiply(G.generator(2, g2.target), g2) == e
+    assert multiply(generator(G, 2, g2.target), g2) == e
 
 
 def test_zero_and_multiplication():
     G = groupoid_for(Family("A", 1, 1))
     a, b = (0, 0, 1, 1), (0, 1, 0, 1)
-    assert G.multiply(G.identity(a), G.identity(b)) is ZERO
-    assert G.multiply(ZERO, G.identity(a)) is ZERO
+    assert multiply(identity(G, a), identity(G, b)) is ZERO
+    assert multiply(ZERO, identity(G, a)) is ZERO
     # any letter sequence from a valid base is nonzero
     rng = random.Random(0)
     for _ in range(50):
@@ -71,8 +81,8 @@ def test_multiplication_associative(fam, data):
     x = data.draw(st.sampled_from(els))
     y = data.draw(st.sampled_from(els))
     z = data.draw(st.sampled_from(els))
-    lhs = G.multiply(G.multiply(x, y), z)
-    rhs = G.multiply(x, G.multiply(y, z))
+    lhs = multiply(multiply(x, y), z)
+    rhs = multiply(x, multiply(y, z))
     assert lhs == rhs or (lhs is ZERO and rhs is ZERO)
 
 
@@ -106,7 +116,7 @@ def test_longest_element_reverses_positives():
         rs = G.roots
         npos = len(rs.positive_roots(rs.domains[0]))
         for w in G.elements():
-            if G.length(w) != npos:
+            if length(G, w) != npos:
                 continue
             pos_t = rs.positive_roots(w.target)
             for beta in rs.positive_roots(w.source):
@@ -118,26 +128,26 @@ def test_length_basics():
     for fam in SMALL:
         G = groupoid_for(fam)
         for a in G.roots.domains:
-            assert G.length(G.identity(a)) == 0
+            assert length(G, identity(G, a)) == 0
             for i in range(1, fam.rank + 1):
-                assert G.length(G.generator(i, a)) == 1
+                assert length(G, generator(G, i, a)) == 1
 
 
 def test_longest_element_inverts_all_roots():
     for fam in SMALL:
         G = groupoid_for(fam)
         npos = len(G.roots.positive_roots(G.roots.domains[0]))
-        tops = [w for w in G.elements() if G.length(w) == npos]
+        tops = [w for w in G.elements() if length(G, w) == npos]
         assert tops, "no longest element found"
-        assert max(G.length(w) for w in G.elements()) == npos
+        assert max(length(G, w) for w in G.elements()) == npos
 
 
 def test_length_inverse_sign_exhaustive():
     for fam in SMALL:
         G = groupoid_for(fam)
         for w in G.elements():
-            assert G.length(G.inverse(w)) == G.length(w)
-            assert G.inverse(G.inverse(w)) == w
+            assert length(G, inverse(w)) == length(G, w)
+            assert inverse(inverse(w)) == w
 
 
 def test_descent_trivial_examples():
@@ -145,8 +155,8 @@ def test_descent_trivial_examples():
     for a in G.roots.domains:
         for j in range(1, 3):
             # a generator has its own index as a right descent; the identity has none
-            assert G.right_descent(G.generator(j, a), j)
-            assert not G.right_descent(G.identity(a), j)
+            assert right_descent(G, generator(G, j, a), j)
+            assert not right_descent(G, identity(G, a), j)
 
 
 def test_faithfulness_equal_maps_distinct_domains():
@@ -155,7 +165,7 @@ def test_faithfulness_equal_maps_distinct_domains():
     maps = {}
     for w in G.elements():
         maps.setdefault(w.smap, []).append(w)
-    idsmap = G.identity((0, 0, 1, 1)).smap
+    idsmap = identity(G, (0, 0, 1, 1)).smap
     assert len(maps[idsmap]) == len(G.roots.domains)
 
 
@@ -167,21 +177,30 @@ def test_sign_constant_over_words():
         base = doms[rng.randrange(len(doms))]
         letters = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7)))
         w = G.evaluate(Word(base, letters))
-        assert G.length(w) % 2 == len(letters) % 2
+        assert length(G, w) % 2 == len(letters) % 2
 
 
 def test_descents_match_length_changes():
     for fam in SMALL:
         G = groupoid_for(fam)
         for w in G.elements():
-            lw = G.length(w)
+            lw = length(G, w)
             for j in range(1, fam.rank + 1):
-                ws = G.multiply(w, G.generator(j, act(fam, j, w.source)))
+                ws = multiply(w, generator(G, j, act(fam, j, w.source)))
                 assert ws is not ZERO
-                assert G.length(ws) - lw in (-1, 1)
-                assert (G.length(ws) == lw - 1) == G.right_descent(w, j)
-                sw = G.multiply(G.generator(j, w.target), w)
-                assert (G.length(sw) == lw - 1) == G.left_descent(w, j)
+                assert length(G, ws) - lw in (-1, 1)
+                assert (length(G, ws) == lw - 1) == right_descent(G, w, j)
+                sw = multiply(generator(G, j, w.target), w)
+                assert (length(G, sw) == lw - 1) == left_descent(G, w, j)
+
+
+def test_descents_match_root_definitions():
+    # the program's one descent test, on integer keys, against the root count
+    for fam in SMALL:
+        G = groupoid_for(fam)
+        for w in G.elements():
+            key = (G.domain_index[w.source], G.domain_index[w.target], w.smap)
+            assert G.descents(*key) == [left_descent(G, w, i) for i in range(1, fam.rank + 1)]
 
 
 def test_subadditivity_exhaustive_small():
@@ -189,11 +208,11 @@ def test_subadditivity_exhaustive_small():
         G = groupoid_for(fam)
         els = G.elements()
         for u in els:
-            lu = G.length(u)
+            lu = length(G, u)
             for v in els:
-                uv = G.multiply(u, v)
+                uv = multiply(u, v)
                 if uv is not ZERO:
-                    assert G.length(uv) <= lu + G.length(v)
+                    assert length(G, uv) <= lu + length(G, v)
 
 
 def test_canonical_word_round_trip():
@@ -201,26 +220,26 @@ def test_canonical_word_round_trip():
         G = groupoid_for(fam)
         for w in G.elements():
             word = G.canonical_reduced_word(w)
-            assert len(word.letters) == G.length(w)
+            assert len(word.letters) == length(G, w)
             assert G.evaluate(word) == w
 
 
 def test_all_reduced_words_against_brute_force():
     G = groupoid_for(Family("A", 1, 1))
-    w0 = max(G.elements(), key=G.length)
+    w0 = max(G.elements(), key=lambda w: length(G, w))
     mine = {w.letters for w in G.all_reduced_words(w0)}
     brute = {
         letters
-        for letters in itertools.product(range(1, 4), repeat=G.length(w0))
+        for letters in itertools.product(range(1, 4), repeat=length(G, w0))
         if G.evaluate(Word(w0.source, letters)) == w0
     }
     assert mine == brute
     # a generator has exactly one reduced word
-    g = G.generator(2, (0, 0, 1, 1))
+    g = generator(G, 2, (0, 0, 1, 1))
     assert len(G.all_reduced_words(g)) == 1
     # a commuting pair has exactly two
-    w = G.multiply(G.generator(3, act(G.family, 1, (0, 1, 0, 1))), G.generator(1, (0, 1, 0, 1)))
-    assert G.length(w) == 2
+    w = multiply(generator(G, 3, act(G.family, 1, (0, 1, 0, 1))), generator(G, 1, (0, 1, 0, 1)))
+    assert length(G, w) == 2
     assert len(G.all_reduced_words(w)) == 2
 
 
@@ -254,10 +273,10 @@ def test_nonreduced_words_reach_adjacent_repeat():
         found = 0
         while found < 100:
             base = doms[rng.randrange(len(doms))]
-            length = rng.randint(2, 7)
-            letters = tuple(rng.randint(1, fam.rank) for _ in range(length))
+            n = rng.randint(2, 7)
+            letters = tuple(rng.randint(1, fam.rank) for _ in range(n))
             word = Word(base, letters)
-            if G.length(G.evaluate(word)) == length:
+            if length(G, G.evaluate(word)) == n:
                 continue
             found += 1
             assert braid_reaches_repeat(G, word)
@@ -287,10 +306,10 @@ def test_tables_match_root_definitions(fam):
     assert len(set(els)) == len(els)
     for k, w in enumerate(els):
         assert (doms[T.src[k]], doms[T.tgt[k]], T.smap[k]) == w
-        assert T.length[k] == G.length(w)
+        assert T.length[k] == length(G, w)
         for i in range(1, fam.rank + 1):
-            assert els[T.lgen[i][k]] == G.multiply(G.generator(i, w.target), w)
-        descents = [i for i in range(1, fam.rank + 1) if G.left_descent(w, i)]
+            assert els[T.lgen[i][k]] == multiply(generator(G, i, w.target), w)
+        descents = [i for i in range(1, fam.rank + 1) if left_descent(G, w, i)]
         assert T.first[k] == (descents[0] if descents else 0)
         assert T.canonical_letters(k) == G.canonical_reduced_word(w).letters
     assert G.length_theory()
@@ -306,10 +325,10 @@ def test_random_word_length_in_tables(fam, data):
     base = data.draw(st.sampled_from(G.roots.domains))
     letters = data.draw(st.lists(st.integers(1, fam.rank), max_size=14))
     w = G.evaluate(Word(base, tuple(letters)))
-    length = T.length[positions(G)[w]]
-    assert length <= len(letters)
-    assert (len(letters) - length) % 2 == 0
-    assert length == G.length(w)
+    lw = T.length[positions(G)[w]]
+    assert lw <= len(letters)
+    assert (len(letters) - lw) % 2 == 0
+    assert lw == length(G, w)
 
 
 # sha256 of elements() and every Tables field, recorded while enumeration
