@@ -172,7 +172,7 @@ def cmd_dim(args) -> int:
 def cmd_words(args) -> int:
     fam = _parse_family(args)
     G = groupoid_for(fam)
-    word = _parse_word(fam, args)
+    word = _parse_word(G, args)
     w = G.evaluate(word)
     canonical = G.canonical_reduced_word(w)
     length = len(canonical.letters)
@@ -198,13 +198,14 @@ def cmd_words(args) -> int:
     return 0
 
 
-def _parse_word(fam: Family, args) -> Word:
+def _parse_word(G: CoxeterGroupoid, args) -> Word:
     """--base and --letters, checked against the family's domains and rank."""
+    fam = G.family
     try:
         base = domain_from_json(fam, json.loads(args.base))
-    except (ValueError, TypeError, KeyError, OverflowError):
+    except (ValueError, TypeError, KeyError, RecursionError):  # RecursionError: nested too deep
         base = None
-    if base not in enumerate_domains(fam):
+    if base not in G.domain_index:
         raise UsageError(f"--base {args.base} is not a domain of {fam.name()}")
     try:
         # "" is the empty word; an empty item anywhere else is a typo

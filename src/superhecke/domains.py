@@ -161,9 +161,16 @@ def domain_to_json(a: Domain):
 
 
 def domain_from_json(family: Family, data) -> Domain:
+    """The inverse of domain_to_json: a list of JSON integers 0 and 1, for CD
+    in a dict with a string tag.  Anything else raises ValueError."""
+    p = data["p"] if family.kind == "CD" else data
+    if not isinstance(p, list) or any(type(x) is not int or x not in (0, 1) for x in p):
+        raise ValueError(f"parities {p!r} are not a list of integers 0 and 1")
     if family.kind == "CD":
-        return CDDomain(tuple(int(x) for x in data["p"]), data["tag"])
-    return tuple(int(x) for x in data)
+        if not isinstance(data["tag"], str):
+            raise ValueError(f"tag {data['tag']!r} is not a string")
+        return CDDomain(tuple(p), data["tag"])
+    return tuple(p)
 
 
 def domain_str(a: Domain) -> str:

@@ -332,10 +332,10 @@ class CoxeterGroupoid:
     def word_domains(self, word: Word) -> list[Domain]:
         """Domain at which each letter applies (indexed like word.letters)."""
         doms = [word.base] * len(word.letters)
-        dom = word.base
+        t = self.domain_index[word.base]
         for k in range(len(word.letters) - 1, -1, -1):
-            doms[k] = dom
-            dom = act(self.family, word.letters[k], dom)
+            doms[k] = self.roots.domains[t]
+            t = self.row(t)[word.letters[k] - 1][0]
         return doms
 
     def canonical_reduced_word(self, w: Element) -> Word:

@@ -263,6 +263,7 @@ class HeckeAlgebra:
         lmul, one = self._lmul, self._one
         q, qm1 = self.ring.intern(self.q), self.ring.intern(self.q - 1)
         domains = G.roots.domains
+        rows = [G.row(a) for a in range(len(domains))]
         E = [{a: one} for a in range(len(domains))]  # the identities lead the tables
         checked = 0
         failures: list[str] = []
@@ -285,10 +286,13 @@ class HeckeAlgebra:
         def right(x: dict[int, int], a: int) -> dict[int, int]:  # x E_a
             return {k: c for k, c in x.items() if T.src[k] == a}
 
-        def apply(steps, x: dict[int, int]) -> dict[int, int]:
-            # T_{i1,a1} ... T_{im,am} x for steps (i, a), the rightmost first
-            for i, a in reversed(steps):
+        def word(letters: tuple[int, ...], a: int) -> dict[int, int]:
+            # the element T_{i1} ... T_{im, a} for the domain at position a,
+            # the rightmost letter first
+            x = E[a]
+            for i in reversed(letters):
                 x = lmul(i, a, x.items())
+                a = rows[a][i - 1][0]
             return x
 
         # idempotent relations
@@ -298,21 +302,15 @@ class HeckeAlgebra:
                 if b != a:
                     check(not right(E[a], b), "E_a E_b != 0 at {}, {}", domains[a], domains[b])
         # sum of idempotents is the unit: on the left it keeps every term of
-        # f(w); on the right it is E_source(w), to which f(w)'s canonical
-        # letters are applied
+        # f(w); on the right it is E_source(w), on which f(w)'s canonical
+        # letters act, letter i from position a to position rows[a][i - 1][0]
         for k, a in enumerate(T.src):
-            steps = []
-            u = k
-            while T.length[u]:
-                i = T.first[u]
-                u = T.lgen[i][u]
-                steps.append((i, T.tgt[u]))
-            ok = apply(steps, E[a]) == {k: one}
+            ok = word(T.canonical_letters(k), a) == {k: one}
             check(ok, "sum of E_a is not the unit on {}", None if ok else G.elements()[k])
         # generator relations
         for a, d in enumerate(domains):
             for i in range(1, fam.rank + 1):
-                b = G.row(a)[i - 1][0]
+                b = rows[a][i - 1][0]
                 g = position(1, a, b, G.roots.reflection(i, d))  # s_{i,a}
                 tia = {g: one}
                 check(
@@ -351,19 +349,10 @@ class HeckeAlgebra:
             sorted(fam_keys - cox_keys)[:3],
             sorted(cox_keys - fam_keys)[:3],
         )
-
-        def word(letters: tuple[int, ...], base: Domain) -> dict[int, int]:
-            # the element T_{i1} ... T_{im, base}, the rightmost letter first
-            a = G.domain_index[base]
-            x = E[a]
-            for i in reversed(letters):
-                x = lmul(i, a, x.items())
-                a = G.row(a)[i - 1][0]
-            return x
-
         for inst in fam_list + cox_list:
+            a = G.domain_index[inst.base]
             check(
-                word(inst.left, inst.base) == word(inst.right, inst.base),
+                word(inst.left, a) == word(inst.right, a),
                 "{} fails at base={}, {} vs {}",
                 inst.name,
                 inst.base,

@@ -144,15 +144,16 @@ class IntEchelon:
 
 def closure(
     seeds: Iterable[tuple[Hashable, IntMatrix]],
-    gens: Mapping[Hashable, Mapping[Hashable, tuple[Hashable, IntMatrix]]],
+    gens: Mapping[Hashable, Mapping[Hashable, tuple] | Sequence[tuple]],
     width: int,
 ) -> Iterator[tuple[tuple, Hashable, Hashable, IntMatrix]]:
     """Breadth-first span closure of the products of block generators.
 
     Each seed (a, m) is the product of the empty word from domain a to a.
     A product m from source a to target b is multiplied on the left by every
-    letter's generator at b, gens[i][b] = (c, t), letters in mapping order,
-    giving the product t m of word + (i,) from a to c.  The products of one
+    letter's generator at b, gens[i][b] = (c, t) (gens[i] may be a list by
+    domain position), letters in mapping order, giving the product t m of
+    word + (i,) from a to c.  The products of one
     (target, source) pair, flattened to width entries, share one IntEchelon; a
     pair whose span is full is skipped before anything is multiplied.  Yields
     (word, target, source, product) for each product that enlarges its pair's

@@ -437,10 +437,10 @@ def dynkin_dot(family: Family) -> str:
     rs = root_system(family)
     lines: list[str] = []
     tag = family.name().replace("(", "_").replace(")", "").replace(",", "_").replace("|", "_")
-    for idx, a in enumerate(rs.domains):
-        diag = rs.dynkin(a)
+    diagrams = [rs.dynkin(a) for a in rs.domains]
+    for idx, diag in enumerate(diagrams):
         lines.append(f"graph diagram_{idx} {{")
-        lines.append(f'  label="{domain_str(a)}";')
+        lines.append(f'  label="{domain_str(diag.domain)}";')
         for n in diag.nodes:
             cross = "true" if n.crossed else "false"
             filled = "true" if n.filled else "false"
@@ -450,12 +450,11 @@ def dynkin_dot(family: Family) -> str:
         lines.append("}")
     lines.append(f"graph orbit_{tag} {{")
     index = {a: k for k, a in enumerate(rs.domains)}
-    for a in rs.domains:
-        diag = rs.dynkin(a)
+    for k, diag in enumerate(diagrams):
         cross = ",".join(str(n.index) for n in diag.nodes if n.crossed)
         filled = ",".join(str(n.index) for n in diag.nodes if n.filled)
         lines.append(
-            f'  a{index[a]} [label="{domain_str(a)}", cross="{cross}", filled="{filled}"];'
+            f'  a{k} [label="{domain_str(diag.domain)}", cross="{cross}", filled="{filled}"];'
         )
     for a, b, i in rs.orbit_edges():
         lines.append(f'  a{index[a]} -- a{index[b]} [label="{i}"];')

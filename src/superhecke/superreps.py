@@ -30,16 +30,17 @@ f(w) is computed exactly instead; on a signature tie it also decides whether
 the summands are pairwise non-isomorphic (they are exactly when that rank is
 sum_s dim(V_s)^2).
 
-The verification is block-sparse.  Each T_{i,a} is one d x d block from
-block a to block act(i, a), so every word in the generators, and every basis
-image f(w), is one d x d block per summand.  Every check multiplies the
-integer blocks D T; a word of length l carries D^l, and the relations are
-multiplied through by powers of D.  Relations multiply blocks along their
-words; the closure and basis-image ranks keep one small echelon per
-(target, source) pair of domains, since images with different supports are
-independent (the closure rank is linalg.closure's count of kept products);
-trace signatures skip words that do not close into a loop.  No
-(|domains| d)-sized matrix is ever built.
+The verification is block-sparse.  The blocks are indexed by the positions
+of the domains in the groupoid's rows, and each T_{i,a} is one d x d block
+from position a to position G.row(a)[i - 1][0], so every word in the
+generators, and every basis image f(w), is one d x d block per summand.
+Every check multiplies the integer blocks D T; a word of length l carries
+D^l, and the relations are multiplied through by powers of D.  Relations
+multiply blocks along their words; the closure and basis-image ranks keep
+one small echelon per (target, source) pair of domains, since images with
+different supports are independent (the closure rank is linalg.closure's
+count of kept products); trace signatures skip words that do not close into
+a loop.  No (|domains| d)-sized matrix is ever built.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .domains import Domain, Family, UsageError, act, domain_str, enumerate_domains
+from .domains import Family, UsageError, domain_str
 from .groupoid import CoxeterGroupoid, dimension_formula, groupoid_for
 from .hecke import family_braid_instances
 from .linalg import IntEchelon, IntMatrix, closure, int_identity, int_mat_mul, kron, scale_to_int
@@ -69,26 +70,25 @@ def factor_types(family: Family) -> tuple[WeylType, WeylType]:
 
 class BlockRep(NamedTuple):
     """One box-tensor representation as integer blocks per generator and
-    domain.
+    domain, the domains by their positions in the groupoid's rows.
 
-    blocks[i][a] = (target domain, D T_{i,a}): the d x d integer matrix of
-    T_{i,a} from the a-block to the target block, times D; E_a is the
-    identity on block a.  D is a multiple of q0's denominator, so D q0 is an
-    integer too.
+    blocks[i][a] = (G.row(a)[i - 1][0], D T_{i,a}): the target position and
+    the d x d integer matrix of T_{i,a} from the block at position a to the
+    target block, times D; E_a is the identity on block a.  D is a multiple
+    of q0's denominator, so D q0 is an integer too.
     """
 
     family: Family
     q0: Fraction
     left: Irrep
     right: Irrep
-    domains: tuple[Domain, ...]
     block_dim: int
     D: int
-    blocks: dict[int, dict[Domain, tuple[Domain, IntMatrix]]]
+    blocks: dict[int, list[tuple[int, IntMatrix]]]
 
     @property
     def total_dim(self) -> int:
-        return len(self.domains) * self.block_dim
+        return len(self.blocks[1]) * self.block_dim
 
 
 def _check_ranks(family: Family, left: Irrep, right: Irrep):
@@ -101,20 +101,22 @@ def _check_ranks(family: Family, left: Irrep, right: Irrep):
 
 
 @lru_cache(maxsize=None)
-def _even_generators(family: Family) -> dict[tuple[int, Domain], tuple[str, int]]:
+def _even_generators(family: Family) -> dict[tuple[int, int], tuple[str, int]]:
     """The classical generator through which each even node acts, read off
     the root data: (i, a) -> ("left", k) for l(T_k) (x) 1 or ("right", k) for
-    1 (x) r(T_k), for every i that fixes a.
+    1 (x) r(T_k), for every letter i that fixes the domain at position a.
 
-    A breadth-first tree of odd moves from a0 = domains[0] gives x_a, the
-    product of odd reflections from a0 to a.  The loop x_a^-1 sigma_{i,a} x_a
-    at a0 is looked up among the factors' generators, placed on a0's zero
-    coordinates (left) or one coordinates (right) in increasing order.  The
-    transports carry CD's fork swap at C- domains and the C+ / C- twist of
-    the right factor.  A loop that is no classical generator, or a generator
-    that no even node reaches, is a fault of the program and raises.
+    A breadth-first tree of odd moves along the groupoid's rows from a0 =
+    domains[0] gives x_a, the product of odd reflections from a0 to a.  The
+    loop x_a^-1 sigma_{i,a} x_a at a0 is looked up among the factors'
+    generators, placed on a0's zero coordinates (left) or one coordinates
+    (right) in increasing order.  The transports carry CD's fork swap at C-
+    domains and the C+ / C- twist of the right factor.  A loop that is no
+    classical generator, or a generator that no even node reaches, is a
+    fault of the program and raises.
     """
     rs = root_system(family)
+    G = groupoid_for(family)
     a0 = rs.domains[0]
     p0 = a0.parities if family.kind == "CD" else a0
     classical: dict[SignedPerm, tuple[str, int]] = {}
@@ -125,21 +127,21 @@ def _even_generators(family: Family) -> dict[tuple[int, Domain], tuple[str, int]
             for c, v in zip(coords, h):
                 g[c] = (coords[abs(v) - 1] + 1) * (1 if v > 0 else -1)
             classical[tuple(g)] = (side, k)
-    x = {a0: sp_identity(rs.dim)}
-    out: dict[tuple[int, Domain], tuple[str, int]] = {}
-    queue = [a0]
+    x = {0: sp_identity(rs.dim)}
+    out: dict[tuple[int, int], tuple[str, int]] = {}
+    queue = [0]
     for a in queue:  # breadth first: the loop reads what it appends
-        for i in range(1, family.rank + 1):
-            b = act(family, i, a)
+        d = rs.domains[a]
+        for i, (b, _, _) in enumerate(G.row(a), 1):
             if b != a:
                 if b not in x:
-                    x[b] = sp_compose(rs.reflection(i, a), x[a])
+                    x[b] = sp_compose(rs.reflection(i, d), x[a])
                     queue.append(b)
                 continue
-            loop = sp_compose(sp_invert(x[a]), sp_compose(rs.reflection(i, a), x[a]))
+            loop = sp_compose(sp_invert(x[a]), sp_compose(rs.reflection(i, d), x[a]))
             if loop not in classical:
                 raise RuntimeError(
-                    f"even node (i, a) = ({i}, {domain_str(a)}): its loop {loop} at "
+                    f"even node (i, a) = ({i}, {domain_str(d)}): its loop {loop} at "
                     f"{domain_str(a0)} is not a classical generator"
                 )
             out[i, a] = classical[loop]
@@ -156,7 +158,7 @@ def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
     _check_ranks(family, left, right)
     if D % left.q0.denominator:
         raise ValueError(f"{D} is not a multiple of the denominator of q0 = {left.q0}")
-    domains = enumerate_domains(family)
+    G = groupoid_for(family)
     d = left.dim * right.dim
     transport = [[D if r == c else 0 for c in range(d)] for r in range(d)]
     factors = {
@@ -164,18 +166,15 @@ def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
         "right": [kron(int_identity(left.dim), scale_to_int(g, D)) for g in right.gens],
     }
     even = _even_generators(family)
-    blocks: dict[int, dict[Domain, tuple[Domain, IntMatrix]]] = {}
-    for i in range(1, family.rank + 1):
-        per: dict[Domain, tuple[Domain, IntMatrix]] = {}
-        for a in domains:
-            b = act(family, i, a)
+    blocks: dict[int, list[tuple[int, IntMatrix]]] = {i: [] for i in range(1, family.rank + 1)}
+    for a in range(len(G.roots.domains)):
+        for i, (b, _, _) in enumerate(G.row(a), 1):
             if b != a:
-                per[a] = (b, transport)
+                blocks[i].append((b, transport))
             else:
                 side, k = even[i, a]
-                per[a] = (a, factors[side][k - 1])
-        blocks[i] = per
-    return BlockRep(family, left.q0, left, right, domains, d, D, blocks)
+                blocks[i].append((a, factors[side][k - 1]))
+    return BlockRep(family, left.q0, left, right, d, D, blocks)
 
 
 class BigMap(NamedTuple):
@@ -242,13 +241,13 @@ class IsoReport(NamedTuple):
         )
 
 
-def _word_block(rep: BlockRep, base: Domain, letters: tuple[int, ...]) -> tuple[Domain, IntMatrix]:
-    """D^m T_{i1} ... T_{im} on block base, letters applied right to left, as
-    its (target domain, d x d integer matrix)."""
+def _word_block(rep: BlockRep, base: int, letters: tuple[int, ...]) -> tuple[int, IntMatrix]:
+    """D^m T_{i1} ... T_{im} on the block at position base, letters applied
+    right to left, as its (target position, d x d integer matrix)."""
     dom, out = base, int_identity(rep.block_dim)
     for letter in reversed(letters):
-        out = int_mat_mul(rep.blocks[letter][dom][1], out)
-        dom = act(rep.family, letter, dom)
+        dom, t = rep.blocks[letter][dom]
+        out = int_mat_mul(t, out)
     return dom, out
 
 
@@ -256,29 +255,30 @@ def verify_block_rep(rep: BlockRep) -> list[str]:
     """Every defining relation instance of the presentation, on d x d blocks.
 
     The idempotent and E T E relations hold exactly when the block data is
-    well formed: the domains are distinct (so the E_a are orthogonal
-    projectors summing to the identity) and each T_{i,a} is one d x d block
-    from block a to block act(i, a).  The quadratic, isotropic and braid
-    relations multiply the integer blocks t = D T, each relation multiplied
-    through by a power of D: the quadratic one reads
-    t^2 = D(q0 - 1) t + q0 D^2 I, the isotropic one t' t = D^2 I.  They are
-    checked only on well-formed data.
+    well formed: every letter has one block per domain (so the E_a are
+    orthogonal projectors summing to the identity) and each T_{i,a} is one
+    d x d block from position a to position G.row(a)[i - 1][0].  The
+    quadratic, isotropic and braid relations multiply the integer blocks
+    t = D T, each relation multiplied through by a power of D: the quadratic
+    one reads t^2 = D(q0 - 1) t + q0 D^2 I, the isotropic one t' t = D^2 I.
+    They are checked only on well-formed data.
     """
-    fails: list[str] = []
     fam = rep.family
+    G = groupoid_for(fam)
+    domains = G.roots.domains
+    if any(len(rep.blocks[i]) != len(domains) for i in range(1, fam.rank + 1)):
+        return ["sum of idempotents is not the identity"]
+    fails: list[str] = []
     D = rep.D
     Dq = rep.q0.numerator * (D // rep.q0.denominator)
     d = rep.block_dim
     DDI = [[D * D * x for x in row] for row in int_identity(d)]
-    if len(set(rep.domains)) != len(rep.domains):
-        fails.append("sum of idempotents is not the identity")
-    well_formed = not fails
-    for a in rep.domains:
-        for i in range(1, fam.rank + 1):
-            b = act(fam, i, a)
+    well_formed = True
+    for a, dom in enumerate(domains):
+        for i, (b, _, _) in enumerate(G.row(a), 1):
             target, t = rep.blocks[i][a]
             if target != b or len(t) != d or any(len(row) != d for row in t):
-                fails.append(f"E T E != T at i={i}, a={a}")
+                fails.append(f"E T E != T at i={i}, a={dom}")
                 well_formed = False
                 continue
             if b == a:
@@ -287,14 +287,15 @@ def verify_block_rep(rep: BlockRep) -> list[str]:
                     for r, row in enumerate(t)
                 ]
                 if int_mat_mul(t, t) != rhs:
-                    fails.append(f"quadratic fails at i={i}, a={a}")
+                    fails.append(f"quadratic fails at i={i}, a={dom}")
             elif int_mat_mul(rep.blocks[i][b][1], t) != DDI:
-                fails.append(f"isotropic relation fails at i={i}, a={a}")
+                fails.append(f"isotropic relation fails at i={i}, a={dom}")
     if not well_formed:
         return fails
     for inst in family_braid_instances(fam):
-        lhs_target, lhs = _word_block(rep, inst.base, inst.left)
-        rhs_target, rhs = _word_block(rep, inst.base, inst.right)
+        base = G.domain_index[inst.base]
+        lhs_target, lhs = _word_block(rep, base, inst.left)
+        rhs_target, rhs = _word_block(rep, base, inst.right)
         if len(inst.left) != len(inst.right):  # each side carries D^(its length)
             lhs = [[x * D ** len(inst.right) for x in row] for row in lhs]
             rhs = [[x * D ** len(inst.left) for x in row] for row in rhs]
@@ -317,7 +318,6 @@ def _basis_rank(bm: BigMap, G: CoxeterGroupoid) -> int:
     """
     width = sum(s.block_dim ** 2 for s in bm.summands)
     T = G.tables()
-    domains = G.roots.domains
     groups: dict[tuple[int, int], IntEchelon] = {}
     prev: dict[int, list[IntMatrix]] = {}
     cur: dict[int, list[IntMatrix]] = {}
@@ -332,7 +332,7 @@ def _basis_rank(bm: BigMap, G: CoxeterGroupoid) -> int:
             rest = T.lgen[i][k]
             if rest not in prev:
                 raise ValueError(f"groupoid tables: element {rest} is not one length below element {k}")
-            a = domains[T.tgt[rest]]
+            a = T.tgt[rest]
             images = [int_mat_mul(s.blocks[i][a][1], m) for s, m in zip(bm.summands, prev[rest])]
         cur[k] = images
         ech = groups.setdefault((T.tgt[k], T.src[k]), IntEchelon(width))
@@ -348,7 +348,7 @@ def _closure_rank(rep: BlockRep) -> int:
     b, so the span splits into one echelon of width d^2 per pair (b, a).  The
     products are of the integer blocks D T, which span the same spaces."""
     d = rep.block_dim
-    seeds = [(a, int_identity(d)) for a in rep.domains]
+    seeds = [(a, int_identity(d)) for a in range(len(rep.blocks[1]))]
     return sum(1 for _ in closure(seeds, rep.blocks, d * d))
 
 
@@ -360,7 +360,7 @@ def _trace_signature(rep: BlockRep) -> tuple:
     agree."""
     letters = range(1, rep.family.rank + 1)
     sig = []
-    for a in rep.domains:
+    for a in range(len(rep.blocks[1])):
         for i in letters:
             b, t = rep.blocks[i][a]
             if b == a:

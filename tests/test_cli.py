@@ -202,13 +202,27 @@ def test_output_deterministic():
         (["A", "--m", "1", "--n", "1"], "[1e400,0,1,1]", "1"),  # int() of infinity overflows
         (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "1,,2"),  # empty item
         (["A", "--m", "1", "--n", "1"], "[0,0,1,1]", "1,"),  # trailing empty item
+        # parities are the JSON integers 0 and 1, not values int() maps there
+        (["A", "--m", "0", "--n", "0"], "[0.9,1]", "1"),
+        (["A", "--m", "0", "--n", "0"], "[true,false]", "1"),
+        (["A", "--m", "0", "--n", "0"], '["0","1"]', "1"),
+        (["CD", "--m", "1", "--n", "1"], '{"p": [0.2, 1], "tag": "C+"}', "1"),
+        (["CD", "--m", "1", "--n", "1"], '{"p": [0, 1], "tag": ["C+"]}', "1"),  # unhashable tag
+        pytest.param(["A", "--m", "0", "--n", "0"], "[" * 50000 + "]" * 50000, "1", id="nested-too-deep"),
     ],
 )
 def test_words_bad_input_exit_2(family, base, letters):
     proc = run_cli("words", "--family", *family, "--base", base, "--letters", letters)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_words_integer_parities_exit_0():
+    proc = run_cli("words", "--family", "A", "--m", "0", "--n", "0", "--base", "[0,1]", "--letters", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_max_elements_does_not_leak_between_calls(capsys):

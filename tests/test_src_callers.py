@@ -45,3 +45,30 @@ def test_every_src_definition_has_a_caller():
                 uncalled.add(name)
     # fails, too, once an allowlisted name gains a caller: drop it from the list
     assert uncalled == AWAITING_CALLER
+
+
+def test_act_is_called_only_by_the_root_data_and_the_rows():
+    # every word walk after the root data steps through CoxeterGroupoid.row,
+    # which calls act once per (domain, letter)
+    calls, in_row = [], 0
+    for path in SRC:
+        if path.name == "roots.py":
+            continue
+        tree = ast.parse(path.read_text())
+        row = range(0)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "CoxeterGroupoid":
+                fn = next(f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "row")
+                row = range(fn.lineno, fn.end_lineno + 1)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != "act":
+                continue
+            if node.lineno in row:
+                in_row += 1
+            else:
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+    assert in_row == 1

@@ -85,20 +85,21 @@ def test_even_generator_case_table_is_complete(fam):
     ranks = {side: len(generators(wt)) for side, wt in zip(("left", "right"), factor_types(fam))}
     even = _even_generators(fam)
     used = set()
-    for a in enumerate_domains(fam):
+    for a, dom in enumerate(groupoid_for(fam).roots.domains):
         for i in range(1, fam.rank + 1):
-            if act(fam, i, a) == a:
+            if act(fam, i, dom) == dom:
                 side, k = even[i, a]
-                assert 1 <= k <= ranks[side], (i, a, side, k)
+                assert 1 <= k <= ranks[side], (i, dom, side, k)
                 used.add((side, k))
     assert used == {(side, k) for side, n in ranks.items() for k in range(1, n + 1)}
 
 
 def test_even_generator_map_matches_the_hand_table():
     # sha256 over the 1 445 even (family, i, a, side, k) of the rank <= 6
-    # families, recorded with the hand-written case table the lookup replaced
+    # families, recorded with the hand-written case table the lookup replaced;
+    # the map keys domains by position, hashed as the domains they index
     entries = sorted(
-        f"{fam.name()} {i} {domain_str(a)} {side} {k}"
+        f"{fam.name()} {i} {domain_str(groupoid_for(fam).roots.domains[a])} {side} {k}"
         for fam in RANK_6
         for (i, a), (side, k) in _even_generators(fam).items()
     )
@@ -154,9 +155,11 @@ def test_worked_braid_chain_in_matrices():
     i = 1
     assert d[i - 1] == 0 and d[i] == 0 and d[i + 1] == 1
 
+    G = groupoid_for(fam)
+
     def chain(letters):
         # D^3 T_{letters} on block d, rightmost letter first: (target, block)
-        dom, out = d, int_identity(rep.block_dim)
+        dom, out = G.domain_index[d], int_identity(rep.block_dim)
         for letter in reversed(letters):
             dom, block = rep.blocks[letter][dom]
             out = int_mat_mul(block, out)
@@ -169,7 +172,7 @@ def test_worked_braid_chain_in_matrices():
     from helpers import tau_plus
 
     d3 = act(fam, i, act(fam, i + 1, act(fam, i, d)))
-    assert lhs_target == rhs_target == d3
+    assert lhs_target == rhs_target == G.domain_index[d3]
     k = tau_plus(fam, d).index(i - 1)
     assert lhs == kron(scale_to_int(l.gens[k], D**3), int_identity(r.dim))
 
@@ -193,15 +196,16 @@ def test_cd_tag_symmetry():
     # domains with two trailing odd directions
     fam = Family("CD", 1, 2)
     bm = big_map(fam, Fraction(2))
+    G = groupoid_for(fam)
     l = fam.rank
     for s in bm.summands:
-        for a in s.domains:
-            if not isinstance(a, CDDomain) or a.tag != "C+":
+        for a, dom in enumerate(G.roots.domains):
+            if not isinstance(dom, CDDomain) or dom.tag != "C+":
                 continue
-            p = a.parities
+            p = dom.parities
             if not (p[l - 2] == 1 and p[l - 1] == 1):
                 continue
-            twin = CDDomain(p, "C-")
+            twin = G.domain_index[CDDomain(p, "C-")]
             tgt1, blk1 = s.blocks[l - 1][a]
             tgt2, blk2 = s.blocks[l][twin]
             assert tgt1 == a and tgt2 == twin and blk1 == blk2
@@ -306,13 +310,13 @@ def test_entry_moved_by_one_over_d_breaks_the_quadratic():
     assert D > q0.denominator
     assert {s.D for s in bm.summands} == {D}
     rep = max(bm.summands, key=lambda s: s.block_dim)
-    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b == a)
+    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in enumerate(per) if b == a)
     b, block = rep.blocks[i][a]
     moved = [list(row) for row in block]
     moved[0][0] += 1
     rep.blocks[i][a] = (b, moved)
     fails = verify_block_rep(rep)
-    assert fails[0] == f"quadratic fails at i={i}, a={a}"
+    assert fails[0] == f"quadratic fails at i={i}, a={groupoid_for(fam).roots.domains[a]}"
 
 
 def test_injectivity_is_basis_independence():
@@ -330,10 +334,10 @@ def _scaled(rep, i, a, c):
 def test_scaled_even_block_breaks_quadratic_and_braids():
     fam = Family("A", 1, 1)
     rep = big_map(fam, Fraction(2)).summands[0]
-    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b == a)
+    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in enumerate(per) if b == a)
     _scaled(rep, i, a, 2)
     fails = verify_block_rep(rep)
-    assert fails[0] == f"quadratic fails at i={i}, a={a}"
+    assert fails[0] == f"quadratic fails at i={i}, a={groupoid_for(fam).roots.domains[a]}"
     assert len(fails) > 1
     assert all(f.startswith("HArel") for f in fails[1:])
 
@@ -341,11 +345,32 @@ def test_scaled_even_block_breaks_quadratic_and_braids():
 def test_broken_isotropic_block_is_rejected():
     fam = Family("B", 1, 1)
     rep = big_map(fam, Fraction(2)).summands[0]
-    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in per.items() if b != a)
+    i, a = next((i, a) for i, per in rep.blocks.items() for a, (b, _) in enumerate(per) if b != a)
     _scaled(rep, i, a, 2)
     fails = verify_block_rep(rep)
-    assert f"isotropic relation fails at i={i}, a={a}" in fails
-    assert f"isotropic relation fails at i={i}, a={act(fam, i, a)}" in fails
+    dom = groupoid_for(fam).roots.domains[a]
+    assert f"isotropic relation fails at i={i}, a={dom}" in fails
+    assert f"isotropic relation fails at i={i}, a={act(fam, i, dom)}" in fails
+
+
+def test_block_to_the_wrong_domain_is_not_well_formed():
+    # T_{i,a} sent to a domain other than G.row(a)[i - 1][0]: the E T E
+    # relation fails, and no braid relation is read on the broken blocks
+    fam = Family("B", 1, 1)
+    rep = big_map(fam, Fraction(2)).summands[0]
+    domains = groupoid_for(fam).roots.domains
+    i, a, b = next((i, a, b) for i, per in rep.blocks.items() for a, (b, _) in enumerate(per))
+    c = next(c for c in range(len(domains)) if c != b)
+    rep.blocks[i][a] = (c, rep.blocks[i][a][1])
+    assert verify_block_rep(rep) == [f"E T E != T at i={i}, a={domains[a]}"]
+
+
+def test_a_missing_block_breaks_the_sum_of_idempotents():
+    # a letter with no block at one domain: the E_a do not sum to the
+    # identity, and nothing else is read
+    rep = big_map(Family("B", 1, 1), Fraction(2)).summands[0]
+    rep.blocks[1].pop()
+    assert verify_block_rep(rep) == ["sum of idempotents is not the identity"]
 
 
 def test_dropped_summand_loses_rank(monkeypatch):
