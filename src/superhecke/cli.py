@@ -2,7 +2,11 @@
 
 Subcommands expose every capability with machine-readable output: domains,
 dynkin, enumerate, dim, words, verify, structconst, poincare, irreps, reps,
-verify-all.  Output is deterministic for fixed flags and seed.  Exit codes:
+verify-all.  Each subcommand computes its JSON document and its text, and
+one writer puts one of them on stdout or --output: the JSON, schema version
+first, under --format json or when there is no text, else the text;
+structconst alone streams its table as it is encoded.  Output is
+deterministic for fixed flags and seed.  Exit codes:
 0 success, 1 verification failure, 2 invalid arguments, or a run the
 program declines (element cap, oracle budget), 141 (128 + SIGPIPE) when the
 reader closes the output pipe early.  Past argparse, exit 2 has one path: a
@@ -53,6 +57,8 @@ def _parse_family(args) -> Family:
     m, n = args.m, args.n
     if kind == "C":
         # C(n) = osp(2|2(n-1)) is the CD family at m = 1
+        if m is not None:
+            raise UsageError("--family C takes no --m: C(n) is the CD family at m = 1")
         if n is None or n < 2:
             raise UsageError("--family C needs --n >= 2 (C(n) with n >= 2)")
         family = Family("CD", 1, n - 1)
@@ -88,96 +94,83 @@ def _writer(args):
         yield sys.stdout.write
 
 
-def _emit(args, text: str):
-    with _writer(args) as write:
-        write(text)
+# what a subcommand returns to main: its exit code, its JSON document
+# without the schema version (or None) and its text output (or None)
+Output = tuple[int, dict | None, str | None]
 
 
 def _json_dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=False) + "\n"
 
 
-def cmd_domains(args) -> int:
+def cmd_domains(args) -> Output:
     fam = _parse_family(args)
     doms = enumerate_domains(fam)
-    if args.format == "json":
-        _emit(args, _json_dump({
-            "schema_version": 1,
-            "family": fam._asdict(),
-            "count": len(doms),
-            "domains": [domain_to_json(a) for a in doms],
-        }))
-    else:
-        lines = [domain_str(a) for a in doms]
-        _emit(args, "\n".join(lines + [f"count: {len(doms)}"]) + "\n")
-    return 0
+    doc = {
+        "family": fam._asdict(),
+        "count": len(doms),
+        "domains": [domain_to_json(a) for a in doms],
+    }
+    lines = [domain_str(a) for a in doms]
+    return 0, doc, "\n".join(lines + [f"count: {len(doms)}"]) + "\n"
 
 
-def cmd_dynkin(args) -> int:
+def cmd_dynkin(args) -> Output:
     fam = _parse_family(args)
+    if args.format == "json":
+        return 0, dynkin_json(fam), None
     if args.format == "dot":
-        _emit(args, dynkin_dot(fam))
-    elif args.format == "json":
-        _emit(args, _json_dump(dynkin_json(fam)))
-    else:
-        rs = root_system(fam)
-        lines = []
-        for a in rs.domains:
-            diag = rs.dynkin(a)
-            cross = ",".join(str(n.index) for n in diag.nodes if n.crossed)
-            filled = ",".join(str(n.index) for n in diag.nodes if n.filled)
-            edges = " ".join(f"{i}-{j}:{m}" for i, j, m in diag.edges)
-            lines.append(f"{domain_str(a)} cross=[{cross}] filled=[{filled}] edges: {edges}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return 0, None, dynkin_dot(fam)
+    rs = root_system(fam)
+    lines = []
+    for a in rs.domains:
+        diag = rs.dynkin(a)
+        cross = ",".join(str(n.index) for n in diag.nodes if n.crossed)
+        filled = ",".join(str(n.index) for n in diag.nodes if n.filled)
+        edges = " ".join(f"{i}-{j}:{m}" for i, j, m in diag.edges)
+        lines.append(f"{domain_str(a)} cross=[{cross}] filled=[{filled}] edges: {edges}")
+    return 0, None, "\n".join(lines) + "\n"
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Output:
     fam = _parse_family(args)
     G = groupoid_for(fam)
     els = G.elements(args.max_elements)
+    doc = None
     if args.format == "json":
         length = G.tables().length
-        _emit(args, _json_dump({
-            "schema_version": 1,
+        doc = {
             "family": fam._asdict(),
             "count": len(els),
             "elements": [
                 {**element_to_json(w), "length": length[k]} for k, w in enumerate(els)
             ],
-        }))
-    else:
-        _emit(args, f"{len(els)}\n")
-    return 0
+        }
+    return 0, doc, f"{len(els)}\n"
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> Output:
     fam = _parse_family(args)
     G = groupoid_for(fam)
     count = G.order(args.max_elements)
     formula = dimension_formula(fam)
-    if args.format == "json":
-        _emit(args, _json_dump({
-            "schema_version": 1,
-            "family": fam._asdict(),
-            "dimension": count,
-            "formula": formula,
-            "match": count == formula,
-        }))
-    else:
-        _emit(args, f"{count}\n")
-    return 0 if count == formula else 1
+    doc = {
+        "family": fam._asdict(),
+        "dimension": count,
+        "formula": formula,
+        "match": count == formula,
+    }
+    return 0 if count == formula else 1, doc, f"{count}\n"
 
 
-def cmd_words(args) -> int:
+def cmd_words(args) -> Output:
     fam = _parse_family(args)
     G = groupoid_for(fam)
     word = _parse_word(G, args)
     w = G.evaluate(word)
     canonical = G.canonical_reduced_word(w)
     length = len(canonical.letters)
-    data = {
-        "schema_version": 1,
+    doc = {
         "word": word_to_json(word),
         "element": element_to_json(w),
         "length": length,
@@ -186,16 +179,12 @@ def cmd_words(args) -> int:
         "reduced_words": [word_to_json(u) for u in G.all_reduced_words(w)],
         "braid_connected": G.braid_connected(w),
     }
-    if args.format == "json":
-        _emit(args, _json_dump(data))
-    else:
-        _emit(
-            args,
-            f"length {data['length']} reduced {data['reduced']} "
-            f"#reduced_words {len(data['reduced_words'])} "
-            f"braid_connected {data['braid_connected']}\n",
-        )
-    return 0
+    text = (
+        f"length {doc['length']} reduced {doc['reduced']} "
+        f"#reduced_words {len(doc['reduced_words'])} "
+        f"braid_connected {doc['braid_connected']}\n"
+    )
+    return 0, doc, text
 
 
 def _parse_word(G: CoxeterGroupoid, args) -> Word:
@@ -218,15 +207,14 @@ def _parse_word(G: CoxeterGroupoid, args) -> Word:
     return Word(base, letters)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     fam = _parse_family(args)
     _capped_groupoid(args, fam)
     axioms = root_system(fam).check_axioms()
     # the relations hold over Z[q, q^-1], so at every q0 != 0 as well: the
     # proof is the same for --scalar eval
     pres = hecke_poly(fam).verify_presentation()
-    data = {
-        "schema_version": 1,
+    doc = {
         "family": fam._asdict(),
         "axioms_passed": axioms.passed,
         "axiom_failures": [f.description for f in axioms.failures],
@@ -235,19 +223,16 @@ def cmd_verify(args) -> int:
         "relation_failures": pres.failures,
     }
     ok = axioms.passed and pres.passed
-    if args.format == "json":
-        _emit(args, _json_dump(data))
-    else:
-        _emit(args, ("PASS" if ok else "FAIL") + f" ({pres.checked} relation instances)\n")
-    return 0 if ok else 1
+    text = ("PASS" if ok else "FAIL") + f" ({pres.checked} relation instances)\n"
+    return 0 if ok else 1, doc, text
 
 
-def cmd_structconst(args) -> int:
+def cmd_structconst(args) -> Output:
     fam = _parse_family(args)
     _capped_groupoid(args, fam)
     with _writer(args) as write:
         _write_structconst(hecke_poly(fam), write, args.q if args.scalar == "eval" else None)
-    return 0
+    return 0, None, None
 
 
 # One entry of the structure-constant document, as json.dumps(indent=2)
@@ -296,82 +281,49 @@ def _write_structconst(alg: HeckeAlgebra, write, q0: Fraction | None = None) -> 
     write("".join(chunk))
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args) -> Output:
     wt = WeylType(args.type, args.n)
     if args.q is None:
         p = poincare(wt)
-        if args.format == "json":
-            _emit(args, _json_dump({
-                "schema_version": 1,
-                "type": wt._asdict(),
-                "poincare": laurent_to_json(p),
-            }))
-        else:
-            _emit(args, f"{p}\n")
-        return 0
+        return 0, {"type": wt._asdict(), "poincare": laurent_to_json(p)}, f"{p}\n"
     q0 = args.q
-    val = poincare(wt, q0)
-    if args.format == "json":
-        _emit(args, _json_dump({
-            "schema_version": 1,
-            "type": wt._asdict(),
-            "q": rational_to_string(q0),
-            "value": rational_to_string(val),
-            "semisimple": is_semisimple(wt, q0),
-        }))
-    else:
-        _emit(args, f"{rational_to_string(val)}\n")
-    return 0
+    val = rational_to_string(poincare(wt, q0))
+    doc = {
+        "type": wt._asdict(),
+        "q": rational_to_string(q0),
+        "value": val,
+        "semisimple": is_semisimple(wt, q0),
+    }
+    return 0, doc, f"{val}\n"
 
 
-def cmd_irreps(args) -> int:
+def _matrices_json(rep) -> list:
+    """A representation's generator matrices, every entry a rational string."""
+    return [[[rational_to_string(x) for x in row] for row in g] for g in rep.gens]
+
+
+def cmd_irreps(args) -> Output:
     wt = WeylType(args.type, args.n)
     q0 = args.q
+    doc = {"type": wt._asdict(), "q": rational_to_string(q0)}
     if args.oracle:
         comps = split_regular_weyl(wt, q0, seed=args.seed)
-        data = {
-            "schema_version": 1,
-            "type": wt._asdict(),
-            "q": rational_to_string(q0),
-            "components": [
-                {
-                    "dim": c.irrep.dim,
-                    "multiplicity": c.multiplicity,
-                    "generators": [
-                        [[rational_to_string(x) for x in row] for row in g]
-                        for g in c.irrep.gens
-                    ],
-                }
-                for c in comps
-            ],
-        }
-    else:
-        reps = irreps(wt, q0)
-        data = {
-            "schema_version": 1,
-            "type": wt._asdict(),
-            "q": rational_to_string(q0),
-            "irreps": [
-                {
-                    "label": _label_json(r.label),
-                    "dim": r.dim,
-                    "generators": [
-                        [[rational_to_string(x) for x in row] for row in g]
-                        for g in r.gens
-                    ],
-                }
-                for r in reps
-            ],
-        }
-    if args.format == "json":
-        _emit(args, _json_dump(data))
-    else:
-        if args.oracle:
-            dims = [(c.irrep.dim, c.multiplicity) for c in comps]
-            _emit(args, f"components (dim, multiplicity): {dims}\n")
-        else:
-            _emit(args, f"dims: {[r.dim for r in reps]}\n")
-    return 0
+        doc["components"] = [
+            {
+                "dim": c.irrep.dim,
+                "multiplicity": c.multiplicity,
+                "generators": _matrices_json(c.irrep),
+            }
+            for c in comps
+        ]
+        dims = [(c.irrep.dim, c.multiplicity) for c in comps]
+        return 0, doc, f"components (dim, multiplicity): {dims}\n"
+    reps = irreps(wt, q0)
+    doc["irreps"] = [
+        {"label": _label_json(r.label), "dim": r.dim, "generators": _matrices_json(r)}
+        for r in reps
+    ]
+    return 0, doc, f"dims: {[r.dim for r in reps]}\n"
 
 
 def _label_json(label):
@@ -380,20 +332,18 @@ def _label_json(label):
     return label
 
 
-def cmd_reps(args) -> int:
+def cmd_reps(args) -> Output:
     # build mode writes JSON only; verify mode defaults to text
     if args.mode == "build" and args.format == "text":
         raise UsageError("reps --mode build writes JSON only; --format text is not available")
     fam = _parse_family(args)
     q0 = args.q
     _capped_groupoid(args, fam)
-    require_semisimple(fam, q0)
     if args.mode == "build":
         from .superreps import big_map
 
         bm = big_map(fam, q0)
-        data = {
-            "schema_version": 1,
+        doc = {
             "family": fam._asdict(),
             "q0": rational_to_string(q0),
             "summands": [
@@ -406,18 +356,13 @@ def cmd_reps(args) -> int:
                 for s in bm.summands
             ],
         }
-        _emit(args, _json_dump(data))
-        return 0
+        return 0, doc, None
     report = verify_isomorphism(fam, q0)
-    if args.format == "json":
-        _emit(args, _json_dump(iso_report_json(report)))
-    else:
-        _emit(
-            args,
-            ("PASS" if report.passed else "FAIL")
-            + f"  rank {report.basis_rank} = formula {report.dim_formula}\n",
-        )
-    return 0 if report.passed else 1
+    text = (
+        ("PASS" if report.passed else "FAIL")
+        + f"  rank {report.basis_rank} = formula {report.dim_formula}\n"
+    )
+    return 0 if report.passed else 1, iso_report_json(report), text
 
 
 # verify-all checks braid connectivity and the Z[q] structure constants only
@@ -426,7 +371,7 @@ _BRAID_CAP = 200
 _STRUCTCONST_CAP = 200
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> Output:
     fam = _parse_family(args)
     q0 = args.q
     lines = []
@@ -462,8 +407,7 @@ def cmd_verify_all(args) -> int:
         report("Z[q] structure constants", integral, f"{len(table)} products")
     else:
         lines.append(f"SKIP  Z[q] structure constants  ({count} > cap {_STRUCTCONST_CAP})")
-    _emit(args, "\n".join(lines) + ("\nOK\n" if ok else "\nFAILED\n"))
-    return 0 if ok else 1
+    return 0 if ok else 1, None, "\n".join(lines) + ("\nOK\n" if ok else "\nFAILED\n")
 
 
 def _rational(text: str) -> Fraction:
@@ -578,7 +522,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code, doc, text = args.func(args)
+        if doc is not None and (text is None or getattr(args, "format", None) == "json"):
+            text = _json_dump({"schema_version": 1, **doc})
+        if text is not None:  # None: the command wrote its own stream
+            with _writer(args) as write:
+                write(text)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

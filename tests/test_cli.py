@@ -104,6 +104,48 @@ def test_irreps_json_schema():
     validate(data, "irreps.schema.json")
 
 
+def test_dim_json_schema():
+    proc = run_cli("dim", "--family", "C", "--n", "3", "--format", "json")
+    data = json.loads(proc.stdout)
+    validate(data, "dim.schema.json")
+    assert data["dimension"] == data["formula"] == 200 and data["match"] is True
+
+
+def test_words_json_schema():
+    proc = run_cli("words", "--family", "CD", "--m", "1", "--n", "2", "--base",
+                   '{"p":[1,0,1],"tag":"C+"}', "--letters", "1,2,3,2,2", "--format", "json")
+    data = json.loads(proc.stdout)
+    validate(data, "words.schema.json")
+    assert data["length"] == 3 and data["reduced"] is False
+
+
+def test_verify_json_schema():
+    proc = run_cli("verify", "--family", "A", "--m", "1", "--n", "1", "--format", "json")
+    data = json.loads(proc.stdout)
+    validate(data, "verify.schema.json")
+    assert data["relations_passed"] is True and data["relations_checked"] > 0
+
+
+def test_poincare_json_schema():
+    proc = run_cli("poincare", "--type", "D", "--n", "4", "--format", "json")
+    poly = json.loads(proc.stdout)
+    validate(poly, "poincare.schema.json")
+    proc = run_cli("poincare", "--type", "D", "--n", "4", "--q", "-1", "--format", "json")
+    value = json.loads(proc.stdout)
+    validate(value, "poincare.schema.json")
+    assert value["semisimple"] is False
+    # a document is one shape or the other, not both
+    with pytest.raises(jsonschema.ValidationError):
+        validate({**poly, **value}, "poincare.schema.json")
+
+
+def test_reps_build_json_schema():
+    proc = run_cli("reps", "--family", "CD", "--m", "2", "--n", "1", "--mode", "build")
+    data = json.loads(proc.stdout)
+    validate(data, "reps-build.schema.json")
+    assert sum(s["total_dim"] ** 2 for s in data["summands"]) == 128
+
+
 def test_dynkin_text_mode():
     proc = run_cli("dynkin", "--family", "B", "--m", "1", "--n", "2")
     assert proc.returncode == 0
@@ -447,19 +489,55 @@ def test_dot_format_is_dynkin_only(command, capsys):
 
 
 def test_closed_output_pipe_exits_quietly():
-    # the reader closes the pipe before the (multi-megabyte) table is written
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "superhecke.cli", "structconst", "--family", "A",
-         "--m", "1", "--n", "1", "--scalar", "eval", "--q", "1"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        cwd=ROOT,
-    )
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 141
-    assert stderr == b""
+    # the reader closes the pipe before the output is written: the
+    # (multi-megabyte) table that structconst streams, and the 536 KB element
+    # list that cli.main writes in one piece
+    for argv in (
+        ["structconst", "--family", "A", "--m", "1", "--n", "1", "--scalar", "eval", "--q", "1"],
+        ["enumerate", "--family", "A", "--m", "2", "--n", "1", "--format", "json"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "superhecke.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=ROOT,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert stderr == b""
+
+
+A11 = ["--family", "A", "--m", "1", "--n", "1"]
+A11_WORD = ["--base", "[0,1,0,1]", "--letters", "2,1,3,2,1"]
+# every subcommand in every output format, on small inputs
+ONE_WRITER = [
+    *[[c, *A11, "--format", f]
+      for c in ("domains", "enumerate", "dim", "verify") for f in ("json", "text")],
+    *[["dynkin", *A11, "--format", f] for f in ("json", "dot", "text")],
+    *[["words", *A11, *A11_WORD, "--format", f] for f in ("json", "text")],
+    ["structconst", *A11],
+    ["structconst", *A11, "--scalar", "eval", "--q", "1/3"],
+    *[["poincare", "--type", "B", "--n", "3", *q, "--format", f]
+      for q in ([], ["--q", "2"]) for f in ("json", "text")],
+    *[["irreps", "--type", "B", "--n", "2", *o, "--format", f]
+      for o in ([], ["--oracle"]) for f in ("json", "text")],
+    *[["reps", *A11, *f] for f in ([], ["--format", "json"], ["--mode", "build"])],
+    ["verify-all", *A11],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_WRITER, ids=" ".join)
+def test_output_file_gets_the_stdout_bytes(argv, tmp_path, capsys):
+    from superhecke import cli
+
+    code = cli.main(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--output", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert stdout and out.read_bytes() == stdout.encode()
 
 
 @pytest.fixture
@@ -596,9 +674,6 @@ def test_oracle_that_runs_out_of_random_elements_is_declined(monkeypatch, capsys
     )
 
 
-A11 = ["--family", "A", "--m", "1", "--n", "1"]
-
-
 def test_reps_verify_writes_text_by_default():
     proc = run_cli("reps", *A11)
     assert proc.returncode == 0
@@ -657,6 +732,9 @@ def test_verify_all_lets_an_internal_fault_through(monkeypatch):
          "more than 10 elements"),
         (["structconst", *A11, "--scalar", "eval", "--q", "0"], "eval mode needs q0 != 0"),
         (["verify", *A11, "--scalar", "eval", "--q", "0"], "eval mode needs q0 != 0"),
+        # C(n) has no m: --m is refused, not dropped
+        (["dim", "--family", "C", "--m", "5", "--n", "3"],
+         "--family C takes no --m: C(n) is the CD family at m = 1"),
     ],
 )
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):

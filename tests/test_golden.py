@@ -216,3 +216,47 @@ def test_words_never_enumerates(monkeypatch, tmp_path):
     out = tmp_path / "out.json"
     assert cli.main([*WORDS_A77, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WORDS_A77_DIGEST
+
+
+# The outputs that no pin above covers, as one digest over (argv, exit code,
+# stdout) in the order of uncovered_outputs(); recorded while each subcommand
+# still wrote its own output, before cli.main became the one writer.
+UNCOVERED_WORDS = {
+    "A(1,1)": ["--base", "[0,1,0,1]", "--letters", "2,1,3,2,1"],
+    "osp(2|4)": ["--base", '{"p":[1,0,1],"tag":"C+"}', "--letters", "1,2,3,2"],
+}
+UNCOVERED_DIGEST = "f95a5970f89828629fb4f699a761caef0db64b56616356ac0e6ac70a8c5a26cf"
+
+
+def uncovered_outputs():
+    """The argv of every output in the uncovered-outputs digest, in order."""
+    for name, word in UNCOVERED_WORDS.items():
+        fam = FAMILIES[name]
+        for fmt in ("text", "json"):
+            yield ["domains", *fam, "--format", fmt]
+            yield ["dynkin", *fam, "--format", fmt]
+            yield ["dim", *fam, "--format", fmt]
+            yield ["words", *fam, *word, "--format", fmt]
+        yield ["enumerate", *fam]
+        yield ["verify", *fam]
+        for q0 in ("2", "1/3"):
+            yield ["reps", *fam, "--q", q0]
+    for kind, n in (("A", "4"), ("B", "3"), ("D", "4")):
+        for q in ([], ["--q", "1"], ["--q", "2"], ["--q", "-1"]):
+            for fmt in ("text", "json"):
+                yield ["poincare", "--type", kind, "--n", n, *q, "--format", fmt]
+    for kind, n in (("A", "3"), ("B", "2"), ("D", "4")):
+        yield ["irreps", "--type", kind, "--n", n]
+    yield ["irreps", "--type", "A", "--n", "3", "--oracle", "--seed", "0"]
+
+
+def test_uncovered_outputs_match_pinned_checksum(capsys):
+    import json
+
+    digest = hashlib.sha256()
+    for argv in uncovered_outputs():
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+    assert digest.hexdigest() == UNCOVERED_DIGEST

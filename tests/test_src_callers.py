@@ -72,3 +72,25 @@ def test_act_is_called_only_by_the_root_data_and_the_rows():
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
     assert in_row == 1
+
+
+def test_only_main_writes_the_cli_output():
+    # each subcommand returns (exit code, document, text) and cli.main writes
+    # one of them, with the one schema version; structconst streams through
+    # _writer itself
+    path = ROOT / "src" / "superhecke" / "cli.py"
+    tree = ast.parse(path.read_text())
+    writers = {"_emit", "_json_dump", "print", "sys.stdout.write"}
+    calls = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in writers:
+                calls.append(f"{fn.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert calls == []
+    literals = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "schema_version"
+    ]
+    assert len(literals) == 1
