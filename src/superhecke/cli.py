@@ -99,8 +99,9 @@ def _writer(args):
 Output = tuple[int, dict | None, str | None]
 
 
-def _json_dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+def _json_dump(doc: dict) -> str:
+    """A command's document as the CLI writes it: the schema version first."""
+    return json.dumps({"schema_version": 1, **doc}, indent=2, sort_keys=False) + "\n"
 
 
 def cmd_domains(args) -> Output:
@@ -298,32 +299,28 @@ def cmd_poincare(args) -> Output:
 
 
 def _matrices_json(rep) -> list:
-    """A representation's generator matrices, every entry a rational string."""
-    return [[[rational_to_string(x) for x in row] for row in g] for g in rep.gens]
+    """A representation's generator matrices, every entry x / D of its
+    integers over D as a rational string, each distinct entry encoded once."""
+    values = {x for g in rep.gens for row in g for x in row}
+    text = {x: rational_to_string(Fraction(x, rep.D)) for x in values}
+    return [[[text[x] for x in row] for row in g] for g in rep.gens]
 
 
 def cmd_irreps(args) -> Output:
     wt = WeylType(args.type, args.n)
-    q0 = args.q
-    doc = {"type": wt._asdict(), "q": rational_to_string(q0)}
     if args.oracle:
-        comps = split_regular_weyl(wt, q0, seed=args.seed)
-        doc["components"] = [
-            {
-                "dim": c.irrep.dim,
-                "multiplicity": c.multiplicity,
-                "generators": _matrices_json(c.irrep),
-            }
-            for c in comps
-        ]
-        dims = [(c.irrep.dim, c.multiplicity) for c in comps]
-        return 0, doc, f"components (dim, multiplicity): {dims}\n"
-    reps = irreps(wt, q0)
-    doc["irreps"] = [
-        {"label": _label_json(r.label), "dim": r.dim, "generators": _matrices_json(r)}
-        for r in reps
-    ]
-    return 0, doc, f"dims: {[r.dim for r in reps]}\n"
+        comps = split_regular_weyl(wt, args.q, seed=args.seed)
+        key = "components"
+        text = f"components (dim, multiplicity): {[(c.irrep.dim, c.multiplicity) for c in comps]}\n"
+        heads = [(c.irrep, {"dim": c.irrep.dim, "multiplicity": c.multiplicity}) for c in comps]
+    else:
+        reps = irreps(wt, args.q)
+        key, text = "irreps", f"dims: {[r.dim for r in reps]}\n"
+        heads = [(r, {"label": _label_json(r.label), "dim": r.dim}) for r in reps]
+    if args.format != "json":
+        return 0, None, text  # the matrices are encoded for JSON only
+    entries = [{**head, "generators": _matrices_json(rep)} for rep, head in heads]
+    return 0, {"type": wt._asdict(), "q": rational_to_string(args.q), key: entries}, text
 
 
 def _label_json(label):
@@ -524,7 +521,7 @@ def main(argv=None) -> int:
     try:
         code, doc, text = args.func(args)
         if doc is not None and (text is None or getattr(args, "format", None) == "json"):
-            text = _json_dump({"schema_version": 1, **doc})
+            text = _json_dump(doc)
         if text is not None:  # None: the command wrote its own stream
             with _writer(args) as write:
                 write(text)

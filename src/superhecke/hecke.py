@@ -216,7 +216,6 @@ class HeckeAlgebra:
         T = self.tables
         domains = self.groupoid.roots.domains
         return {
-            "schema_version": 1,
             "family": self.family._asdict(),
             "mode": self.mode,
             "basis": [

@@ -2,11 +2,12 @@
 
 Every routine here takes and returns integer matrices (IntMatrix); a result
 over Q comes as integers over one common denominator, (L, rows).  Fractions
-cross at three functions only: to_int_matrix and scale_to_int bring a
-Fraction matrix in as integers over a common denominator, and
-from_int_matrix takes integers over a denominator back out.  rank_exact and
-nullspace accept Fraction matrices too, each as one call of the integer
-kernel between those edges.
+cross at two functions only: to_int_matrix brings a Fraction matrix in as
+integers over its least common denominator (for a representation, once where
+weylreps builds it: its seminormal irreducibles and its regular module), and
+from_int_matrix takes integers back out.  rank_exact and nullspace accept
+Fraction matrices too, each as one call of the integer kernel between those
+edges.
 
 There is one elimination kernel, IntEchelon: it eliminates fraction-free,
 keeping each row gcd-reduced so intermediate growth stays bounded (the
@@ -33,15 +34,7 @@ def to_int_matrix(a: Matrix) -> tuple[int, IntMatrix]:
     d = lcm(*{x.denominator for row in a for x in row})
     if d == 1:
         return 1, [[x.numerator for x in row] for row in a]
-    return d, scale_to_int(a, d)
-
-
-def scale_to_int(a: Matrix, d: int) -> IntMatrix:
-    """d a as an integer matrix; d must be a multiple of every entry's
-    denominator."""
-    if any(d % x.denominator for row in a for x in row):
-        raise ValueError(f"{d} is not a common denominator of the matrix")
-    return [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
 def from_int_matrix(a: IntMatrix, d: int) -> Matrix:

@@ -465,7 +465,6 @@ def dynkin_dot(family: Family) -> str:
 def dynkin_json(family: Family):
     rs = root_system(family)
     return {
-        "schema_version": 1,
         "family": family._asdict(),
         "diagrams": [rs.dynkin(a).to_json() for a in rs.domains],
         "orbit_edges": [

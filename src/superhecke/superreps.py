@@ -8,8 +8,9 @@ factor and its generator T_k are read off the root data, once per family:
 the reflection of T_{i,a}, carried back to the base domain by odd
 reflections, is a generator of one factor's Weyl group (_even_generators).
 Each summand is built once, as integer blocks: the generators times one
-common denominator D, the lcm of q0's denominator and of every classical
-irrep entry's denominator.
+common denominator D, the lcm of q0's denominator and of the classical
+irreps' own denominators; an irrep's integers over rep.D (weylreps.Irrep)
+are multiplied by D // rep.D, so no Fraction matrix is read or made here.
 
 The isomorphism H_q(g) -> (+)_s End(V_s), the direct sum over all label
 pairs, is proved at q0 by a Wedderburn certificate of four exact checks:
@@ -53,7 +54,7 @@ from typing import NamedTuple
 from .domains import Family, UsageError, domain_str
 from .groupoid import CoxeterGroupoid, dimension_formula, groupoid_for
 from .hecke import family_braid_instances
-from .linalg import IntEchelon, IntMatrix, closure, int_identity, int_mat_mul, kron, scale_to_int
+from .linalg import IntEchelon, IntMatrix, closure, int_identity, int_mat_mul, kron
 from .roots import SignedPerm, root_system, sp_compose, sp_identity, sp_invert
 from .weylgroups import WeylType, generators, is_semisimple
 from .weylreps import Irrep, irreps
@@ -75,7 +76,8 @@ class BlockRep(NamedTuple):
     blocks[i][a] = (G.row(a)[i - 1][0], D T_{i,a}): the target position and
     the d x d integer matrix of T_{i,a} from the block at position a to the
     target block, times D; E_a is the identity on block a.  D is a multiple
-    of q0's denominator, so D q0 is an integer too.
+    of q0's denominator, so D q0 is an integer too, and of both irreps' own
+    denominators, so the blocks come from their integers without a Fraction.
     """
 
     family: Family
@@ -153,17 +155,21 @@ def _even_generators(family: Family) -> dict[tuple[int, int], tuple[str, int]]:
 
 def box_tensor(family: Family, left: Irrep, right: Irrep, D: int) -> BlockRep:
     """The box-tensor representation of H_q(W) built from classical irreps,
-    as integer blocks times D, a multiple of q0's denominator and of every
-    entry's denominator in both irreps."""
+    as integer blocks times D, a multiple of q0's denominator and of both
+    irreps' denominators D_l and D_r: D l(T_k) (x) 1 is (D_l l(T_k)) (x)
+    (D / D_l) I, and likewise on the right."""
     _check_ranks(family, left, right)
-    if D % left.q0.denominator:
-        raise ValueError(f"{D} is not a multiple of the denominator of q0 = {left.q0}")
+    for x in (left.q0.denominator, left.D, right.D):
+        if D % x:
+            raise ValueError(f"{D} is not a multiple of the denominator {x} of q0 or an irrep")
     G = groupoid_for(family)
     d = left.dim * right.dim
     transport = [[D if r == c else 0 for c in range(d)] for r in range(d)]
+    lscale = [[D // left.D * x for x in row] for row in int_identity(right.dim)]
+    rscale = [[D // right.D * x for x in row] for row in int_identity(left.dim)]
     factors = {
-        "left": [kron(scale_to_int(g, D), int_identity(right.dim)) for g in left.gens],
-        "right": [kron(int_identity(left.dim), scale_to_int(g, D)) for g in right.gens],
+        "left": [kron(g, lscale) for g in left.gens],
+        "right": [kron(rscale, g) for g in right.gens],
     }
     even = _even_generators(family)
     blocks: dict[int, list[tuple[int, IntMatrix]]] = {i: [] for i in range(1, family.rank + 1)}
@@ -201,15 +207,13 @@ def require_semisimple(family: Family, q0: Fraction) -> None:
 def big_map(family: Family, q0: Fraction) -> BigMap:
     """Assemble the direct-sum representation over all label pairs (lambda, mu),
     every summand's blocks over one D: the lcm of q0's denominator and of
-    every entry's denominator in the irreps of both factors."""
+    the denominators of the irreps of both factors."""
     q0 = Fraction(q0)
     require_semisimple(family, q0)
     lt, rt = factor_types(family)
     lefts = irreps(lt, q0)
     rights = irreps(rt, q0)
-    D = lcm(q0.denominator, *{
-        x.denominator for r in lefts + rights for g in r.gens for row in g for x in row
-    })
+    D = lcm(q0.denominator, *(r.D for r in lefts + rights))
     summands = [box_tensor(family, l, r, D) for l in lefts for r in rights]
     return BigMap(family, q0, summands)
 
@@ -415,7 +419,6 @@ def verify_isomorphism(family: Family, q0: Fraction) -> IsoReport:
 
 def iso_report_json(report: IsoReport):
     return {
-        "schema_version": 1,
         "family": report.family._asdict(),
         "q0": f"{report.q0.numerator}/{report.q0.denominator}",
         "dim_formula": report.dim_formula,

@@ -1,5 +1,5 @@
 """Irreducible representations of the classical Iwahori-Hecke algebras
-H_q(S_n), H_q(W(B_n)), H_q(W(D_n)) with exact rational matrices.
+H_q(S_n), H_q(W(B_n)), H_q(W(D_n)), as integer matrices over one denominator.
 
 Type B is built in seminormal form on standard bitableaux, and type A as
 type B on (lam, ()) without its special generator; type D restricts the
@@ -11,11 +11,13 @@ polynomial kernels of random left multiplications, with the minimal
 polynomial factored over Q by factor.factor_list; the two routes are
 compared up to equivalence in the test-suite.
 
-Products of generator words, in the oracle, in trace vectors, in the type-D
-generator and in the relation checks, are taken on integer matrices: each
-generator is scaled once by the common denominator D of its family, so a
-word of length l gives D^l times its true product, and only the result, a
-trace or an entry of a generator or of a restricted matrix, is divided back.
+An Irrep's gens[k] is D times generator k, for the least such D.  Fractions
+become integers once per irrep, in _type_b_seminormal, and once per oracle
+run, for the regular module, and come back only when cli prints the
+matrices; a step that changes the scale (type A dropping u_0, type D's
+u v u, a restriction) returns to the least D.  Products of generator words
+multiply these integers, so a word of length l gives D^l times its true
+product, and only a trace is divided back.
 The oracle's word basis, its Burnside test and its spin-up are one span
 closure, linalg.closure, over the products of generator words.  The random
 element, its local minimal polynomial, the factors applied to it, their
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .domains import UsageError
@@ -48,14 +50,12 @@ from .linalg import (
     IntMatrix,
     Matrix,
     closure,
-    from_int_matrix,
     int_coordinates,
     int_identity,
     int_local_minimal_polynomial,
     int_mat_apply_poly,
     int_mat_mul,
     int_nullspace,
-    scale_to_int,
     to_int_matrix,
 )
 from .tableaux import (
@@ -77,13 +77,17 @@ from .weylgroups import (
 
 
 class Irrep(NamedTuple):
-    """One irreducible representation: a label, its dimension, and one exact
-    matrix per algebra generator (indices 1..rank, special node last for B/D)."""
+    """One irreducible representation: a label, its dimension, and one
+    integer matrix per algebra generator (indices 1..rank, special node last
+    for B/D): generator k is gens[k] / D, gcd(D, every entry) = 1.  Fractions
+    cross only where it is built, from seminormal coefficients or the regular
+    module, and where cli prints it."""
 
     label: object
     dim: int
     q0: Fraction
-    gens: tuple[Matrix, ...]
+    D: int
+    gens: tuple[IntMatrix, ...]
 
 
 class SplitComponent(NamedTuple):
@@ -133,10 +137,9 @@ def _bitab_content(bt: BiTableau, k: int, Q: Fraction, q0: Fraction) -> Fraction
     return Q * base if comp == 0 else -base
 
 
-def _type_b_seminormal(
-    pair, Q: Fraction, q0: Fraction
-) -> tuple[int, tuple[Matrix, ...]]:
-    """Two-parameter seminormal matrices on standard bitableaux of (lam, mu).
+def _type_b_seminormal(pair, Q: Fraction, q0: Fraction) -> tuple[int, tuple[int, tuple]]:
+    """Two-parameter seminormal matrices on standard bitableaux of (lam, mu),
+    as (dim, (D, [D g])) over their least common denominator D.
 
     Returns generators in special-first order u_0, u_1, ..., u_{n-1} where u_0
     satisfies (u_0 - Q)(u_0 + 1) = 0 and acts on entry 1, and u_i swaps the
@@ -144,17 +147,18 @@ def _type_b_seminormal(
     """
     n = sum(pair[0]) + sum(pair[1])
     if n == 0:
-        return 1, ()
+        return 1, (1, ())
     tabs = standard_bitableaux(pair)
     index = {t: k for k, t in enumerate(tabs)}
     dim = len(tabs)
-    u0 = [[Fraction(0)] * dim for _ in range(dim)]
+    # the coefficients are Fractions, the zeros and the -1 entries ints
+    u0 = [[0] * dim for _ in range(dim)]
     for t in tabs:
         comp, _, _ = bitab_position(t, 1)
-        u0[index[t]][index[t]] = Q if comp == 0 else Fraction(-1)
+        u0[index[t]][index[t]] = Q if comp == 0 else -1
     gens: list[Matrix] = [u0]
     for i in range(1, n):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        mat = [[0] * dim for _ in range(dim)]
         for t in tabs:
             col = index[t]
             ci = bitab_position(t, i)
@@ -163,7 +167,7 @@ def _type_b_seminormal(
                 mat[col][col] = q0
                 continue
             if ci[0] == cj[0] and ci[2] == cj[2]:
-                mat[col][col] = Fraction(-1)
+                mat[col][col] = -1
                 continue
             if ci[0] == cj[0]:
                 a = _block_coeff((cj[2] - cj[1]) - (ci[2] - ci[1]), q0)
@@ -177,10 +181,21 @@ def _type_b_seminormal(
             mat[col][col] = a
             mat[index[t2]][col] = 1 + a
         gens.append(mat)
-    return dim, tuple(gens)
+    # here they become integers over one denominator, once
+    d, rows = to_int_matrix([row for g in gens for row in g])
+    return dim, (d, tuple(rows[k:k + dim] for k in range(0, len(rows), dim)))
 
 
-def _special_last_order(gens_special_first: Sequence[Matrix]) -> tuple[Matrix, ...]:
+def _least_denominator(d: int, gens: Sequence[IntMatrix]) -> tuple[int, tuple[IntMatrix, ...]]:
+    """Integer matrices over d, as the same matrices over their least common
+    denominator: d and every entry divided by their gcd."""
+    g = gcd(d, *(x for m in gens for row in m for x in row))
+    if g > 1:
+        gens = [[[x // g for x in row] for row in m] for m in gens]
+    return d // g, tuple(gens)
+
+
+def _special_last_order(gens_special_first: Sequence[IntMatrix]) -> tuple[IntMatrix, ...]:
     """Relabel u_0,...,u_{n-1} into the package convention T_1..T_n, where the
     special generator sits at the last index (sign flip of the last coordinate)."""
     if not gens_special_first:
@@ -202,33 +217,34 @@ def irreps(wt: WeylType, q0: Fraction) -> list[Irrep]:
         for lam in partitions(wt.n):
             # on (lam, ()) every entry lies in the first component, where
             # u_1 ... u_{n-1} are the S_n seminormal matrices
-            dim, gens = _type_b_seminormal((lam, ()), q0, q0)
-            out.append(Irrep(lam, dim, q0, gens[1:]))
+            dim, (d, gens) = _type_b_seminormal((lam, ()), q0, q0)
+            out.append(Irrep(lam, dim, q0, *_least_denominator(d, gens[1:])))
         return out
     if wt.kind == "B":
         for pair in bipartitions(wt.n):
-            dim, gens = _type_b_seminormal(pair, q0, q0)
-            out.append(Irrep(pair, dim, q0, _special_last_order(gens)))
+            dim, (d, gens) = _type_b_seminormal(pair, q0, q0)
+            out.append(Irrep(pair, dim, q0, d, _special_last_order(gens)))
         return out
     return _type_d_irreps(wt.n, q0)
 
 
-def _type_d_gens(pair, q0: Fraction) -> tuple[int, tuple[Matrix, ...]]:
-    """W(D_n) generator matrices on the (lam, mu) bitableau module at Q = 1."""
+def _type_d_gens(pair, q0: Fraction) -> tuple[int, tuple[int, tuple[IntMatrix, ...]]]:
+    """W(D_n) generator matrices on the (lam, mu) bitableau module at Q = 1,
+    as (dim, (D, [D g])) over their least common denominator D."""
     n = sum(pair[0]) + sum(pair[1])
-    dim, special_first = _type_b_seminormal(pair, Fraction(1), q0)
-    b = _special_last_order(special_first)  # B_n generators T_1..T_n at Q = 1
-    # the last generator u b_(n-1) u, on the scaled generators d u and d b_(n-1)
-    d, (u, v) = _scaled_generators([b[n - 1], b[n - 2]])
-    dn = from_int_matrix(int_mat_mul(int_mat_mul(u, v), u), d**3)
-    return dim, tuple(list(b[: n - 1]) + [dn])
+    dim, (d, special_first) = _type_b_seminormal(pair, Fraction(1), q0)
+    b = _special_last_order(special_first)  # D b for the B_n generators T_1..T_n at Q = 1
+    # the last generator u b_(n-1) u is (d u)(d b_(n-1))(d u) over d^3
+    u, v = b[n - 1], b[n - 2]
+    gens = [[[d * d * x for x in row] for row in g] for g in b[: n - 1]]
+    return dim, _least_denominator(d**3, gens + [int_mat_mul(int_mat_mul(u, v), u)])
 
 
 def _type_d_irreps(n: int, q0: Fraction) -> list[Irrep]:
     if n == 0:
-        return [Irrep((((), ()), ""), 1, q0, ())]
+        return [Irrep((((), ()), ""), 1, q0, 1, ())]
     if n == 1:
-        return [Irrep((((1,), ()), ""), 1, q0, ())]
+        return [Irrep((((1,), ()), ""), 1, q0, 1, ())]
     out: list[Irrep] = []
     seen_pairs = set()
     for pair in bipartitions(n):
@@ -236,16 +252,16 @@ def _type_d_irreps(n: int, q0: Fraction) -> list[Irrep]:
         if (mu, lam) in seen_pairs:
             continue
         seen_pairs.add(pair)
-        dim, gens = _type_d_gens(pair, q0)
+        dim, scaled = _type_d_gens(pair, q0)
         if lam != mu:
-            out.append(Irrep((pair, ""), dim, q0, gens))
+            out.append(Irrep((pair, ""), dim, q0, *scaled))
         else:
-            for tag, (subdim, subgens) in zip("+-", _split_in_two(pair, gens)):
-                out.append(Irrep((pair, tag), subdim, q0, subgens))
+            for tag, (subdim, subscaled) in zip("+-", _split_in_two(pair, scaled)):
+                out.append(Irrep((pair, tag), subdim, q0, *subscaled))
     return out
 
 
-def _split_in_two(pair, gens: Sequence[Matrix]):
+def _split_in_two(pair, scaled: tuple[int, Sequence[IntMatrix]]):
     """The two halves of the (lam, lam) module: the eigenspaces of the swap
     J: (S, T) -> (T, S) of the two tableaux, for -1 and then +1.
 
@@ -255,14 +271,13 @@ def _split_in_two(pair, gens: Sequence[Matrix]):
     (Hoefsmit 1974), so the halves are irreducible and inequivalent.  No
     bitableau is fixed by J, so each half has half the dimension.  Each
     generator is checked to commute with J; the restriction checks that each
-    half is invariant."""
+    half is invariant.  Generators and halves come as (D, [D g])."""
     tabs = standard_bitableaux(pair)
     index = {t: k for k, t in enumerate(tabs)}
     swap = [index[t[1], t[0]] for t in tabs]
-    for g in gens:
+    for g in scaled[1]:
         if any(g[swap[r]][swap[c]] != x for r, row in enumerate(g) for c, x in enumerate(row)):
             raise RuntimeError(f"the tableau swap does not commute with a generator of {pair}")
-    scaled = _scaled_generators(gens)
     d = len(tabs)
     halves = []
     for s in (-1, 1):
@@ -272,19 +287,19 @@ def _split_in_two(pair, gens: Sequence[Matrix]):
     return halves
 
 
-def _restrict(scaled: tuple[int, list[IntMatrix]], rows: IntMatrix):
+def _restrict(scaled: tuple[int, Sequence[IntMatrix]], rows: IntMatrix):
     """Restrict operators to the column span of the given basis vectors,
     written in that basis: column j of a generator's matrix holds the
     coordinates of its image of b_j.
 
-    The operators g come as _scaled_generators gives them, (D, [G = D g]),
+    The operators g come as integers over one denominator, (D, [G = D g]),
     and the basis as integer rows B, the basis vectors times one common
     positive factor, which changes no coordinate.  The columns of G B^T are
     then the images D g b_j in the scale of B, and linalg.int_coordinates
     reads their coordinates in the rows of B over one denominator L, so each
-    entry is an integer over L D.  The same call checks exactly, on
-    integers, that every image lies in the span; a span that is not
-    invariant raises RuntimeError."""
+    entry is an integer over L D, returned over the least denominator.  The
+    same call checks exactly, on integers, that every image lies in the
+    span; a span that is not invariant raises RuntimeError."""
     k = len(rows)
     d, ints = scaled
     cols = [list(col) for col in zip(*rows)]
@@ -292,11 +307,9 @@ def _restrict(scaled: tuple[int, list[IntMatrix]], rows: IntMatrix):
     den, coords = int_coordinates(rows, images)
     if any(c is None for c in coords):
         raise RuntimeError("subspace is not invariant")
-    den *= d
     # coords[t k + j] is column j of generator t's matrix
-    return k, tuple(
-        from_int_matrix(list(zip(*coords[t * k:(t + 1) * k])), den) for t in range(len(ints))
-    )
+    mats = [[list(row) for row in zip(*coords[t * k:(t + 1) * k])] for t in range(len(ints))]
+    return k, _least_denominator(den * d, mats)
 
 
 # ---- verification helpers ----
@@ -304,11 +317,11 @@ def _restrict(scaled: tuple[int, list[IntMatrix]], rows: IntMatrix):
 
 def verify_irrep_relations(wt: WeylType, rep: Irrep) -> bool:
     """Quadratic plus braid relations, matrix-exactly, on the integer
-    generators t = D g of _scaled_generators.  With q0 = a / b the quadratic
-    relation reads b t^2 = (a - b) D t + a D^2 I; both sides of a braid
-    relation carry D^m."""
+    generators t = D g.  With q0 = a / b the quadratic relation reads
+    b t^2 = (a - b) D t + a D^2 I; both sides of a braid relation carry
+    D^m."""
     a, b = rep.q0.numerator, rep.q0.denominator
-    d, ts = _scaled_generators(rep.gens)
+    d, ts = rep.D, rep.gens
     for t in ts:
         rhs = [
             [(a - b) * d * x + (a * d * d if r == c else 0) for c, x in enumerate(row)]
@@ -340,12 +353,6 @@ def words_up_to(rank: int, maxlen: int):
     return out
 
 
-def _scaled_generators(mats: Sequence[Matrix]) -> tuple[int, list[IntMatrix]]:
-    """(D, [D g for g in mats]) with D the common denominator of every entry."""
-    d = lcm(*{x.denominator for g in mats for row in g for x in row})
-    return d, [scale_to_int(g, d) for g in mats]
-
-
 def _trace(m: IntMatrix) -> int:
     return sum(row[k] for k, row in enumerate(m))
 
@@ -356,7 +363,7 @@ def trace_vector(rep: Irrep, words) -> tuple[Fraction, ...]:
     Each product is the product of its word's prefix times one generator, so
     a prefix-closed list costs one product per word; a word whose prefix was
     not seen yet is multiplied out in full."""
-    d, gens = _scaled_generators(rep.gens)
+    d, gens = rep.D, rep.gens
     prods: dict[tuple[int, ...], IntMatrix] = {(): int_identity(rep.dim)}
     traces = []
     for w in words:
@@ -412,22 +419,25 @@ def split_regular_module(
 
     The words spanning the right action, and the regular trace over them, do
     not depend on the random element: they are computed once per call and
-    shared by every attempt, and so are the generators scaled to integers.
+    shared by every attempt, and so are the generators, which become integers
+    over each action's least common denominator here, once.
     Each retry's reason is logged at DEBUG on the "superhecke" logger.
     Raises SplittingBudgetExceeded when _MAX_RETRIES random elements all
     fail.
     """
     q0 = Fraction(q0)
     if not left_mults:
-        triv = Irrep("trivial", 1, q0, ())
+        triv = Irrep("trivial", 1, q0, 1, ())
         return [SplitComponent(triv, 1)]
     # imported here so that commands without the oracle do not load logging
     import logging
 
     log = logging.getLogger("superhecke")
     dim = len(left_mults[0])
-    words, reg_trace = _algebra_word_basis(right_mults, dim)
-    left, right = _scaled_generators(left_mults), _scaled_generators(right_mults)
+    # the regular module's Fraction matrices become integers here, once
+    left, right = (to_int_matrix([row for g in mats for row in g]) for mats in (left_mults, right_mults))
+    left, right = ((d, [rows[k:k + dim] for k in range(0, len(rows), dim)]) for d, rows in (left, right))
+    words, reg_trace = _algebra_word_basis(right, dim)
     rng = random.Random(seed)
     last_error: Exception | None = None
     for attempt in range(1, _MAX_RETRIES + 1):
@@ -482,21 +492,21 @@ def _one_domain(gens: Sequence[IntMatrix]) -> dict:
     return {i: {0: (0, g)} for i, g in enumerate(gens)}
 
 
-def _algebra_word_basis(mats, dim) -> tuple[list[tuple[int, ...]], list[Fraction]]:
+def _algebra_word_basis(scaled, dim) -> tuple[list[tuple[int, ...]], list[Fraction]]:
     """Words whose products span the image algebra of the generators, found by
     linalg.closure, plus the exact trace of each product.  Traces over these
     words are a complete equivalence invariant for semisimple modules.  The
     word list is prefix-closed.
 
-    The closure runs on the transposes of the generators scaled by their
-    common denominator D: the product g_1 ... g_l of a word is the transpose
+    The closure runs on the transposes of the generators, which come as
+    scaled = (D, [D g]): the product g_1 ... g_l of a word is the transpose
     of g_l^T ... g_1^T, a product of left factors, and transposing permutes
     the flattened entries and keeps the trace.  So the words, their order and
     their traces are those of the products g_1 ... g_l, each D^l times its
     true product; the echelon is projective, so it takes the same words as on
     the true products.  It stops once the products span all dim x dim
     matrices."""
-    d, gens = _scaled_generators(mats)
+    d, gens = scaled
     transposed = [[list(col) for col in zip(*g)] for g in gens]
     words: list[tuple[int, ...]] = []
     traces: list[Fraction] = []
@@ -508,9 +518,8 @@ def _algebra_word_basis(mats, dim) -> tuple[list[tuple[int, ...]], list[Fraction
 
 def _split_once(left, right, q0, rng, dim, words, reg_trace) -> list[SplitComponent]:
     """One attempt with a fresh random element.  left and right are the
-    generators of the two actions as _scaled_generators gives them; words
-    and reg_trace are the right action's word basis and the regular module's
-    traces over it.
+    generators of the two actions as (D, [D g]); words and reg_trace are the
+    right action's word basis and the regular module's traces over it.
 
     The element is a = m / den for an integer m, and the pieces are found on
     integers: p(m) probe = 0 for the local minimal polynomial p of m, so
@@ -560,13 +569,14 @@ def _split_once(left, right, q0, rng, dim, words, reg_trace) -> list[SplitCompon
     ]
 
 
-def _is_irreducible_split(gens: Sequence[Matrix], dim: int) -> bool:
-    """Burnside test: the image algebra spans the full matrix algebra."""
+def _is_irreducible_split(scaled, dim: int) -> bool:
+    """Burnside test: the image algebra of the generators, scaled = (D,
+    [D g]), spans the full matrix algebra."""
     if dim == 1:
         return True
-    if not gens:
+    if not scaled[1]:
         return False
-    words, _ = _algebra_word_basis(gens, dim)
+    words, _ = _algebra_word_basis(scaled, dim)
     return len(words) == dim * dim
 
 
@@ -584,13 +594,12 @@ def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
     is found, or the caller retries with a fresh random element.
     """
     k = len(basis)
-    restricted = _restrict(right, basis)[1]
-    if not restricted:
+    d, gens = scaled = _restrict(right, basis)[1]
+    if not gens:
         if not k:
             return []
         # with no generators, any line is an irreducible submodule
-        return [([[int(i == 0) for i in range(k)]], Irrep(("piece",), 1, q0, ()))]
-    d, gens = scaled = _scaled_generators(restricted)
+        return [([[int(i == 0) for i in range(k)]], Irrep(("piece",), 1, q0, 1, ()))]
     # each slice's basis, and so each random vector, is taken on integers,
     # times one constant per slice: the spin-up's span and the matrices
     # written in its basis do not change with that constant
@@ -617,9 +626,9 @@ def _extract_irreducibles(basis, right, q0, rng) -> list[tuple[list, Irrep]]:
                 continue
             if not span.contains(v):
                 _, sub = _spin_up(v, scaled)
-                subdim, subgens = _restrict(scaled, sub)
-                if _is_irreducible_split(subgens, subdim):
-                    found.append((sub, Irrep(("piece",), subdim, q0, subgens)))
+                subdim, subscaled = _restrict(scaled, sub)
+                if _is_irreducible_split(subscaled, subdim):
+                    found.append((sub, Irrep(("piece",), subdim, q0, *subscaled)))
                     for b in sub:
                         span.insert(b)
             break
@@ -650,9 +659,6 @@ def split_regular_weyl(wt: WeylType, q0: Fraction, seed: int = 0) -> list[SplitC
     q0 = Fraction(q0)
     _require_semisimple(wt, q0)
     lefts, rights = hecke_regular_matrices(wt, q0)
-    if not lefts:
-        triv = Irrep("trivial", 1, q0, ())
-        return [SplitComponent(triv, 1)]
     try:
         return split_regular_module(lefts, rights, q0, seed=seed)
     except SplittingBudgetExceeded as exc:

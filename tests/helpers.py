@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from superhecke.domains import CDDomain, Domain, Family, act
 from superhecke.groupoid import (
@@ -109,6 +110,27 @@ def mat_mul(a, b):
         [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(m)]
         for i in range(len(a))
     ]
+
+
+def int_generators(mats) -> tuple[int, list]:
+    """Fraction matrices as (D, [D g]), integers over their least common
+    denominator D: the form the oracle's steps take their generators in."""
+    d = lcm(*{x.denominator for g in mats for row in g for x in row})
+    return d, [[[int(x * d) for x in row] for row in g] for g in mats]
+
+
+def fraction_gens(rep) -> list:
+    """An Irrep's generator matrices as Fractions, gens[k] / D."""
+    return [[[Fraction(x, rep.D) for x in row] for row in g] for g in rep.gens]
+
+
+# the classical types, q0 and oracle runs of the irreps sweep: pinned as one
+# digest in test_golden.py, and checked for the integer form in test_weylreps.py
+IRREPS_SWEEP_TYPES = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(6)] + [
+    ("D", n) for n in range(7)
+]
+IRREPS_SWEEP_Q0 = ["2", "1/3", "-2"]
+IRREPS_SWEEP_ORACLE = [("A", 3), ("B", 2), ("D", 3)]  # seeds 0-2 at the default q0 = 2
 
 
 def _blocks(family: Family) -> tuple[int, int]:

@@ -609,7 +609,7 @@ def test_streamed_structconst_is_the_json_dump(tmp_path, scalar):
     else:
         doc = alg.structure_constants_json()
     text = out.read_text()
-    expected = json.dumps(doc, indent=2) + "\n"
+    expected = json.dumps({"schema_version": 1, **doc}, indent=2) + "\n"
     # a bool, not the strings: a diff of two megabyte documents takes minutes
     same = text == expected
     assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"

@@ -17,6 +17,8 @@ import pytest
 
 from superhecke import cli
 
+from helpers import IRREPS_SWEEP_ORACLE, IRREPS_SWEEP_Q0, IRREPS_SWEEP_TYPES
+
 FAMILIES = {
     "A(1,1)": ["--family", "A", "--m", "1", "--n", "1"],
     "B(1,2)": ["--family", "B", "--m", "1", "--n", "2"],
@@ -151,6 +153,34 @@ def test_oracle_sweep_matches_pinned_checksum(tmp_path):
                 assert cli.main(["irreps", *argv, "--format", "json", "--output", str(out)]) == 0
                 digest.update(out.read_bytes())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# `irreps --format json` on every small classical type at three q0, and the
+# oracle at three seeds, as one digest over (argv, exit code, stdout) in the
+# order of irreps_sweep(); recorded while Irrep.gens were Fraction matrices.
+IRREPS_SWEEP_DIGEST = "ac6d44959ae2fb6b76c496f5466b0e8e4197ef5c2975810dd3dc276aefbf6a62"
+
+
+def irreps_sweep():
+    """The argv of every output in the irreps sweep digest, in order."""
+    for kind, n in IRREPS_SWEEP_TYPES:
+        for q0 in IRREPS_SWEEP_Q0:
+            yield ["irreps", "--type", kind, "--n", str(n), "--q", q0, "--format", "json"]
+    for kind, n in IRREPS_SWEEP_ORACLE:
+        for seed in range(3):
+            yield ["irreps", "--type", kind, "--n", str(n), "--oracle", "--seed", str(seed),
+                   "--format", "json"]
+
+
+def test_irreps_sweep_matches_pinned_checksum(capsys):
+    import json
+
+    digest = hashlib.sha256()
+    for argv in irreps_sweep():
+        code = cli.main(argv)
+        out, _ = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out]).encode() + b"\n")
+    assert digest.hexdigest() == IRREPS_SWEEP_DIGEST
 
 
 # `words --format json` over a fixed-seed sweep, as one digest of the

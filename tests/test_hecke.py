@@ -430,9 +430,12 @@ def test_structure_constants_are_a_read_only_mapping(fam):
         table[next(iter(table))] = ()
 
 
-def test_structconst_json_shape():
+def test_structconst_json_shape(capsys):
     H = hecke_poly(Family("B", 1, 1))
     data = H.structure_constants_json()
-    assert data["schema_version"] == 1
     assert len(data["basis"]) == 16
+    # the CLI puts the schema version first
+    assert cli.main(["structconst", "--family", "B", "--m", "1", "--n", "1"]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert list(written) == ["schema_version", *data] and written["schema_version"] == 1
     assert all({"u", "v", "terms"} <= set(e) for e in data["entries"])

@@ -172,12 +172,19 @@ def test_dynkin_diagram_examples():
     assert (3, 4, 3) in diag3.edges
 
 
-def test_dot_and_json_serialization():
+def test_dot_and_json_serialization(capsys):
+    import json
+
+    from superhecke import cli
+
     dot = dynkin_dot(Family("A", 1, 1))
     assert dot.count("graph ") == 7  # six domains + orbit
     data = dynkin_json(Family("CD", 1, 1))
-    assert data["schema_version"] == 1
     assert len(data["diagrams"]) == 3
+    # the CLI puts the schema version first
+    assert cli.main(["dynkin", "--family", "CD", "--m", "1", "--n", "1", "--format", "json"]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert list(written) == ["schema_version", *data] and written["schema_version"] == 1
 
 
 def _mutated_systems(fam):

@@ -74,6 +74,22 @@ def test_act_is_called_only_by_the_root_data_and_the_rows():
     assert in_row == 1
 
 
+def test_box_tensor_and_cli_take_representations_as_integers():
+    # an Irrep's generators are integers over its least denominator, made
+    # once where it is built: the box tensor and the printer convert nothing
+    converters = {"scale_to_int", "to_int_matrix", "from_int_matrix", "_scaled_generators"}
+    calls = []
+    for name in ("superreps.py", "cli.py"):
+        tree = ast.parse((ROOT / "src" / "superhecke" / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if called in converters:
+                    calls.append(f"{name}:{node.lineno} {called}")
+    assert calls == []
+
+
 def test_only_main_writes_the_cli_output():
     # each subcommand returns (exit code, document, text) and cli.main writes
     # one of them, with the one schema version; structconst streams through

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from superhecke import cli, superreps
 from superhecke.domains import CDDomain, Family, act, domain_str, enumerate_domains
 from superhecke.groupoid import groupoid_for
-from superhecke.linalg import int_identity, int_mat_mul, kron, scale_to_int
+from superhecke.linalg import int_identity, int_mat_mul, kron
 from superhecke.roots import RootSystem
 from superhecke.superreps import (
     BigMap,
@@ -28,6 +28,8 @@ from superhecke.superreps import (
 )
 from superhecke.weylgroups import WeylType, generators, poincare
 from superhecke.weylreps import irreps
+
+from helpers import fraction_gens
 
 
 def test_factor_types():
@@ -174,7 +176,7 @@ def test_worked_braid_chain_in_matrices():
     d3 = act(fam, i, act(fam, i + 1, act(fam, i, d)))
     assert lhs_target == rhs_target == G.domain_index[d3]
     k = tau_plus(fam, d).index(i - 1)
-    assert lhs == kron(scale_to_int(l.gens[k], D**3), int_identity(r.dim))
+    assert lhs == kron([[x * (D**3 // l.D) for x in row] for row in l.gens[k]], int_identity(r.dim))
 
 
 def test_b_edge_case_m0():
@@ -305,7 +307,7 @@ def test_entry_moved_by_one_over_d_breaks_the_quadratic():
     lt, rt = factor_types(fam)
     D = math.lcm(q0.denominator, *(
         x.denominator for r in irreps(lt, q0) + irreps(rt, q0)
-        for g in r.gens for row in g for x in row
+        for g in fraction_gens(r) for row in g for x in row
     ))
     assert D > q0.denominator
     assert {s.D for s in bm.summands} == {D}
@@ -317,6 +319,19 @@ def test_entry_moved_by_one_over_d_breaks_the_quadratic():
     rep.blocks[i][a] = (b, moved)
     fails = verify_block_rep(rep)
     assert fails[0] == f"quadratic fails at i={i}, a={groupoid_for(fam).roots.domains[a]}"
+
+
+@pytest.mark.parametrize("fam", [Family("CD", 2, 2), Family("CD", 3, 1)], ids=str)
+def test_big_map_denominator_is_the_least_over_every_entry(fam):
+    # osp(4|4) and osp(6|2) at q0 = 1/3: the irreps' own denominators give
+    # the lcm of q0's denominator and every reduced entry denominator
+    q0 = Fraction(1, 3)
+    lt, rt = factor_types(fam)
+    D = math.lcm(q0.denominator, *(
+        x.denominator for r in irreps(lt, q0) + irreps(rt, q0)
+        for g in fraction_gens(r) for row in g for x in row
+    ))
+    assert {s.D for s in big_map(fam, q0).summands} == {D}
 
 
 def test_injectivity_is_basis_independence():

@@ -3,7 +3,7 @@ the regular-module splitting oracle."""
 
 import logging
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +17,6 @@ from superhecke.linalg import (
     int_mat_mul,
     int_nullspace,
     rank_exact,
-    scale_to_int,
     to_int_matrix,
 )
 from superhecke.scalars import LaurentPoly
@@ -45,7 +44,16 @@ from superhecke.weylreps import (
     words_up_to,
 )
 
-from helpers import mat_mul, poincare_enum, standard_tableaux
+from helpers import (
+    IRREPS_SWEEP_ORACLE,
+    IRREPS_SWEEP_Q0,
+    IRREPS_SWEEP_TYPES,
+    fraction_gens,
+    int_generators,
+    mat_mul,
+    poincare_enum,
+    standard_tableaux,
+)
 
 Q = LaurentPoly.q()
 
@@ -104,6 +112,29 @@ def test_tableau_counts():
     assert len(standard_bitableaux(((1,), (1,)))) == 2
 
 
+def _assert_least_integer_form(rep):
+    assert type(rep.D) is int and rep.D >= 1
+    entries = [x for g in rep.gens for row in g for x in row]
+    assert all(type(x) is int for x in entries)
+    assert gcd(rep.D, *entries) == 1
+    assert len(rep.gens) == 0 or all(len(g) == len(g[0]) == rep.dim for g in rep.gens)
+
+
+@pytest.mark.parametrize("kind, n", IRREPS_SWEEP_TYPES)
+def test_irreps_are_integers_over_their_least_denominator(kind, n):
+    # generator k is gens[k] / D with gcd(D, every entry) = 1
+    for q0 in IRREPS_SWEEP_Q0:
+        for rep in irreps(WeylType(kind, n), Fraction(q0)):
+            _assert_least_integer_form(rep)
+
+
+@pytest.mark.parametrize("kind, n", IRREPS_SWEEP_ORACLE)
+def test_oracle_irreps_are_integers_over_their_least_denominator(kind, n):
+    for seed in range(3):
+        for comp in split_regular_weyl(WeylType(kind, n), Fraction(2), seed=seed):
+            _assert_least_integer_form(comp.irrep)
+
+
 IRREP_CASES = [
     ("A", 2, 2), ("A", 3, 6), ("A", 4, 24),
     ("B", 1, 2), ("B", 2, 8),
@@ -124,7 +155,7 @@ def test_irreps_complete_and_exact(kind, n, order):
 
 def test_s2_irreps_explicit():
     reps = irreps(WeylType("A", 2), Fraction(2))
-    values = sorted(r.gens[0][0][0] for r in reps)
+    values = sorted(Fraction(r.gens[0][0][0], r.D) for r in reps)
     assert values == [Fraction(-1), Fraction(2)]
 
 
@@ -156,12 +187,12 @@ def test_d_restriction_dims():
 def test_split_refuses_generators_that_do_not_commute_with_the_swap(pair):
     # one diagonal entry of one W(D_4) generator moved: the swap check, not
     # the invariance check of _restrict, must refuse it
-    _, gens = weylreps._type_d_gens(pair, Fraction(2))
+    _, (d, gens) = weylreps._type_d_gens(pair, Fraction(2))
     for t in range(len(gens)):
         broken = [[list(row) for row in g] for g in gens]
         broken[t][0][0] += 1
         with pytest.raises(RuntimeError, match="the tableau swap does not commute"):
-            weylreps._split_in_two(pair, broken)
+            weylreps._split_in_two(pair, (d, broken))
 
 
 @pytest.mark.parametrize(
@@ -183,7 +214,7 @@ def test_swap_halves_are_irreducible_and_inequivalent(n, q0):
         assert (plus.label[1], minus.label[1]) == ("+", "-")
         for half in (plus, minus):
             assert half.dim == full // 2
-            assert weylreps._is_irreducible_split(half.gens, half.dim)
+            assert weylreps._is_irreducible_split((half.D, half.gens), half.dim)
         assert trace_vector(plus, words) != trace_vector(minus, words)
 
 
@@ -211,7 +242,7 @@ def test_irreps_at_q1(kind, n):
     for r in reps:
         assert verify_irrep_relations(wt, r)
         ident = [[Fraction(int(i == j)) for j in range(r.dim)] for i in range(r.dim)]
-        for g in r.gens:
+        for g in fraction_gens(r):
             assert mat_mul(g, g) == ident
 
 
@@ -327,14 +358,14 @@ def test_restrict_writes_each_image_in_the_basis():
     # g B^T = B^T R for every generator g and its restriction R, on a basis
     # from nullspaces and on one from a spin-up
     rights = S3_RIGHT[Fraction(2)]
-    scaled = weylreps._scaled_generators(rights)
+    scaled = int_generators(rights)
     _, spun = weylreps._spin_up([3, -6, 0, 1, 0, 0], scaled)
     for basis in (_s3_lines(), spun):
-        k, restricted = weylreps._restrict(scaled, basis)
+        k, (d, restricted) = weylreps._restrict(scaled, basis)
         assert k == len(basis) and len(restricted) == len(rights)
         cols = [list(c) for c in zip(*basis)]
         for g, r in zip(rights, restricted):
-            assert mat_mul(g, cols) == mat_mul(cols, r)
+            assert mat_mul(g, cols) == mat_mul(cols, from_int_matrix(r, d))
 
 
 @pytest.mark.parametrize("delta", [Fraction(1), Fraction(-1, 3)], ids=str)
@@ -343,7 +374,7 @@ def test_restrict_refuses_a_subspace_that_is_not_invariant(delta):
     # times delta's denominator: the only invariant plane through the sign
     # line is this one, so the span is no longer a submodule, and the exact
     # check must say so
-    scaled = weylreps._scaled_generators(S3_RIGHT[Fraction(2)])
+    scaled = int_generators(S3_RIGHT[Fraction(2)])
     for j in range(2):
         for c in range(6):
             basis = [[delta.denominator * x for x in b] for b in _s3_lines()]
@@ -354,10 +385,11 @@ def test_restrict_refuses_a_subspace_that_is_not_invariant(delta):
 
 def _per_word_traces(rep, words):
     out = []
+    gens = fraction_gens(rep)
     for w in words:
         m = [[Fraction(int(i == j)) for j in range(rep.dim)] for i in range(rep.dim)]
         for i in w:
-            m = mat_mul(m, rep.gens[i])
+            m = mat_mul(m, gens[i])
         out.append(sum(m[k][k] for k in range(rep.dim)))
     return tuple(out)
 
@@ -390,7 +422,7 @@ def _right_bfs_word_basis(mats, dim):
     product enlarges the span; each trace is that of the scaled product over
     D^length."""
     d = lcm(*{x.denominator for g in mats for row in g for x in row})
-    gens = [scale_to_int(g, d) for g in mats]
+    gens = [[[int(x * d) for x in row] for row in g] for g in mats]
     ech = IntEchelon(dim * dim)
     words, traces = [], []
     candidates = [((), int_identity(dim))]
@@ -417,7 +449,7 @@ def test_word_basis_is_the_right_multiplication_closure_on_s4(q0):
     # T_w -> T_{w^-1} reverses words and keeps the regular trace, so this pins
     # the order and the traces but not the side a generator multiplies on
     _, rights = hecke_regular_matrices(WeylType("A", 4), q0)
-    words, traces = weylreps._algebra_word_basis(rights, 24)
+    words, traces = weylreps._algebra_word_basis(int_generators(rights), 24)
     assert len(words) == 24  # the right action spans a copy of H, |S_4| = 24
     assert (words, traces) == _right_bfs_word_basis(rights, 24)
 
@@ -425,9 +457,9 @@ def test_word_basis_is_the_right_multiplication_closure_on_s4(q0):
 def test_word_basis_multiplies_words_left_to_right():
     # a = E_31 and b = E_23: ab = 0 but ba = E_21, so (0, 1) is dropped and (1, 0) kept
     def unit(r, c):
-        return [[Fraction(int((i, j) == (r, c))) for j in range(3)] for i in range(3)]
+        return [[int((i, j) == (r, c)) for j in range(3)] for i in range(3)]
 
-    basis = weylreps._algebra_word_basis([unit(2, 0), unit(1, 2)], 3)
+    basis = weylreps._algebra_word_basis((1, [unit(2, 0), unit(1, 2)]), 3)
     assert basis == ([(), (0,), (1,), (1, 0)], [3, 0, 0, 0])
 
 
@@ -435,7 +467,7 @@ def test_word_basis_multiplies_words_left_to_right():
 @given(st.integers(1, 4), st.integers(1, 3), st.data())
 def test_word_basis_is_the_right_multiplication_closure(n, count, data):
     mats = data.draw(_rational_matrices(n, count))
-    assert weylreps._algebra_word_basis(mats, n) == _right_bfs_word_basis(mats, n)
+    assert weylreps._algebra_word_basis(int_generators(mats), n) == _right_bfs_word_basis(mats, n)
 
 
 S3_RIGHT = {q0: hecke_regular_matrices(WeylType("A", 3), q0)[1] for q0 in (Fraction(2), Fraction(1, 3))}
@@ -451,7 +483,7 @@ def test_spin_up_is_the_submodule_generated_by_v(data):
         mats = data.draw(_rational_matrices(n, data.draw(st.integers(1, 2))))
     n = len(mats[0])
     v = data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n).filter(any))
-    den, rows = weylreps._spin_up(v, weylreps._scaled_generators(mats))
+    den, rows = weylreps._spin_up(v, int_generators(mats))
     basis = from_int_matrix(rows, den)
     assert basis[0] == v
     assert rank_exact(basis) == len(basis)
