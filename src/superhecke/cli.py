@@ -236,50 +236,81 @@ def cmd_structconst(args) -> Output:
     return 0, None, None
 
 
-# One entry of the structure-constant document, as json.dumps(indent=2)
-# lays it out at its depth; "poly" values sit at depth 5.
-_ENTRY_HEAD = '    {\n      "u": %d,\n      "v": %d,\n      "terms": [\n'
+# The structure-constant document as json.dumps(indent=2) lays it out: basis
+# items and entries at depth 2, a basis item's "base" at depth 3 and its
+# letters at depth 4, an entry's terms at depth 4 and "poly" values at 5.
+_HEAD = (
+    '{\n  "schema_version": 1,\n  "family": %s,\n  "mode": %s,\n'
+    '  "basis": [\n%s\n  ],\n  "entries": [\n'
+)
+_BASIS_ITEM = '    {\n      "base": %s,\n      "letters": %s\n    }'
+_ENTRY_HEAD = '    {\n      "u": %d,\n      "v": '
+_ROW_HEAD = ',\n      "terms": [\n'
 _TERM_HEAD = '        {\n          "w": '
 _TERM_TAIL = ',\n          "poly": %s\n        }'
-_ENTRY_TAIL = "\n      ]\n    }"
-_TERM_INDENT = "\n" + " " * 10
+_ROW_TAIL = "\n      ]\n    }"
+_TAIL = "\n  ]\n}\n"
+# the writer writes once it holds this many entries, about a megabyte
+_CHUNK = 1000
+
+
+def _indented(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it sits at the given depth."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _structconst_head(alg: HeckeAlgebra, mode: str) -> str:
+    """The document up to its first entry: alg.structconst_header() with
+    the mode, as _json_dump lays it out, from templates.  Only the family and
+    the few domains go through json.dumps; letters are integers."""
+    T = alg.tables
+    bases = [_indented(domain_to_json(d), 3) for d in alg.groupoid.roots.domains]
+    items = []
+    for k, a in enumerate(T.src):
+        letters = ",\n        ".join(map(str, T.canonical_letters(k)))
+        text = f"[\n        {letters}\n      ]" if letters else "[]"
+        items.append(_BASIS_ITEM % (bases[a], text))
+    return _HEAD % (_indented(alg.family._asdict(), 1), json.dumps(mode), ",\n".join(items))
 
 
 def _write_structconst(alg: HeckeAlgebra, write, q0: Fraction | None = None) -> None:
     """The structure-constant document, byte for byte as _json_dump of
-    alg.structure_constants_json(), written about a megabyte at a time as it
-    is encoded.  The table's rows hold coefficient ids, and each id is
-    encoded once, into the text that follows a term's "w".  The table is
-    never empty: it holds the identity rows.  With q0, mode "eval", it is
-    specialised at q0, without the terms that vanish there (at q0 = 1)."""
-    mode = {"mode": "eval"} if q0 is not None else {}
-    head = _json_dump({**alg.structconst_header(), **mode, "entries": []})
-    write(head[: -len("[]\n}\n")] + "[\n")
+    alg.structure_constants_json(), written _CHUNK entries at a time as it
+    is encoded.  Each coefficient id is encoded once, into the text that
+    follows a term's "w", and each distinct row once, into the text that
+    follows an entry's "v".  The table is never empty: it holds the identity
+    rows.  With q0, mode "eval", it is specialised at q0, without the terms
+    that vanish there (at q0 = 1)."""
     table = alg.structure_constants()
     # coefficient id -> the text after a term's "w", or None if it vanishes at q0
     tails: list[str | None] = []
     for c in table.polys:
         if q0 is None:
-            text = json.dumps(laurent_to_json(c), indent=2).replace("\n", _TERM_INDENT)
+            text = _indented(laurent_to_json(c), 5)
         else:
             x = c.evaluate(q0)
             text = json.dumps(rational_to_string(x)) if x else None
         tails.append(None if text is None else _TERM_TAIL % text)
+    # row id -> the text after an entry's "v"
+    texts = [
+        _ROW_HEAD
+        + ",\n".join([_TERM_HEAD + str(w) + tails[c] for w, c in row if tails[c] is not None])
+        + _ROW_TAIL
+        for row in table.rows
+    ]
+    # what goes before the next written entry: the head, then a separator
+    before = _structconst_head(alg, alg.mode if q0 is None else "eval")
     chunk: list[str] = []
-    size = 0
-    sep = ""
-    for (u, v), row in table.rows.items():
-        terms = [_TERM_HEAD + str(w) + tails[c] for w, c in row if tails[c] is not None]
-        entry = sep + _ENTRY_HEAD % (u, v) + ",\n".join(terms) + _ENTRY_TAIL
-        chunk.append(entry)
-        size += len(entry)
-        sep = ",\n"
-        if size >= 1 << 20:
-            write("".join(chunk))
-            chunk.clear()
-            size = 0
-    chunk.append("\n  ]\n}\n")
-    write("".join(chunk))
+    for u, ids in enumerate(table.ids):
+        head = _ENTRY_HEAD % u
+        for v, k in zip(table.partners(u), ids):
+            if k:
+                chunk.append(f"{head}{v}{texts[k]}")
+                if len(chunk) >= _CHUNK:
+                    write(before + ",\n".join(chunk))
+                    before = ",\n"
+                    chunk.clear()
+    write(before + ",\n".join(chunk) + _TAIL if chunk else _TAIL)
 
 
 def cmd_poincare(args) -> Output:

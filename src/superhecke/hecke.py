@@ -19,6 +19,11 @@ table and the presentation check multiply through, adds and multiplies by
 memoised lookups.  LaurentPoly appears only at the edges: in the q and
 q - 1 that the relations intern, and in the rows that
 `structure_constants()` yields.
+
+The structure-constant table repeats itself: osp(2|4) has 8 000 entries
+and 825 distinct rows, B(2,2) 884 736 and 39 204.  So the table stores each
+distinct row once and each entry as its row's id, and a row is stepped by a
+generator once per distinct (letter, domain, row id), not once per entry.
 """
 
 from __future__ import annotations
@@ -36,29 +41,68 @@ from .scalars import CoefficientRing, LaurentPoly, laurent_to_json
 
 class StructureConstants(Mapping):
     """The table c^w_{u,v}, read-only: (u, v) -> sparse row of (w, LaurentPoly),
-    in (u, v) order.  It is stored once, as `rows` of (w, coefficient id)
-    beside the ring's `polys`; a LaurentPoly row is built when it is read."""
+    in (u, v) order; a pair that is not composable, or whose product is
+    zero, is not a key.
 
-    __slots__ = ("rows", "polys")
+    Most products repeat, so each distinct row is stored once: `rows[k]` is
+    a tuple of (w, coefficient id) pairs, w ascending, beside the ring's
+    `polys`, and rows[0] = () is the zero row.  `ids[u]` holds the row ids of
+    the (u, v), aligned with the v of `partners(u)`, those whose target is
+    the source of u.  A LaurentPoly row is built when it is read."""
+
+    __slots__ = ("rows", "polys", "ids", "src", "by_target", "_len")
 
     def __init__(
-        self, rows: dict[tuple[int, int], tuple[tuple[int, int], ...]], polys: list[LaurentPoly]
+        self,
+        rows: list[tuple[tuple[int, int], ...]],
+        polys: list[LaurentPoly],
+        ids: list[list[int]],
+        src: tuple[int, ...],
+        by_target: list[list[int]],
     ):
         self.rows = rows
         self.polys = polys
+        self.ids = ids
+        self.src = src
+        self.by_target = by_target
+        self._len = sum(len(x) - x.count(0) for x in ids)
+
+    def partners(self, u: int) -> list[int]:
+        """The v, ascending, with f(u) f(v) composable: tgt(v) = src(u)."""
+        return self.by_target[self.src[u]]
+
+    def _id(self, key) -> int:
+        """The row id of key, 0 for a key that is not in the table."""
+        try:
+            u, v = key
+            vs = self.partners(u) if u >= 0 else ()
+            j = bisect_left(vs, v)
+            return self.ids[u][j] if j < len(vs) and vs[j] == v else 0
+        except (TypeError, ValueError, IndexError):
+            return 0
 
     def __getitem__(self, key: tuple[int, int]) -> tuple[tuple[int, LaurentPoly], ...]:
+        k = self._id(key)
+        if not k:
+            raise KeyError(key)
         polys = self.polys
-        return tuple((w, polys[c]) for w, c in self.rows[key])
+        return tuple((w, polys[c]) for w, c in self.rows[k])
 
     def __contains__(self, key) -> bool:
-        return key in self.rows
+        return self._id(key) != 0
+
+    def row_ids(self):
+        """(u, v, row id) of every key, in (u, v) order."""
+        for u, ids in enumerate(self.ids):
+            for v, k in zip(self.partners(u), ids):
+                if k:
+                    yield u, v, k
 
     def __iter__(self):
-        return iter(self.rows)
+        return ((u, v) for u, v, _ in self.row_ids())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._len
 
 
 class RelationInstance(NamedTuple):
@@ -184,9 +228,14 @@ class HeckeAlgebra:
         """Complete table c^w_{u,v}, keyed by basis indices, sparse rows, in
         (u, v) order.
 
-        Basis order starts with length, so the row of u' = lgen[i][u], with
+        Basis order starts with length, so the row of r = lgen[i][u], with
         i = first[u], is in the table before u's, and
-        f(u) f(v) = T_{i, tgt(u')} (f(u') f(v)) costs one generator product.
+        f(u) f(v) = T_{i, tgt(r)} (f(r) f(v)) is one generator product on
+        r's row (Geck-Pfeiffer 2000, sec. 1).  r has u's source, so u and r
+        share their partners v, and u's row ids are r's, each stepped by
+        T_{i, tgt(r)}.  Rows are hash-consed (Filliatre-Conchon 2006): the
+        step is memoised on (i, tgt(r), row id), so `_lmul` runs once per
+        distinct step, not once per entry.
         """
         if self._table is not None:
             return self._table
@@ -194,21 +243,39 @@ class HeckeAlgebra:
         by_target: list[list[int]] = [[] for _ in self.groupoid.roots.domains]
         for v, a in enumerate(T.tgt):
             by_target[a].append(v)
-        rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        rows: list[tuple[tuple[int, int], ...]] = [()]
+        row_id: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+
+        def intern(row) -> int:
+            k = row_id.get(row)
+            if k is None:
+                k = row_id[row] = len(rows)
+                rows.append(row)
+            return k
+
+        # (i, b) -> {row id: id of the row stepped by T_{i, b}}; 0 stays 0
+        steps: dict[tuple[int, int], dict[int, int]] = {}
+        ids: list[list[int]] = []
         one = self._one
         for u, a in enumerate(T.src):
             if T.length[u] == 0:
-                for v in by_target[a]:
-                    rows[(u, v)] = ((v, one),)
+                ids.append([intern(((v, one),)) for v in by_target[a]])
                 continue
             i = T.first[u]
             r = T.lgen[i][u]
             b = T.tgt[r]
-            for v in by_target[a]:
-                z = self._lmul(i, b, rows[(r, v)])
-                if z:
-                    rows[(u, v)] = tuple(sorted(z.items()))
-        self._table = StructureConstants(rows, self.ring.polys)
+            step = steps.get((i, b))
+            if step is None:
+                step = steps[(i, b)] = {0: 0}
+            row = []
+            for k in ids[r]:
+                s = step.get(k)
+                if s is None:
+                    z = self._lmul(i, b, rows[k])
+                    s = step[k] = intern(tuple(sorted(z.items())))
+                row.append(s)
+            ids.append(row)
+        self._table = StructureConstants(rows, self.ring.polys, ids, T.src, by_target)
         return self._table
 
     def structconst_header(self) -> dict:
@@ -225,14 +292,12 @@ class HeckeAlgebra:
         }
 
     def structure_constants_json(self):
-        entries = [
-            {
-                "u": u,
-                "v": v,
-                "terms": [{"w": w, "poly": laurent_to_json(c)} for w, c in row],
-            }
-            for (u, v), row in self.structure_constants().items()
-        ]
+        """The structure-constant document; the entries of one distinct row
+        share its "terms" list."""
+        table = self.structure_constants()
+        polys = [laurent_to_json(c) for c in table.polys]
+        terms = [[{"w": w, "poly": polys[c]} for w, c in row] for row in table.rows]
+        entries = [{"u": u, "v": v, "terms": terms[k]} for u, v, k in table.row_ids()]
         return {**self.structconst_header(), "entries": entries}
 
     # ---- presentation ----
@@ -302,9 +367,21 @@ class HeckeAlgebra:
                     check(not right(E[a], b), "E_a E_b != 0 at {}, {}", domains[a], domains[b])
         # sum of idempotents is the unit: on the left it keeps every term of
         # f(w); on the right it is E_source(w), on which f(w)'s canonical
-        # letters act, letter i from position a to position rows[a][i - 1][0]
+        # letters act, letter i from position a to position rows[a][i - 1][0].
+        # By induction in position order, one letter per element: with
+        # i = first[k] and r = lgen[i][k] checked before k and of k's source,
+        # f(k) = T_{i, reach[r]} f(r), where reach[r] is the domain r's
+        # letters walk to from that source.
+        reach: list[int] = []
         for k, a in enumerate(T.src):
-            ok = word(T.canonical_letters(k), a) == {k: one}
+            if T.length[k] == 0:
+                ok = k == a
+                reach.append(a)
+            else:
+                i = T.first[k]
+                r = T.lgen[i][k]
+                ok = r < k and T.src[r] == a and lmul(i, reach[r], ((r, one),)) == {k: one}
+                reach.append(rows[reach[r]][i - 1][0] if r < k else T.tgt[k])
             check(ok, "sum of E_a is not the unit on {}", None if ok else G.elements()[k])
         # generator relations
         for a, d in enumerate(domains):

@@ -615,6 +615,26 @@ def test_streamed_structconst_is_the_json_dump(tmp_path, scalar):
     assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_structconst_writes_in_chunks(monkeypatch, chunk):
+    # a write per entry, and one per 7 entries: the separator between two
+    # writes, and the end after a full or a partial last chunk, are still
+    # those of the json.dumps of the whole document
+    from superhecke import cli
+    from superhecke.domains import Family
+    from superhecke.hecke import hecke_poly
+
+    alg = hecke_poly(Family("A", 1, 1))
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    writes: list[str] = []
+    cli._write_structconst(alg, writes.append)
+    assert len(writes) == len(alg.structure_constants()) // chunk + 1
+    expected = json.dumps({"schema_version": 1, **alg.structure_constants_json()}, indent=2) + "\n"
+    text = "".join(writes)
+    same = text == expected
+    assert same, f"first difference at offset {len(os.path.commonprefix([text, expected]))}"
+
+
 def test_oracle_runs_without_sympy(monkeypatch, capsys):
     # the oracle factors its minimal polynomials in-house: with sympy
     # unimportable it exits 0 with the bytes pinned in test_golden.py

@@ -190,12 +190,35 @@ def test_presentation_fails_on_a_corrupted_generator_table():
     H.tables = T._replace(lgen=tuple(tuple(row) for row in lgen))
     report = H.verify_presentation()
     assert report.passed is False
-    assert len(report.failures) == 14
-    assert any(f.startswith("sum of E_a is not the unit") for f in report.failures)
+    assert len(report.failures) == 6
+    # the unit check steps one letter per element, so it names only the
+    # element whose own step reads the redirected entry, not its descendants
+    unit = [f for f in report.failures if f.startswith("sum of E_a is not the unit")]
+    assert unit == [f"sum of E_a is not the unit on {H.groupoid.elements()[T.lgen[1][k]]}"]
     # the count and every failure line, byte for byte
     assert _report_digest(report) == (
-        "30ed09c5a871a9172ea21ca542e82d1c198ae75ad33c4683565d09662a1163a4"
+        "6c15ed79741945f78ffe4eae3560f58c0e2fea2ae15783001ff41d537fdf72ee"
     )
+
+
+def test_verify_names_the_minimal_witness_of_a_redirected_letter(monkeypatch, capsys):
+    # on B(1,2), T_2 f(48) redirected from element 27 to element 28, of the
+    # same length, source and target: verify exits 1, and the unit check
+    # names element 48 alone, whose own step reads the redirected entry
+    fam = Family("B", 1, 2)
+    H = hecke_poly(fam)
+    T = H.tables
+    shape = lambda j: (T.length[j], T.src[j], T.tgt[j])
+    assert T.lgen[2][48] == 27 and shape(28) == shape(27)
+    lgen = [list(row) for row in T.lgen]
+    lgen[2][48] = 28
+    monkeypatch.setattr(H, "tables", T._replace(lgen=tuple(tuple(row) for row in lgen)))
+    argv = ["verify", "--family", "B", "--m", "1", "--n", "2", "--format", "json"]
+    assert cli.main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    unit = [f for f in doc["relation_failures"] if f.startswith("sum of E_a is not the unit")]
+    assert unit == [f"sum of E_a is not the unit on {H.groupoid.elements()[48]}"]
+    assert doc["relations_checked"] == 190
 
 
 def test_presentation_fails_on_a_wrong_quadratic_coefficient():
@@ -404,7 +427,9 @@ def test_product_bilinear_random():
             assert _product(H, fw, x) == _plus(H, _product(H, fw, fu), _product(H, fw, cfv))
 
 
-@pytest.mark.parametrize("fam", [Family("A", 1, 1), Family("CD", 1, 1)])
+@pytest.mark.parametrize(
+    "fam", [Family("A", 1, 1), Family("CD", 1, 1), Family("B", 1, 2), Family("CD", 1, 2)]
+)
 def test_structure_constants_are_a_read_only_mapping(fam):
     # the Mapping over the id rows against the reference's products through
     # canonical words
@@ -425,9 +450,43 @@ def test_structure_constants_are_a_read_only_mapping(fam):
     for key, row in reference.items():
         assert key in table and table[key] == row
         assert all(isinstance(c, LaurentPoly) for _, c in table[key])
-    assert (len(H.tables.src), 0) not in table
+    assert list(table) == list(reference)
+    assert (len(H.tables.src), 0) not in table and (-1, 0) not in table
+    T = H.tables
+    n = len(T.src)
+    apart = next(((u, v) for u in range(n) for v in range(n) if T.tgt[v] != T.src[u]), None)
+    if apart is not None:
+        assert apart not in table
+        with pytest.raises(KeyError):
+            table[apart]
     with pytest.raises(TypeError):
         table[next(iter(table))] = ()
+
+
+def test_structure_constants_step_each_distinct_row_once():
+    # osp(2|4): 8 000 entries, 7 800 of them past the identities, but only
+    # 1 765 distinct (letter, domain, row) steps, each one `_lmul` call
+    H = HeckeAlgebra(Family("CD", 1, 2))
+    calls = 0
+    lmul = H._lmul
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return lmul(*args)
+
+    H._lmul = counted
+    table = H.structure_constants()
+    T = H.tables
+    steps = set()
+    for u in range(len(T.src)):
+        if T.length[u]:
+            i = T.first[u]
+            r = T.lgen[i][u]
+            steps.update((i, T.tgt[r], table[(r, v)]) for v in table.partners(u))
+    assert len(table) == 8000
+    assert len(set(table.values())) == len(table.rows) - 1 == 825
+    assert calls == len(steps) == 1765
 
 
 def test_structconst_json_shape(capsys):
